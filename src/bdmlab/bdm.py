@@ -8,23 +8,31 @@ Two degree-of-freedom conventions are supported:
   of P_{k-1} (constants excluded) and against the divergence-free
   zero-normal-trace space Q_k.
 
-Facet moments are evaluated in a facet chart against the scaled outward
-normal, which makes them equal to the physical surface moments while
-keeping every number rational; interpolation of polynomial fields on
-rational simplices is exact.
+The basis of P_k^d is monomial, so every DOF is a fixed linear functional
+on monomial coefficients: a sum of coefficient times a cached moment of the
+element's `MomentTable`.  Facet moments are taken in a facet chart against
+the scaled outward normal, which makes them equal to the physical surface
+moments while keeping every number rational; the Vandermonde matrix and
+the interpolation of a polynomial field of any degree are dot products with
+the same table, exact on rational simplices.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
 from . import linalg
 from .geometry import Simplex, piola_push, reference_simplex, t_bar_simplex
-from .polynomials import (Polynomial, VectorPoly, integrate_reference,
-                          monomial_indices)
+# integrate_poly and integrate_reference stay importable by name from this
+# module: perfbench/tracing.py rebinds them here.
+from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
+                          integrate_reference, monomial_indices)
 from .quadrature import simplex_rule
-from .spaces import basis_nk, basis_pk, basis_pk_vector, basis_qk, integrate_poly
+from .spaces import (basis_nk, basis_pk, basis_pk_vector, basis_qk,  # noqa: F401
+                     integrate_poly, moment_table)
 
 VARIANTS = ("nedelec", "bdm_original")
 
@@ -41,12 +49,13 @@ class FacetMoment:
     alpha: tuple
 
     def apply(self, el, v: VectorPoly):
-        matrix, origin = el.simplex.facet_chart(self.facet)
-        m = el.simplex.scaled_facet_normal(self.facet)
-        restricted = v.compose_affine(matrix, origin)
-        integrand = restricted.dot(m) * Polynomial.monomial(el.simplex.dim - 1,
-                                                            self.alpha)
-        return integrate_reference(integrand)
+        table, i, alpha, k = el.moments, self.facet, self.alpha, el.order
+        total = Fraction(0)
+        for p, mc in zip(v.comps, table.normals[i]):
+            if mc != 0:
+                total += mc * sum(c * table.facet(i, a, alpha, k)
+                                  for a, c in p.terms.items())
+        return total
 
     def apply_quad(self, el, f, degree):
         pts, wts = simplex_rule(el.simplex.dim - 1, degree)
@@ -68,7 +77,7 @@ class InteriorMoment:
     label: str
 
     def apply(self, el, v: VectorPoly):
-        return integrate_poly(v.dot(self.weight), el.simplex)
+        return el.moments.integrate(v.dot(self.weight))
 
     def apply_quad(self, el, f, degree):
         pts, wts = simplex_rule(el.simplex.dim, degree)
@@ -113,17 +122,23 @@ class BDMElement:
         self.simplex = simplex
         self.order = order
         self.variant = variant
-        self.basis = basis_pk_vector(simplex.dim, order)
+        self.moments = moment_table(simplex)
+        self._monomials = monomial_indices(simplex.dim, order)
+        basis = basis_pk_vector(simplex.dim, order)
         self.dofs = _dof_functionals(simplex, order, variant)
-        if len(self.dofs) != self.basis.dim:
+        if len(self.dofs) != basis.dim:
             raise UnisolvenceError(
-                f"{len(self.dofs)} functionals for a {self.basis.dim}-dim space")
-        self.vandermonde = [[dof.apply(self, b) for b in self.basis]
-                            for dof in self.dofs]
+                f"{len(self.dofs)} functionals for a {basis.dim}-dim space")
+        vandermonde = [[dof.apply(self, b) for b in basis] for dof in self.dofs]
         try:
-            self._inverse = linalg.invert(self.vandermonde)
+            inverse = linalg.invert(vandermonde)
         except linalg.SingularMatrixError as exc:
             raise UnisolvenceError("singular DOF system") from exc
+        # the inverse as integers over one common denominator, so that
+        # applying it to DOF values is integer arithmetic
+        self._denominator = lcm(*(x.denominator for row in inverse for x in row))
+        self._inverse = [[x.numerator * (self._denominator // x.denominator)
+                          for x in row] for row in inverse]
         self._inverse_float = None
 
     @property
@@ -140,19 +155,23 @@ class BDMElement:
         exact = all(isinstance(x, (Fraction, int)) for x in values)
         d = self.simplex.dim
         if exact:
-            coeffs = [sum(self._inverse[i][j] * values[j]
-                          for j in range(self.ndofs))
-                      for i in range(self.ndofs)]
+            scale = lcm(*(x.denominator for x in values))
+            scaled = [x.numerator * (scale // x.denominator) for x in values]
+            den = self._denominator * scale
+            coeffs = [Fraction(sum(map(mul, row, scaled)), den)
+                      for row in self._inverse]
         else:
             if self._inverse_float is None:
+                # int / int rounds once, exactly as float(Fraction) does
                 self._inverse_float = np.array(
-                    [[float(x) for x in row] for row in self._inverse])
+                    [[x / self._denominator for x in row] for row in self._inverse])
             coeffs = (self._inverse_float @ np.asarray(values, dtype=float)).tolist()
-        out = VectorPoly.zero(d, d)
-        for c, b in zip(coeffs, self.basis):
-            if c != 0:
-                out = out + b * c
-        return out
+        # the basis is component-major: one block of monomial coefficients
+        # per component
+        n = len(self._monomials)
+        return VectorPoly([Polynomial(d, dict(zip(self._monomials,
+                                                  coeffs[j * n:(j + 1) * n])))
+                           for j in range(d)])
 
     def interpolate(self, v, quad_degree=None) -> VectorPoly:
         """Interpolant in P_k^d; exact for polynomial fields.  Callables go

@@ -27,13 +27,39 @@ from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
 from .stokes import convergence_study, study_to_csv
 
 
+# Bounds on a parsed field, so that any --field does bounded work: the
+# interpolation cost grows with the field's degree, and exact powers with
+# the size of the coefficients.
+MAX_FIELD_DEGREE = 12
+MAX_COEFF_BITS = 1024
+
+
 class FieldSyntaxError(ValueError):
     pass
 
 
+def _size(value):
+    """(degree, largest numerator or denominator bit length) of a parsed
+    value, either a Polynomial or a rational constant."""
+    coeffs = value.terms.values() if isinstance(value, Polynomial) else [value]
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in coeffs), default=0)
+    degree = value.degree if isinstance(value, Polynomial) else 0
+    return degree, bits
+
+
+def _check_size(degree, bits):
+    if degree > MAX_FIELD_DEGREE:
+        raise FieldSyntaxError(f"field degree above {MAX_FIELD_DEGREE}")
+    if bits > MAX_COEFF_BITS:
+        raise FieldSyntaxError(f"coefficients above {MAX_COEFF_BITS} bits")
+
+
 def parse_polynomial(expr, dim):
     """Safe arithmetic-only expression parser: variables x1..x3, integer
-    literals, + - * / ** and parentheses, evaluated over exact rationals."""
+    literals, + - * / ** and parentheses, evaluated over exact rationals.
+    Degree and coefficient size are capped (MAX_FIELD_DEGREE,
+    MAX_COEFF_BITS) before each product or power is formed."""
     names = {f"x{i + 1}": Polynomial.variable(dim, i) for i in range(dim)}
 
     def ev(node):
@@ -45,16 +71,26 @@ def parse_polynomial(expr, dim):
                 return left + right
             if isinstance(node.op, ast.Sub):
                 return left - right
+            (dl, bl), (dr, br) = _size(left), _size(right)
             if isinstance(node.op, ast.Mult):
+                _check_size(dl + dr, bl + br)
                 return left * right
             if isinstance(node.op, ast.Div):
                 if isinstance(right, Polynomial):
                     raise FieldSyntaxError("division by a polynomial")
+                if right == 0:
+                    raise FieldSyntaxError("division by zero")
+                _check_size(dl, bl + br)
                 return left * (Fraction(1) / right)
             if isinstance(node.op, ast.Pow):
                 if isinstance(right, Polynomial) or right != int(right):
                     raise FieldSyntaxError("exponent must be a literal integer")
-                return left ** int(right)
+                n = int(right)
+                if n < 0 and (isinstance(left, Polynomial) or left == 0):
+                    raise FieldSyntaxError(
+                        "negative exponent of a polynomial or of zero")
+                _check_size(dl * abs(n), bl * abs(n))
+                return left ** n
             raise FieldSyntaxError("unsupported operator")
         if isinstance(node, ast.UnaryOp):
             val = ev(node.operand)
@@ -114,6 +150,13 @@ def cmd_mesh(args):
               sigma_mesh=sigma_mesh, n_vertices=mesh.n_vertices,
               n_triangles=mesh.n_triangles)
     return 0
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_interpolate(args):
@@ -221,7 +264,7 @@ def build_parser():
                                            "on one element")
     p.add_argument("--simplex", default=None, help="vertex file (one per line)")
     p.add_argument("--ref", choices=["tri", "tet", "tbar"], default="tri")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=positive_int, default=1)
     p.add_argument("--variant", choices=["nedelec", "bdm_original"],
                    default="nedelec")
     p.add_argument("--field", required=True,
@@ -237,7 +280,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="ratio sweep of a named estimate")
     p.add_argument("--name", choices=sorted(SWEEP_PRESETS), required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=positive_int, default=None)
     p.add_argument("--pow-min", type=int, default=1)
     p.add_argument("--pow-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -284,7 +284,9 @@ def ratio_verdict(ratios):
     if not finite:
         return "bounded"
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    if increasing and ratios[-1] / ratios[0] > RATIO_SPREAD_CAP:
+    # growth counts from the first positive ratio: an exactly interpolated
+    # field gives a leading 0
+    if increasing and ratios[-1] / finite[0] > RATIO_SPREAD_CAP:
         return "diverging"
     if max(finite) / min(finite) < RATIO_SPREAD_CAP and len(finite) == len(ratios):
         return "bounded"

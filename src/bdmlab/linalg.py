@@ -55,6 +55,30 @@ def _bareiss_echelon(rows, ncols):
     return pivots
 
 
+def _last_pivot(rows, pivots):
+    """The last Bareiss pivot: up to sign, the determinant of the pivot rows
+    and columns of the integer system, so det * x is integral for every
+    solution x of that square system (Cramer's rule)."""
+    if not pivots:
+        return 1
+    r, c = pivots[-1]
+    return rows[r][c]
+
+
+def _back_substitute(rows, pivots, scaled, ncols):
+    """Integer back-substitution on the echelon rows, in place.
+
+    On entry `scaled` holds det times the right-hand side at each pivot
+    column and det times the fixed free unknowns; on exit it holds det
+    times the solution.  Every division is exact because det * x is
+    integral.
+    """
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = scaled[c] - sum(row[j] * scaled[j] for j in range(c + 1, ncols))
+        scaled[c] = s // row[c]
+
+
 def nullspace(matrix, ncols=None):
     """Basis of {x : M x = 0} as lists of Fractions.
 
@@ -69,16 +93,13 @@ def nullspace(matrix, ncols=None):
     pivots = _bareiss_echelon(rows, ncols)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    det = _last_pivot(rows, pivots)
     basis = []
     for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = sum((Fraction(row[j]) * vec[j] for j in range(c + 1, ncols)),
-                    Fraction(0))
-            vec[c] = -s / row[c]
-        basis.append(vec)
+        scaled = [0] * ncols
+        scaled[f] = det
+        _back_substitute(rows, pivots, scaled, ncols)
+        basis.append([Fraction(x, det) for x in scaled])
     return basis
 
 
@@ -97,16 +118,17 @@ def solve(matrix, rhs):
     pivots = _bareiss_echelon(rows, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    sol = [[Fraction(0)] * nrhs for _ in range(n)]
-    for r, c in reversed(pivots):
-        row = rows[r]
-        for k in range(nrhs):
-            s = sum((Fraction(row[j]) * sol[j][k] for j in range(c + 1, n)),
-                    Fraction(0))
-            sol[c][k] = (Fraction(row[n + k]) - s) / row[c]
+    det = _last_pivot(rows, pivots)
+    sol_cols = []
+    for k in range(nrhs):
+        scaled = [0] * n
+        for r, c in pivots:
+            scaled[c] = det * rows[r][n + k]
+        _back_substitute(rows, pivots, scaled, n)
+        sol_cols.append([Fraction(x, det) for x in scaled])
     if vector_rhs:
-        return [s[0] for s in sol]
-    return sol
+        return sol_cols[0]
+    return [list(row) for row in zip(*sol_cols)]
 
 
 def invert(matrix):

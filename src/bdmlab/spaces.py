@@ -1,5 +1,5 @@
 """Bases for the polynomial spaces behind the interpolation operator, and
-exact integration of polynomials over simplices.
+exact integration over simplices through per-simplex monomial-moment tables.
 
 The constrained spaces (divergence-free with vanishing normal trace, and
 the p . x == 0 space) are computed literally as nullspaces of their
@@ -8,6 +8,7 @@ defining linear constraints over exact rationals.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .polynomials import (Polynomial, VectorPoly, integrate_reference,
@@ -28,18 +29,99 @@ class SpaceBasis:
         return iter(self.members)
 
 
+class MomentTable:
+    """Exact monomial moments on one simplex, filled on first use.
+
+    Every exact integral the DOF functionals and the norms need is a linear
+    functional on monomial coefficients, so it reduces to a dot product
+    against two kinds of moment:
+
+    * int_T x^a dx, behind ``integrate(p)``;
+    * ``facet(i, a, alpha, degree)``: int_ref (x^a o chart_i) t^alpha dt on
+      facet i, in the chart of `Simplex.facet_chart`.
+
+    Charts, scaled facet normals and |det| are computed once.  Each table
+    is filled by total degree: a miss fills every monomial up to the
+    missing degree at once.  Only the scalar moments are kept.
+    """
+
+    __slots__ = ("dim", "normals", "_chart", "_scale", "_facet_charts",
+                 "_volume", "_volume_degree", "_facet", "_facet_degrees")
+
+    def __init__(self, simplex):
+        self.dim = simplex.dim
+        self._chart = simplex.chart()
+        self._scale = abs(simplex.edge_det())
+        self._facet_charts = [simplex.facet_chart(i) for i in range(self.dim + 1)]
+        self.normals = [simplex.scaled_facet_normal(i)
+                        for i in range(self.dim + 1)]
+        self._volume = {}
+        self._volume_degree = -1
+        self._facet = {}
+        self._facet_degrees = [(-1, -1)] * (self.dim + 1)
+
+    def _composed_monomials(self, chart, degree):
+        """(a, x^a o chart) for every |a| <= degree, in graded order.  Each
+        is one lower-degree composition times one composed coordinate,
+        which is far cheaper than composing every monomial from scratch."""
+        matrix, origin = chart
+        coords = [Polynomial.variable(self.dim, j).compose_affine(matrix, origin)
+                  for j in range(self.dim)]
+        zero = (0,) * self.dim
+        composed = {zero: Polynomial.constant(len(matrix[0]), Fraction(1))}
+        for a in monomial_indices(self.dim, degree):
+            if a != zero:
+                j = next(j for j, aj in enumerate(a) if aj)
+                composed[a] = composed[a[:j] + (a[j] - 1,) + a[j + 1:]] * coords[j]
+            yield a, composed[a]
+
+    def integrate(self, p: Polynomial):
+        """Exact int_T p dx."""
+        if p.degree > self._volume_degree:
+            self._volume_degree = p.degree
+            for a, composed in self._composed_monomials(self._chart, p.degree):
+                self._volume[a] = integrate_reference(composed) * self._scale
+        total = Fraction(0)
+        for a, c in p.terms.items():
+            total += c * self._volume[a]
+        return total
+
+    def facet(self, i, a, alpha, degree):
+        """int_ref (x^a o chart_i) t^alpha dt.  A miss fills every |a| and
+        every |alpha| up to `degree`, or as far as the missing entry
+        needs."""
+        try:
+            return self._facet[i, a, alpha]
+        except KeyError:
+            pass
+        n, m = self._facet_degrees[i]
+        n, m = max(n, degree, sum(a)), max(m, degree, sum(alpha))
+        self._facet_degrees[i] = n, m
+        betas = monomial_indices(self.dim - 1, m)
+        for b, restricted in self._composed_monomials(self._facet_charts[i], n):
+            for beta in betas:
+                self._facet[i, b, beta] = integrate_reference(
+                    restricted * Polynomial.monomial(self.dim - 1, beta))
+        return self._facet[i, a, alpha]
+
+
+@lru_cache(maxsize=8)
+def _cached_table(simplex, exact):
+    return MomentTable(simplex)
+
+
+def moment_table(simplex):
+    """The MomentTable of a simplex, shared through a small LRU cache.
+
+    Entries depend on the vertices only, so sharing a table cannot change a
+    result; an exact simplex and a float one with equal vertices get
+    separate tables, since they compute in different number types."""
+    return _cached_table(simplex, simplex.exact)
+
+
 def integrate_poly(p: Polynomial, simplex):
-    """Exact integral of a polynomial over a simplex (affine pullback to the
-    reference simplex and the monomial factorial formula)."""
-    A, b = simplex.chart()
-    composed = p.compose_affine(A, b)
-    det = simplex.edge_det()
-    return integrate_reference(composed) * abs(det)
-
-
-def integrate_dot(v: VectorPoly, w: VectorPoly, simplex):
-    """Exact integral of v . w over a simplex."""
-    return integrate_poly(v.dot(w), simplex)
+    """Exact integral of a polynomial over a simplex."""
+    return moment_table(simplex).integrate(p)
 
 
 def basis_pk(dim, k):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bdmlab.cli import FieldSyntaxError, main, parse_field, parse_polynomial
+from bdmlab.cli import (MAX_FIELD_DEGREE, FieldSyntaxError, main, parse_field,
+                        parse_polynomial)
 from fractions import Fraction
 
 F = Fraction
@@ -61,6 +62,40 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["mesh", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_interpolate_order_zero_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--k", "0", "--field", "x1, 0"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def test_sweep_order_zero_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--name", "counterexample-2d", "--k", "0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("field", [
+    "x1**(10**6), 0",           # exponent far past the degree cap
+    "(x1**7)**2, 0",            # degree past the cap through nested powers
+    "x1**7 * x2**7, 0",         # degree past the cap through a product
+    "((10**12)**12)**12, 0",    # coefficient size past the cap
+    "x1**-1, 0",
+    "1/0, x1",
+])
+def test_interpolate_unbounded_field_exit_2(field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--k", "1", "--field", field])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_parse_accepts_fields_at_the_caps():
+    p = parse_polynomial(f"x1**{MAX_FIELD_DEGREE} + (1/2)**-3", 2)
+    assert p.degree == MAX_FIELD_DEGREE
+    assert p.coeff((0, 0)) == 8
 
 
 def test_mesh_fig6(tmp_path, capsys):

@@ -179,6 +179,13 @@ def test_verdict_rules():
     assert ratio_verdict([0.0, 0.0]) == "bounded"
 
 
+def test_verdict_leading_zero_ratio():
+    # exact interpolation of the first field gives a zero first ratio; the
+    # monotone test used to divide by it
+    assert ratio_verdict([0.0, 1.0, 2.0]) == "inconclusive"
+    assert ratio_verdict([0.0, 1.0, 20.0]) == "diverging"
+
+
 def test_sweep_counterexample_2d_diverges():
     v = VectorPoly([Polynomial.zero(2), x(2, 0) ** 2])
     grid = [(F(1, 2 ** j),) for j in range(1, 11)]

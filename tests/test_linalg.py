@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmlab import linalg
 
@@ -56,3 +58,49 @@ def test_nullspace_deterministic_and_exact():
 
 def test_rank():
     assert linalg.rank([[1, 2], [2, 4], [1, 0]]) == 2
+
+
+# -- integer back-substitution against the defining equations ---------------------
+
+rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    rows = [draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # a dependent row makes rank deficiency common
+        rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_property(M):
+    ncols = len(M[0])
+    basis = linalg.nullspace(M)
+    assert len(basis) == ncols - linalg.rank(M)
+    for vec in basis:
+        assert all(isinstance(x, Fraction) for x in vec)
+        for row in M:
+            assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True), st.data())
+def test_solve_property(M, data):
+    n = len(M)
+    rhs = [data.draw(st.lists(rationals, min_size=2, max_size=2))
+           for _ in range(n)]
+    if linalg.rank(M) < n:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(M, rhs)
+        return
+    X = linalg.solve(M, rhs)
+    assert linalg.matmul(M, X) == rhs
+    x = linalg.solve(M, [r[0] for r in rhs])
+    assert x == [r[0] for r in X]
+    assert all(isinstance(v, Fraction) for v in x)
