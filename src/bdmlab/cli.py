@@ -2,7 +2,8 @@
 verification suites, estimate sweeps and the Stokes convergence study.
 Data goes to CSV; every run echoes a JSON manifest on stdout.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error.
+Exit codes: 0 ok, 1 verification failure or a Stokes run outside its
+contracts, 2 usage error.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .polynomials import Polynomial, VectorPoly
 from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
                        build_uniform, mesh_aspect_ratio, transition_point,
                        write_mesh)
-from .stokes import convergence_study, study_to_csv
+from .stokes import convergence_study, holds_contracts, study_to_csv
 
 
 # Bounds on a parsed field, so that any --field does bounded work: the
@@ -32,9 +33,16 @@ from .stokes import convergence_study, study_to_csv
 # the size of the coefficients.
 MAX_FIELD_DEGREE = 12
 MAX_COEFF_BITS = 1024
+# Bound on --k: one d = 3 `nedelec` build took 0.8 s at k = 4, 10 s at
+# k = 6 and 189 s at k = 8 (one core of a shared 2-core VM, Python 3.11).
+MAX_ORDER = 6
 
 
-class FieldSyntaxError(ValueError):
+class UsageError(ValueError):
+    """Bad input, reported through the parser (exit code 2)."""
+
+
+class FieldSyntaxError(UsageError):
     pass
 
 
@@ -152,16 +160,20 @@ def cmd_mesh(args):
     return 0
 
 
-def positive_int(text):
+def polynomial_order(text):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_ORDER}, got {value}")
     return value
 
 
 def cmd_interpolate(args):
     if args.simplex:
-        simplex = read_simplex(args.simplex)
+        try:
+            simplex = read_simplex(args.simplex)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--simplex {args.simplex}: {exc}") from exc
     elif args.ref == "tbar":
         simplex = t_bar_simplex()
     else:
@@ -234,9 +246,10 @@ def cmd_stokes(args):
     if args.out:
         study_to_csv(rows, args.out)
     summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
-                                    "rate_u", "rate_p")} for row in rows]
+                                    "rate_u", "rate_p", "div_max", "jump_max",
+                                    "residual")} for row in rows]
     _manifest("stokes", vars(args), rows=summary)
-    return 0
+    return 0 if all(holds_contracts(row) for row in rows) else 1
 
 
 def build_parser():
@@ -264,7 +277,7 @@ def build_parser():
                                            "on one element")
     p.add_argument("--simplex", default=None, help="vertex file (one per line)")
     p.add_argument("--ref", choices=["tri", "tet", "tbar"], default="tri")
-    p.add_argument("--k", type=positive_int, default=1)
+    p.add_argument("--k", type=polynomial_order, default=1)
     p.add_argument("--variant", choices=["nedelec", "bdm_original"],
                    default="nedelec")
     p.add_argument("--field", required=True,
@@ -280,7 +293,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="ratio sweep of a named estimate")
     p.add_argument("--name", choices=sorted(SWEEP_PRESETS), required=True)
-    p.add_argument("--k", type=positive_int, default=None)
+    p.add_argument("--k", type=polynomial_order, default=None)
     p.add_argument("--pow-min", type=int, default=1)
     p.add_argument("--pow-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -306,7 +319,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FieldSyntaxError as exc:
+    except UsageError as exc:
         parser.error(str(exc))
 
 

@@ -161,22 +161,17 @@ def poly_project(v, simplex, m):
     solved exactly from the Gram system."""
     scalars = basis_pk(simplex.dim, m)
     gram = [[integrate_poly(a * b, simplex) for b in scalars] for a in scalars]
+
+    def project(p):
+        rhs = [integrate_poly(p * b, simplex) for b in scalars]
+        w = Polynomial.zero(simplex.dim)
+        for c, b in zip(linalg.solve(gram, rhs), scalars):
+            w = w + b * c
+        return w
+
     if isinstance(v, VectorPoly):
-        comps = []
-        for p in v.comps:
-            rhs = [integrate_poly(p * b, simplex) for b in scalars]
-            coeffs = linalg.solve(gram, rhs)
-            w = Polynomial.zero(simplex.dim)
-            for c, b in zip(coeffs, scalars):
-                w = w + b * c
-            comps.append(w)
-        return VectorPoly(comps)
-    rhs = [integrate_poly(v * b, simplex) for b in scalars]
-    coeffs = linalg.solve(gram, rhs)
-    w = Polynomial.zero(simplex.dim)
-    for c, b in zip(coeffs, scalars):
-        w = w + b * c
-    return w
+        return VectorPoly([project(p) for p in v.comps])
+    return project(v)
 
 
 # ---------------------------------------------------------------------------

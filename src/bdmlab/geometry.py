@@ -418,11 +418,6 @@ def piola_push(amap: AffineMap, v: VectorPoly) -> VectorPoly:
     return VectorPoly(comps)
 
 
-def write_simplex(s: Simplex, path):
-    with open(path, "w") as fh:
-        fh.write(simplex_to_text(s))
-
-
 def simplex_to_text(s: Simplex):
     lines = []
     for v in s.vertices:

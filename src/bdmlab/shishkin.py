@@ -111,35 +111,30 @@ class Mesh2D:
         return [f for f in self.facets if f.right is not None]
 
     def build_facets(self):
-        """Unique edges with their incident triangles; left = the triangle
-        for which the edge normal (t_y, -t_x) points outward."""
-        edge_tris = {}
+        """Unique edges, sorted by vertex key, with their incident
+        triangles; left = the triangle for which the edge normal
+        (t_y, -t_x) points outward, or the only one on the boundary.
+
+        A triangle is the left one of an edge it traverses along the key
+        when it is counter-clockwise, and of one it traverses against the
+        key when it is clockwise: one exact orientation test per triangle."""
+        slots = {}
         for t, (a, b, c) in enumerate(self.triangles):
+            (xa, ya), (xb, yb), (xc, yc) = (self.vertices[i] for i in (a, b, c))
+            ccw = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0
             for v0, v1 in ((a, b), (b, c), (c, a)):
-                key = (min(v0, v1), max(v0, v1))
-                edge_tris.setdefault(key, []).append(t)
+                slot = slots.setdefault((min(v0, v1), max(v0, v1)), [None, None])
+                side = int((v0 < v1) != ccw)
+                if slot[side] is not None:
+                    raise ValueError("non-conforming mesh")
+                slot[side] = t
         facets = []
-        for (v0, v1) in sorted(edge_tris):
-            tris = edge_tris[(v0, v1)]
-            if len(tris) not in (1, 2):
-                raise ValueError("non-conforming mesh")
-            p0, p1 = self.vertices[v0], self.vertices[v1]
-            normal = (p1[1] - p0[1], -(p1[0] - p0[0]))
-            left = None
-            right = None
-            for t in tris:
-                other = next(i for i in self.triangles[t] if i not in (v0, v1))
-                po = self.vertices[other]
-                side = (po[0] - p0[0]) * normal[0] + (po[1] - p0[1]) * normal[1]
-                if side < 0:
-                    left = t
-                else:
-                    right = t
+        for (v0, v1), (left, right) in sorted(slots.items()):
             tag = None
-            if len(tris) == 1:
-                if left is None:
-                    left, right = right, None
-                tag = self._boundary_tag(p0, p1)
+            if left is None or right is None:
+                left = right if left is None else left
+                right = None
+                tag = self._boundary_tag(self.vertices[v0], self.vertices[v1])
             facets.append(Facet(v0, v1, left, right, tag))
         self.facets = facets
         return self

@@ -101,8 +101,9 @@ class StokesCase:
     homogeneous_bc: bool = True
 
     def boundary_g(self, pts):
-        """Dirichlet trace of the exact velocity (identically zero here,
-        the stream function has double zeros on the boundary)."""
+        """The exact velocity at points, (P, 2); on the boundary it is the
+        Dirichlet datum (identically zero here, the stream function has
+        double zeros on the boundary)."""
         pts = np.asarray(pts, dtype=float)
         return np.column_stack([self.u[0].eval(pts), self.u[1].eval(pts)])
 
@@ -131,6 +132,19 @@ def manufactured_case(eps, nu=1.0) -> StokesCase:
                       pressure_mean=mean)
 
 
+# The contracts of every solve: relative residual of the saddle-point
+# system, largest elementwise divergence and normal jump of the velocity.
+RESIDUAL_BOUND = 1e-10
+DIV_BOUND = 1e-12
+JUMP_BOUND = 1e-12
+
+
+def holds_contracts(row):
+    """Whether a study row keeps all three bounds (NaN keeps none)."""
+    return (row["residual"] <= RESIDUAL_BOUND and row["div_max"] <= DIV_BOUND
+            and row["jump_max"] <= JUMP_BOUND)
+
+
 # ---------------------------------------------------------------------------
 # DG space: one pair of normal moments per edge + one pressure per triangle
 
@@ -140,15 +154,24 @@ class DGSpace:
         self.x = np.array([[float(a), float(b)] for a, b in mesh.vertices])
         self.tris = np.array(mesh.triangles, dtype=int)
         self.n_tri = len(mesh.triangles)
-        self.facets = mesh.facets
-        self.n_facets = len(self.facets)
-        self.facet_index = {(f.v0, f.v1): i for i, f in enumerate(self.facets)}
+        self.n_facets = len(mesh.facets)
+        # the facet topology, read once: vertex keys, the `left` triangle
+        # and the `right` one (-1 on the boundary)
+        topo = np.array([(f.v0, f.v1, f.left, -1 if f.right is None else f.right)
+                         for f in mesh.facets], dtype=int).reshape(-1, 4)
+        self.facet_v = topo[:, :2]
+        self.facet_left = topo[:, 2]
+        self.facet_right = topo[:, 3]
+        self.interior = np.flatnonzero(self.facet_right >= 0)
+        self.boundary = np.flatnonzero(self.facet_right < 0)
         self._build_geometry()
         self._build_local_bases()
 
     @property
     def ndof(self):
-        """Velocity plus pressure DOFs of the discrete spaces."""
+        """Edge-moment DOFs of every facet (the fixed boundary ones
+        included) plus one pressure per triangle; the unknowns actually
+        solved are `stats["n_unknowns"]` of `solve`."""
         return 2 * self.n_facets + self.n_tri
 
     @property
@@ -162,7 +185,7 @@ class DGSpace:
         e1 = pts[:, 1] - pts[:, 0]
         e2 = pts[:, 2] - pts[:, 0]
         self.areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        fv = np.array([[f.v0, f.v1] for f in self.facets], dtype=int)
+        fv = self.facet_v
         self.facet_p0 = self.x[fv[:, 0]]
         tang = self.x[fv[:, 1]] - self.x[fv[:, 0]]
         self.facet_tangent = tang
@@ -173,31 +196,25 @@ class DGSpace:
         # stored normals point away from the `left` triangle on interior
         # facets; on boundary facets the key ordering can leave them inward,
         # so keep an explicit outward sign for the one-sided terms
-        out_sign = np.ones(self.n_facets)
-        for i, f in enumerate(self.facets):
-            if f.right is None:
-                rel = self.centers[f.left] - self.facet_p0[i]
-                if float(rel @ self.facet_n[i]) > 0:
-                    out_sign[i] = -1.0
-        self.facet_out_sign = out_sign
+        b = self.boundary
+        rel = self.centers[self.facet_left[b]] - self.facet_p0[b]
+        self.facet_out_sign = np.ones(self.n_facets)
+        self.facet_out_sign[b[np.sum(rel * self.facet_n[b], axis=1) > 0]] = -1.0
         # penalty length scale: element width normal to the facet
         # (2 min |T| / |e|); with the facet length itself, the inverse-trace
         # constant of thin layer elements grows like the aspect ratio and no
         # log-sized penalty can stabilize them
-        h_pen = np.empty(self.n_facets)
-        for i, f in enumerate(self.facets):
-            amin = self.areas[f.left]
-            if f.right is not None:
-                amin = min(amin, self.areas[f.right])
-            h_pen[i] = 2.0 * amin / self.facet_len[i]
-        self.facet_h_pen = h_pen
-        tri_facets = []
-        for a, b, c in self.tris:
-            ids = []
-            for v0, v1 in ((a, b), (b, c), (c, a)):
-                ids.append(self.facet_index[(min(v0, v1), max(v0, v1))])
-            tri_facets.append(sorted(ids))
-        self.tri_facets = np.array(tri_facets, dtype=int)
+        left, right = self.facet_left, self.facet_right
+        amin = np.minimum(self.areas[left],
+                          self.areas[np.where(right < 0, left, right)])
+        self.facet_h_pen = 2.0 * amin / self.facet_len
+        # facets are sorted by vertex key: find each triangle edge by a
+        # binary search on the keys encoded as single integers
+        nv = len(self.x)
+        heads = np.roll(self.tris, -1, axis=1)
+        edges = np.minimum(self.tris, heads) * nv + np.maximum(self.tris, heads)
+        self.tri_facets = np.sort(
+            np.searchsorted(fv[:, 0] * nv + fv[:, 1], edges), axis=1)
         dof_ids = np.empty((self.n_tri, 6), dtype=int)
         dof_ids[:, 0::2] = 2 * self.tri_facets
         dof_ids[:, 1::2] = 2 * self.tri_facets + 1
@@ -252,26 +269,19 @@ class DGSpace:
         psi = self.psi_values(tri_ids, pts)
         return np.einsum("fbj,fmbc->fmjc", self.coeff_from_dofs[tri_ids], psi)
 
-    def boundary_dof_mask(self):
-        mask = np.zeros(self.n_vel, dtype=bool)
-        for i, f in enumerate(self.facets):
-            if f.right is None:
-                mask[2 * i] = mask[2 * i + 1] = True
-        return mask
+    def facet_points(self, facet_ids, ts):
+        """Points at parameters ts along each facet: (F, m, 2)."""
+        return (self.facet_p0[facet_ids][:, None, :]
+                + ts[None, :, None] * self.facet_tangent[facet_ids][:, None, :])
 
-    def boundary_dof_values(self, g):
-        """Normal moments of the Dirichlet datum on boundary edges."""
-        vals = np.zeros(self.n_vel)
-        ts, ws = gauss_01(4)
-        for i, f in enumerate(self.facets):
-            if f.right is not None:
-                continue
-            pts = self.facet_p0[i][None, :] + ts[:, None] * self.facet_tangent[i][None, :]
-            gv = np.asarray(g(pts), dtype=float)
-            gn = gv @ self.facet_m[i]
-            vals[2 * i] = float(np.dot(ws, gn))
-            vals[2 * i + 1] = float(np.dot(ws, gn * ts))
-        return vals
+    def edge_moments(self, g, facet_ids, n_gauss):
+        """The two normal moments (int g.m, int g.m t) of a vector field g
+        on each facet, by an n_gauss-point rule, in DOF order: (2 F,)."""
+        ts, ws = gauss_01(n_gauss)
+        pts = self.facet_points(facet_ids, ts)
+        gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
+        gn = np.einsum("fmc,fc->fm", gv, self.facet_m[facet_ids])
+        return np.column_stack([gn @ ws, gn @ (ws * ts)]).ravel()
 
     def triangle_quad(self, degree, tri_ids=None):
         """Physical quadrature points/weights per triangle: (T, m, 2), (T, m)."""
@@ -294,34 +304,18 @@ class StokesSolution:
     multiplier: float
     stats: dict
 
-    def velocity_at(self, t, pts):
-        local = pts - self.space.centers[t]
-        c = self.coeffs[t]
-        u = c[0] + c[1] * local[:, 0] + c[2] * local[:, 1]
-        v = c[3] + c[4] * local[:, 0] + c[5] * local[:, 1]
-        return np.column_stack([u, v])
-
-    def velocity_gradient(self, t):
-        c = self.coeffs[t]
-        return np.array([[c[1], c[2]], [c[4], c[5]]])
-
     def elementwise_divergence(self):
         return self.coeffs[:, 1] + self.coeffs[:, 5]
 
     def max_normal_jump(self):
         """Largest normal-component mismatch across interior facets."""
         sp_ = self.space
-        worst = 0.0
-        ts = np.array([0.25, 0.75])
-        for i, f in enumerate(sp_.facets):
-            if f.right is None:
-                continue
-            pts = sp_.facet_p0[i][None, :] + ts[:, None] * sp_.facet_tangent[i][None, :]
-            n = sp_.facet_n[i]
-            jl = self.velocity_at(f.left, pts) @ n
-            jr = self.velocity_at(f.right, pts) @ n
-            worst = max(worst, float(np.max(np.abs(jl - jr))))
-        return worst
+        f = sp_.interior
+        pts = sp_.facet_points(f, np.array([0.25, 0.75]))
+        jl, jr = (np.einsum("fmbc,fb,fc->fm", sp_.psi_values(t, pts),
+                            self.coeffs[t], sp_.facet_n[f])
+                  for t in (sp_.facet_left[f], sp_.facet_right[f]))
+        return float(np.max(np.abs(jl - jr), initial=0.0))
 
 
 def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
@@ -334,8 +328,7 @@ def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
     h_e = space.facet_len[facet_ids]
     h_pen = space.facet_h_pen[facet_ids]
     n = space.facet_n[facet_ids] * space.facet_out_sign[facet_ids][:, None]
-    pts = (space.facet_p0[facet_ids][:, None, :]
-           + ts[None, :, None] * space.facet_tangent[facet_ids][:, None, :])
+    pts = space.facet_points(facet_ids, ts)
     avg_w = 0.5 if len(sides) == 2 else 1.0
     traces, gradns, ids = [], [], []
     for tri_ids, sign in sides:
@@ -371,41 +364,34 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     rows, cols, vals = [], [], []
     rhs_vel = np.zeros(n_vel)
 
+    def add(ids, local):
+        """Scatter per-item local matrices (F, n, n) at DOF ids (F, n)."""
+        n = ids.shape[1]
+        rows.append(np.repeat(ids, n, axis=1).ravel())
+        cols.append(np.tile(ids, (1, n)).ravel())
+        vals.append(local.ravel())
+
     # volume terms: nu * area * (grad a : grad b), constants for P1 shapes
     G = space.shape_grads.reshape(n_tri, 6, 4)
-    vol = nu * np.einsum("t,tak,tbk->tab", space.areas, G, G)
-    ids = space.tri_dof_ids
-    rows.append(np.repeat(ids, 6, axis=1).ravel())
-    cols.append(np.tile(ids, (1, 6)).ravel())
-    vals.append(vol.ravel())
+    add(space.tri_dof_ids, nu * np.einsum("t,tak,tbk->tab", space.areas, G, G))
 
     # facet terms
     ts, ws = gauss_01(2)
-    interior = np.array([i for i, f in enumerate(space.facets)
-                         if f.right is not None], dtype=int)
-    boundary = np.array([i for i, f in enumerate(space.facets)
-                         if f.right is None], dtype=int)
-    left = np.array([space.facets[i].left for i in interior], dtype=int)
-    right = np.array([space.facets[i].right for i in interior], dtype=int)
+    interior, boundary = space.interior, space.boundary
+    left, right = space.facet_left, space.facet_right
     if len(interior):
         fids, local, _, _, _, _ = _facet_block(
-            space, interior, [(left, 1.0), (right, -1.0)], gamma, nu, ts, ws)
-        nloc = fids.shape[1]
-        rows.append(np.repeat(fids, nloc, axis=1).ravel())
-        cols.append(np.tile(fids, (1, nloc)).ravel())
-        vals.append(local.ravel())
+            space, interior, [(left[interior], 1.0), (right[interior], -1.0)],
+            gamma, nu, ts, ws)
+        add(fids, local)
     if len(boundary):
-        bleft = np.array([space.facets[i].left for i in boundary], dtype=int)
         fids, local, trace, gradn, pts, wline = _facet_block(
-            space, boundary, [(bleft, 1.0)], gamma, nu, ts, ws)
-        rows.append(np.repeat(fids, 6, axis=1).ravel())
-        cols.append(np.tile(fids, (1, 6)).ravel())
-        vals.append(local.ravel())
+            space, boundary, [(left[boundary], 1.0)], gamma, nu, ts, ws)
+        add(fids, local)
         if not case.homogeneous_bc:
             # weak Dirichlet data in the jump slots (tangential part; the
             # normal part is fixed strongly through the boundary DOFs)
-            F, m = pts.shape[:2]
-            gv = case.boundary_g(pts.reshape(-1, 2)).reshape(F, m, 2)
+            gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
             h_pen = space.facet_h_pen[boundary]
             lift = (-nu * np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
                     + (nu * gamma / h_pen)[:, None]
@@ -419,16 +405,13 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
 
     # body force: int_T f . shape; layer elements of very small eps get a
     # doubled rule, mirroring the error-integral policy
-    for ids_group, degree in _quad_groups(space, case, quad_degree):
-        if not len(ids_group):
-            continue
-        phys, wts = space.triangle_quad(degree, ids_group)
+    for ids, phys, wts in _quadrature(space, case, quad_degree):
         flat = phys.reshape(-1, 2)
         fv = np.stack([case.f[0].eval(flat), case.f[1].eval(flat)],
-                      axis=1).reshape(len(ids_group), -1, 2)
-        shp = space.shape_values(ids_group, phys)
+                      axis=1).reshape(phys.shape)
+        shp = space.shape_values(ids, phys)
         contrib = np.einsum("tm,tmjc,tmc->tj", wts, shp, fv)
-        np.add.at(rhs_vel, space.tri_dof_ids[ids_group].ravel(), contrib.ravel())
+        np.add.at(rhs_vel, space.tri_dof_ids[ids].ravel(), contrib.ravel())
 
     # continuity rows, scaled to enforce the divergence value itself
     B = sp.coo_matrix(
@@ -436,10 +419,11 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
          (np.repeat(np.arange(n_tri), 6), space.tri_dof_ids.ravel())),
         shape=(n_tri, n_vel)).tocsr()
 
-    fixed_mask = space.boundary_dof_mask()
-    free_ids = np.where(~fixed_mask)[0]
-    fixed_ids = np.where(fixed_mask)[0]
-    fixed_values = space.boundary_dof_values(case.boundary_g)[fixed_ids]
+    # the normal moments of the Dirichlet datum are fixed on boundary facets
+    fixed_mask = np.repeat(right < 0, 2)
+    free_ids = np.flatnonzero(~fixed_mask)
+    fixed_ids = np.flatnonzero(fixed_mask)
+    fixed_values = space.edge_moments(case.boundary_g, boundary, 4)
 
     A_ff = A[free_ids][:, free_ids]
     A_fc = A[free_ids][:, fixed_ids]
@@ -455,14 +439,6 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
                  [None, ones.T, None]], format="csc")
     rhs = np.concatenate([rhs_u, rhs_p, [0.0]])
     return K, rhs, free_ids, fixed_ids, fixed_values
-
-
-def velocity_block(space: DGSpace, case: StokesCase, gamma):
-    """The SIP bilinear-form matrix on the free velocity DOFs (for symmetry
-    and positivity diagnostics)."""
-    K, _, free_ids, _, _ = assemble(space, case, gamma)
-    n = len(free_ids)
-    return K[:n, :n]
 
 
 def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolution:
@@ -487,23 +463,27 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         "multiplier": multiplier,
         "div_max": float(np.max(np.abs(coeffs[:, 1] + coeffs[:, 5]))),
     }
-    if residual > 1e-10:
+    if residual > RESIDUAL_BOUND:
         stats["warning"] = "solver residual above contract"
-    if stats["div_max"] > 1e-12:
+    if stats["div_max"] > DIV_BOUND:
         stats["warning_div"] = "elementwise divergence above contract"
     return StokesSolution(space, vel, coeffs, pressure, multiplier, stats)
 
 
-def _quad_groups(space, case, quad_degree):
-    """Triangles grouped by quadrature degree: the default rule, doubled on
-    layer elements when epsilon is at or below 1e-3."""
+def _quadrature(space, case, quad_degree):
+    """(tri_ids, points (T, m, 2), weights (T, m)) per group of triangles
+    sharing a rule: the default degree, doubled on layer elements when
+    epsilon is at or below 1e-3."""
     tri_ids = np.arange(space.n_tri)
-    if case.epsilon > 1e-3:
-        return [(tri_ids, quad_degree)]
-    layer_width = 3.0 * case.epsilon * abs(math.log(case.epsilon))
-    in_layer = space.tri_pts[:, :, 0].min(axis=1) < layer_width
-    return [(tri_ids[in_layer], 2 * quad_degree),
-            (tri_ids[~in_layer], quad_degree)]
+    groups = [(tri_ids, quad_degree)]
+    if case.epsilon <= 1e-3:
+        layer_width = 3.0 * case.epsilon * abs(math.log(case.epsilon))
+        in_layer = space.tri_pts[:, :, 0].min(axis=1) < layer_width
+        groups = [(tri_ids[in_layer], 2 * quad_degree),
+                  (tri_ids[~in_layer], quad_degree)]
+    for ids, degree in groups:
+        if len(ids):
+            yield (ids, *space.triangle_quad(degree, ids))
 
 
 def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
@@ -513,10 +493,7 @@ def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
     space = sol.space
     err_grad_sq = 0.0
     err_p_sq = 0.0
-    for ids, degree in _quad_groups(space, case, quad_degree):
-        if not len(ids):
-            continue
-        phys, wts = space.triangle_quad(degree, ids)
+    for ids, phys, wts in _quadrature(space, case, quad_degree):
         flat = phys.reshape(-1, 2)
         m = phys.shape[1]
         diff_sq = np.zeros((len(ids), m))
@@ -534,16 +511,7 @@ def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
 def interpolate_exact_solution(space: DGSpace, case: StokesCase):
     """Baseline: velocity from edge moments of the exact solution, pressure
     from elementwise means; useful as an interpolation-error yardstick."""
-    ts, ws = gauss_01(6)
-    pts = (space.facet_p0[:, None, :]
-           + ts[None, :, None] * space.facet_tangent[:, None, :])
-    flat = pts.reshape(-1, 2)
-    uv = np.stack([case.u[0].eval(flat), case.u[1].eval(flat)],
-                  axis=1).reshape(space.n_facets, -1, 2)
-    un = np.einsum("fmc,fc->fm", uv, space.facet_m)
-    vel = np.empty(space.n_vel)
-    vel[0::2] = un @ ws
-    vel[1::2] = un @ (ws * ts)
+    vel = space.edge_moments(case.boundary_g, np.arange(space.n_facets), 6)
     coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
                        vel[space.tri_dof_ids])
     phys, wts = space.triangle_quad(8)
@@ -558,7 +526,8 @@ def interpolate_exact_solution(space: DGSpace, case: StokesCase):
 # convergence study
 
 STUDY_COLUMNS = ["epsilon", "mesh_kind", "N", "ndof", "tau", "sigma", "gamma",
-                 "err_grad_u", "err_p", "rate_u", "rate_p"]
+                 "err_grad_u", "err_p", "rate_u", "rate_p",
+                 "div_max", "jump_max", "residual"]
 
 
 def study_mesh(kind, N, eps, log_convention="natural"):

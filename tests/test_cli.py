@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bdmlab.cli import (MAX_FIELD_DEGREE, FieldSyntaxError, main, parse_field,
-                        parse_polynomial)
+from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_ORDER, FieldSyntaxError, main,
+                        parse_field, parse_polynomial)
 from fractions import Fraction
 
 F = Fraction
@@ -75,6 +75,33 @@ def test_sweep_order_zero_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--name", "counterexample-2d", "--k", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpolate", "--ref", "tet", "--field", "x1, 0, 0"],
+    ["sweep", "--name", "rvp-bounded"],
+])
+def test_order_above_cap_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--k", str(MAX_ORDER + 1)])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "0 0\n1 1\n2 2\n",        # degenerate
+    "0 0\n1 0\n",              # too few vertices
+    "0 0\n1 x\n0 1\n",        # not a number
+    None,                       # missing file
+])
+def test_interpolate_bad_simplex_file_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "simplex.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--simplex", str(path), "--field", "x1, 0"])
+    assert exc.value.code == 2
+    assert "--simplex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", [
@@ -168,3 +195,22 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert manifest["verdicts"] == {"always-fails": "fail"}
     assert "FAIL" in out
+
+
+def test_stokes_contract_failure_exits_1(capsys, monkeypatch):
+    from bdmlab import cli
+
+    real = cli.convergence_study
+
+    def above_residual_bound(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows[-1]["residual"] = 1e-8
+        return rows
+
+    code, _, manifest = run(capsys, ["stokes", "--eps", "0.5", "--N", "2"])
+    assert code == 0
+    assert manifest["rows"][0]["residual"] <= 1e-10
+    monkeypatch.setattr(cli, "convergence_study", above_residual_bound)
+    code, _, manifest = run(capsys, ["stokes", "--eps", "0.5", "--N", "2"])
+    assert code == 1
+    assert manifest["rows"][0]["residual"] == 1e-8

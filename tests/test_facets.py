@@ -1,0 +1,115 @@
+"""Facet topology of uniform and Shishkin meshes under random vertex
+relabelling and random vertex order within each triangle."""
+
+import collections
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdmlab.shishkin import Mesh2D, ShishkinParams, build_shishkin, build_uniform
+from bdmlab.stokes import DGSpace
+
+
+@st.composite
+def base_meshes(draw):
+    if draw(st.booleans()):
+        N = draw(st.sampled_from([1, 2, 4, 6]))
+        return N, build_uniform(N)
+    N = draw(st.sampled_from([2, 4, 6]))
+    tau = draw(st.one_of(
+        st.builds(Fraction, st.integers(1, 9), st.just(20)),
+        st.floats(0.01, 0.49)))
+    return N, build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau))
+
+
+@st.composite
+def scrambled_meshes(draw):
+    """A base mesh with its vertices relabelled and each triangle's vertex
+    order rotated or reversed; facets rebuilt from scratch."""
+    N, mesh = draw(base_meshes())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    perm = list(range(mesh.n_vertices))
+    rng.shuffle(perm)
+    vertices = [None] * mesh.n_vertices
+    for old, new in enumerate(perm):
+        vertices[new] = mesh.vertices[old]
+    triangles = []
+    for tri in mesh.triangles:
+        tri = [perm[v] for v in tri]
+        r = rng.randrange(3)
+        tri = tri[r:] + tri[:r]
+        if rng.random() < 0.5:
+            tri.reverse()
+        triangles.append(tuple(tri))
+    return N, Mesh2D(vertices, triangles).build_facets()
+
+
+def _side(mesh, facet, t):
+    """(other vertex - p0) . (t_y, -t_x): negative when the facet normal
+    points out of triangle t."""
+    (x0, y0), (x1, y1) = mesh.vertices[facet.v0], mesh.vertices[facet.v1]
+    other = next(v for v in mesh.triangles[t] if v not in (facet.v0, facet.v1))
+    xo, yo = mesh.vertices[other]
+    return (xo - x0) * (y1 - y0) - (yo - y0) * (x1 - x0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_meshes())
+def test_facet_topology(case):
+    N, mesh = case
+    keys = [(f.v0, f.v1) for f in mesh.facets]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(v0 < v1 for v0, v1 in keys)
+    slots = collections.Counter()
+    for f in mesh.facets:
+        slots[(f.left, f.v0, f.v1)] += 1
+        if f.right is None:
+            # a lone triangle takes the left slot whichever way the key
+            # orders the edge, so the normal may point either way here
+            assert _side(mesh, f, f.left) != 0
+        else:
+            assert _side(mesh, f, f.left) < 0 < _side(mesh, f, f.right)
+            slots[(f.right, f.v0, f.v1)] += 1
+    edges = collections.Counter(
+        (t, min(a, b), max(a, b))
+        for t, tri in enumerate(mesh.triangles)
+        for a, b in zip(tri, tri[1:] + tri[:1]))
+    assert slots == edges and set(edges.values()) == {1}
+    assert len(mesh.boundary_facets()) == 4 * N
+
+
+@pytest.mark.parametrize("triangles", [
+    [(0, 1, 2), (0, 1, 2)],               # the same triangle twice
+    [(0, 1, 2), (1, 0, 3), (0, 1, 4)],    # three triangles on one edge
+])
+def test_non_conforming_mesh_rejected(triangles):
+    vertices = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
+    with pytest.raises(ValueError, match="non-conforming"):
+        Mesh2D(vertices, triangles).build_facets()
+
+
+@settings(max_examples=20, deadline=None)
+@given(scrambled_meshes())
+def test_dgspace_topology_matches_facets(case):
+    _, mesh = case
+    space = DGSpace(mesh)
+    facets = mesh.facets
+    right = [-1 if f.right is None else f.right for f in facets]
+    assert space.facet_left.tolist() == [f.left for f in facets]
+    assert space.facet_right.tolist() == right
+    assert space.interior.tolist() == [i for i, r in enumerate(right) if r >= 0]
+    assert space.boundary.tolist() == [i for i, r in enumerate(right) if r < 0]
+    # each triangle's three facets, ascending
+    keys = [(f.v0, f.v1) for f in facets]
+    expected = [sorted(keys.index((min(a, b), max(a, b)))
+                       for a, b in zip(tri, tri[1:] + tri[:1]))
+                for tri in mesh.triangles]
+    assert space.tri_facets.tolist() == expected
+    # outward signs: the signed normal leaves the left triangle
+    n = space.facet_n * space.facet_out_sign[:, None]
+    rel = space.centers[space.facet_left] - space.facet_p0
+    assert np.all(np.sum(rel * n, axis=1) < 0)

@@ -6,10 +6,10 @@ import pytest
 
 from bdmlab.polynomials import Polynomial
 from bdmlab.shishkin import build_uniform
-from bdmlab.stokes import (DGSpace, ExpPoly, StokesCase, assemble,
-                           convergence_study, errors,
+from bdmlab.stokes import (DGSpace, ExpPoly, StokesCase, StokesSolution,
+                           assemble, convergence_study, errors,
                            interpolate_exact_solution, manufactured_case,
-                           penalty, solve, study_to_csv, velocity_block)
+                           penalty, solve, study_to_csv)
 
 F = Fraction
 
@@ -124,8 +124,9 @@ def test_matrix_symmetry(case01):
 
 def test_coercivity_smoke():
     space = DGSpace(build_uniform(2))
-    A = velocity_block(space, zero_case(), 10.0)
-    Ad = A.toarray()
+    K, _, free_ids, _, _ = assemble(space, zero_case(), 10.0)
+    n = len(free_ids)
+    Ad = K[:n, :n].toarray()
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.standard_normal(Ad.shape[0])
@@ -164,6 +165,27 @@ def test_solution_structure(case01):
     assert space.ndof == 8 * 64 + 4 * 8
 
 
+def test_max_normal_jump_matches_per_facet_reference():
+    # discontinuous random fields: the batched jump must equal a per-facet
+    # evaluation of each side's linear velocity
+    space = DGSpace(build_uniform(4))
+    coeffs = np.random.default_rng(1).standard_normal((space.n_tri, 6))
+    sol = StokesSolution(space, None, coeffs, None, 0.0, {})
+    ts = np.array([0.25, 0.75])
+    worst = 0.0
+    for i in space.interior:
+        pts = space.facet_p0[i] + ts[:, None] * space.facet_tangent[i]
+        normal = []
+        for t in (space.facet_left[i], space.facet_right[i]):
+            c, (x, y) = coeffs[t], (pts - space.centers[t]).T
+            u = np.column_stack([c[0] + c[1] * x + c[2] * y,
+                                 c[3] + c[4] * x + c[5] * y])
+            normal.append(u @ space.facet_n[i])
+        worst = max(worst, float(np.max(np.abs(normal[0] - normal[1]))))
+    assert worst > 0.1
+    assert abs(sol.max_normal_jump() - worst) <= 1e-14 * worst
+
+
 def test_gamma_doubling_effect_recorded(case01):
     # robustness smoke data, recorded rather than gated
     space = DGSpace(build_uniform(8))
@@ -199,7 +221,8 @@ def test_study_row_count_and_csv(tmp_path):
     study_to_csv(rows, out)
     lines = out.read_text().splitlines()
     assert lines[0] == ("epsilon,mesh_kind,N,ndof,tau,sigma,gamma,"
-                        "err_grad_u,err_p,rate_u,rate_p")
+                        "err_grad_u,err_p,rate_u,rate_p,"
+                        "div_max,jump_max,residual")
     assert len(lines) == 5
 
 
