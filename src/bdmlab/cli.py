@@ -146,7 +146,7 @@ def cmd_mesh(args):
         mesh = build_uniform(args.N)
         tau = Fraction(1, 2)
     else:
-        tau = (Fraction(args.tau).limit_denominator(10 ** 12)
+        tau = (args.tau.limit_denominator(10 ** 12)
                if args.tau is not None
                else transition_point(args.eps, args.log))
         mesh = build_shishkin(ShishkinParams(N=args.N, epsilon=args.eps, tau=tau))
@@ -165,6 +165,35 @@ def polynomial_order(text):
     if not 1 <= value <= MAX_ORDER:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {MAX_ORDER}, got {value}")
+    return value
+
+
+def mesh_size(text):
+    """--N: cells per side of a layer mesh, even and at least 2."""
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be even and >= 2, got {value}")
+    return value
+
+
+def in_unit_interval(convert):
+    """An argparse type: `convert`, then a check for 0 < value < 1."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ZeroDivisionError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+        if not 0 < value < 1:
+            raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+        return value
+    parse.__name__ = convert.__name__   # argparse's "invalid ... value"
+    return parse
+
+
+def positive_float(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -260,9 +289,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("mesh", help="generate layer-adapted or uniform meshes")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--tau", type=str, default=None,
+    p.add_argument("--N", type=mesh_size, required=True)
+    p.add_argument("--eps", type=in_unit_interval(float), default=0.01)
+    p.add_argument("--tau", type=in_unit_interval(Fraction), default=None,
                    help="override the transition point (rational, e.g. 3/50)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
     p.add_argument("--shishkin", dest="kind", action="store_const",
@@ -302,12 +331,13 @@ def build_parser():
 
     p = sub.add_parser("stokes", help="convergence study of the Stokes "
                                       "discretization")
-    p.add_argument("--eps", type=float, action="append", required=True)
-    p.add_argument("--N", type=int, action="append", required=True)
+    p.add_argument("--eps", type=in_unit_interval(float), action="append",
+                   required=True)
+    p.add_argument("--N", type=mesh_size, action="append", required=True)
     p.add_argument("--kind", choices=["shishkin", "uniform"],
                    default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=positive_float, default=None)
     p.add_argument("--quad-degree", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stokes)

@@ -446,7 +446,11 @@ def _coord_to_token(x):
 
 
 def _coord_from_token(tok):
+    """Rationals (`p/q`) and integers are exact; anything else is a float."""
     if "/" in tok:
         num, den = tok.split("/")
         return Fraction(int(num), int(den))
-    return float(tok)
+    try:
+        return Fraction(int(tok))
+    except ValueError:
+        return float(tok)

@@ -10,6 +10,14 @@ datum is imposed strongly through the boundary-edge DOFs; the tangential
 part is enforced weakly by the interior-penalty terms.  Keeping the normal
 trace strong is what preserves both the zero-mean pressure gauge and the
 machine-zero elementwise divergence.
+
+The saddle-point system is assembled in full but solved in the divergence-
+free subspace: on the simply connected square the divergence-free BDM1
+fields are exactly the curls of continuous P2 stream functions, so the
+velocity comes from one SPD system in the stream function (half the
+unknowns, no pressure, no pivoting).  The pressure follows from the
+momentum rows.  Its only freedom is an additive constant, so the zero-mean
+gauge is a shift after the solve instead of a multiplier in the system.
 """
 
 import csv
@@ -164,14 +172,19 @@ class DGSpace:
         self.facet_right = topo[:, 3]
         self.interior = np.flatnonzero(self.facet_right >= 0)
         self.boundary = np.flatnonzero(self.facet_right < 0)
+        # the normal moments on boundary facets are fixed by the datum
+        fixed = np.repeat(self.facet_right < 0, 2)
+        self.free_dofs = np.flatnonzero(~fixed)
+        self.fixed_dofs = np.flatnonzero(fixed)
         self._build_geometry()
         self._build_local_bases()
+        self._build_curl()
 
     @property
     def ndof(self):
         """Edge-moment DOFs of every facet (the fixed boundary ones
         included) plus one pressure per triangle; the unknowns actually
-        solved are `stats["n_unknowns"]` of `solve`."""
+        factorized are `stats["n_unknowns"]` of `solve`."""
         return 2 * self.n_facets + self.n_tri
 
     @property
@@ -251,6 +264,27 @@ class DGSpace:
         self.shape_grads = grads
         self.shape_divs = C[:, 1, :] + C[:, 5, :]               # (T, 6)
 
+    def _build_curl(self):
+        """`curl`: the sparse map from a continuous P2 stream function psi
+        (vertex values, then facet-midpoint values) to the edge-moment DOFs
+        of curl psi = (psi_y, -psi_x).  Along v0 -> v1, curl psi . m is the
+        derivative of psi in the facet parameter t, so the moments are
+        psi(v1) - psi(v0) and int t dpsi/dt = (5 psi(v1) - psi(v0)
+        - 4 psi(mid)) / 6.  `stream_fixed` lists the psi DOFs on the boundary
+        (vertices, then midpoints), `stream_free` the others."""
+        nv, nf = len(self.x), self.n_facets
+        f = np.arange(nf)
+        v0, v1 = self.facet_v.T
+        rows = np.concatenate([2 * f, 2 * f, 2 * f + 1, 2 * f + 1, 2 * f + 1])
+        cols = np.concatenate([v1, v0, v1, v0, nv + f])
+        vals = np.repeat([1.0, -1.0, 5 / 6, -1 / 6, -4 / 6], nf)
+        self.curl = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nf, nv + nf))
+        self.stream_fixed = np.concatenate(
+            [np.unique(self.facet_v[self.boundary]), nv + self.boundary])
+        on_boundary = np.zeros(nv + nf, dtype=bool)
+        on_boundary[self.stream_fixed] = True
+        self.stream_free = np.flatnonzero(~on_boundary)
+
     def psi_values(self, tri_ids, pts):
         """Local monomial basis values at points: (F, m, 6, 2)."""
         local = pts - self.centers[tri_ids][:, None, :]
@@ -301,7 +335,6 @@ class StokesSolution:
     vel_dofs: np.ndarray     # all velocity DOF values (fixed ones included)
     coeffs: np.ndarray       # (T, 6) local monomial coefficients per triangle
     pressure: np.ndarray     # (T,) physical piecewise constants
-    multiplier: float
     stats: dict
 
     def elementwise_divergence(self):
@@ -353,6 +386,8 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
 
     Returns (K, rhs, free_ids, fixed_ids, fixed_values): K couples the free
     velocity DOFs, the area-scaled pressures and the zero-mean multiplier.
+    K is the system `solve` answers for (its residual is measured on K), not
+    the one it factorizes.
     """
     if gamma <= 0:
         raise ValueError("penalty parameter must be positive")
@@ -420,9 +455,7 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         shape=(n_tri, n_vel)).tocsr()
 
     # the normal moments of the Dirichlet datum are fixed on boundary facets
-    fixed_mask = np.repeat(right < 0, 2)
-    free_ids = np.flatnonzero(~fixed_mask)
-    fixed_ids = np.flatnonzero(fixed_mask)
+    free_ids, fixed_ids = space.free_dofs, space.fixed_dofs
     fixed_values = space.edge_moments(case.boundary_g, boundary, 4)
 
     A_ff = A[free_ids][:, free_ids]
@@ -442,32 +475,70 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
 
 
 def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolution:
+    """Solve `assemble`'s system in the divergence-free subspace.
+
+    The free velocity is u = C_b psi_b + C_f psi_f with C = `space.curl`:
+    psi_b on the boundary reproduces the fixed boundary moments and psi_f
+    solves the SPD system C_f^T A C_f psi_f = C_f^T (rhs_u - A C_b psi_b),
+    factorized once without pivoting.  The area-scaled pressure p solves
+    B^T p = rhs_u - A u (normal equations, one pressure pinned); since B^T
+    annihilates only the constant pressure, the zero-mean gauge is a shift
+    and the multiplier of K is zero.  One step of iterative refinement on
+    the residual of K reuses the factors.
+    """
     K, rhs, free_ids, fixed_ids, fixed_values = assemble(
         space, case, gamma, quad_degree)
-    x = spla.spsolve(K, rhs)
+    n_free, n_tri = len(free_ids), space.n_tri
+    A = K[:n_free, :n_free]
+    B = K[n_free:n_free + n_tri, :n_free]
+    C = space.curl[free_ids]
+    C_f = C[:, space.stream_free]
+    S = (C_f.T @ A @ C_f).tocsc()
+    lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    normal = (B @ B.T).tocsc()[1:, 1:]
+
+    def correction(r, u0):
+        """(u, p, 0) from the momentum and gauge rows of a right-hand side
+        r, with u0 the velocity the boundary stream function fixes."""
+        u = u0 + C_f @ lu.solve(C_f.T @ (r[:n_free] - A @ u0))
+        p = np.zeros(n_tri)
+        p[1:] = spla.spsolve(normal, (B @ (r[:n_free] - A @ u))[1:])
+        p += space.areas * ((r[-1] - p.sum()) / space.areas.sum())
+        return np.concatenate([u, p, [0.0]])
+
+    u0 = np.zeros(n_free)
+    if not case.homogeneous_bc:
+        u0 = C[:, space.stream_fixed] @ _boundary_stream(space, fixed_values)
+    x = correction(rhs, u0)
+    x += correction(rhs - K @ x, np.zeros(n_free))
     denom = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(K @ x - rhs)) / (denom if denom else 1.0)
-    n_free = len(free_ids)
     vel = np.zeros(space.n_vel)
     vel[free_ids] = x[:n_free]
     vel[fixed_ids] = fixed_values
-    p_scaled = x[n_free:n_free + space.n_tri]
-    multiplier = float(x[-1])
     coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
                        vel[space.tri_dof_ids])
-    pressure = p_scaled / space.areas
+    pressure = x[n_free:n_free + n_tri] / space.areas
     stats = {
         "residual": residual,
-        "n_unknowns": K.shape[0],
-        "nnz": int(K.nnz),
-        "multiplier": multiplier,
+        "n_unknowns": S.shape[0],
+        "nnz": int(S.nnz),
         "div_max": float(np.max(np.abs(coeffs[:, 1] + coeffs[:, 5]))),
     }
-    if residual > RESIDUAL_BOUND:
-        stats["warning"] = "solver residual above contract"
-    if stats["div_max"] > DIV_BOUND:
-        stats["warning_div"] = "elementwise divergence above contract"
-    return StokesSolution(space, vel, coeffs, pressure, multiplier, stats)
+    return StokesSolution(space, vel, coeffs, pressure, stats)
+
+
+def _boundary_stream(space, fixed_values):
+    """Stream-function values on the boundary (`space.stream_fixed`) whose
+    curl has the fixed boundary moments: the boundary rows of `curl` with
+    the first boundary vertex pinned to zero and the first facet's flux row
+    dropped (the fluxes of a divergence-free datum sum to zero around the
+    boundary, so that row is implied by the others)."""
+    C_b = space.curl[space.fixed_dofs][:, space.stream_fixed]
+    psi = np.zeros(C_b.shape[1])
+    psi[1:] = spla.spsolve(C_b[1:, 1:].tocsc(), fixed_values[1:])
+    return psi
 
 
 def _quadrature(space, case, quad_degree):
@@ -518,8 +589,7 @@ def interpolate_exact_solution(space: DGSpace, case: StokesCase):
     pvals = case.p.eval(phys.reshape(-1, 2)).reshape(space.n_tri, -1)
     pressure = (np.sum(wts * (pvals - case.pressure_mean), axis=1)
                 / np.sum(wts, axis=1))
-    return StokesSolution(space, vel, coeffs, pressure, 0.0,
-                          {"kind": "interpolant"})
+    return StokesSolution(space, vel, coeffs, pressure, {"kind": "interpolant"})
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,35 @@ def test_interpolate_bad_simplex_file_exit_2(text, tmp_path, capsys):
     assert "--simplex" in capsys.readouterr().err
 
 
+def test_interpolate_integer_simplex_file_is_exact(tmp_path, capsys):
+    # integer coordinates are exact: the file gives the --ref tri interpolant
+    path = tmp_path / "simplex.txt"
+    path.write_text("0 0\n1 0\n0 1\n")
+    field = ["--k", "2", "--field", "0, x1**3"]
+    _, _, from_file = run(capsys, ["interpolate", "--simplex", str(path)] + field)
+    _, _, reference = run(capsys, ["interpolate", "--ref", "tri"] + field)
+    assert from_file["interpolant"] == reference["interpolant"]
+    assert from_file["interpolant"][1] == "1/20 + -3/5*x1 + 3/2*x1^2"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mesh", "--N", "8", "--tau", "abc"], "--tau"),
+    (["mesh", "--N", "8", "--tau", "1/0"], "--tau"),
+    (["mesh", "--N", "8", "--tau", "2"], "--tau"),
+    (["mesh", "--N", "5"], "--N"),
+    (["mesh", "--N", "8", "--eps", "0"], "--eps"),
+    (["stokes", "--eps", "0.1", "--N", "3"], "--N"),
+    (["stokes", "--eps", "0.1", "--N", "8", "--N", "0"], "--N"),
+    (["stokes", "--eps", "2", "--N", "4"], "--eps"),
+    (["stokes", "--eps", "0.1", "--N", "4", "--gamma", "-1"], "--gamma"),
+])
+def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [
     "x1**(10**6), 0",           # exponent far past the degree cap
     "(x1**7)**2, 0",            # degree past the cap through nested powers

@@ -113,3 +113,43 @@ def test_dgspace_topology_matches_facets(case):
     n = space.facet_n * space.facet_out_sign[:, None]
     rel = space.centers[space.facet_left] - space.facet_p0
     assert np.all(np.sum(rel * n, axis=1) < 0)
+
+
+def _curl_p2(space, psi, tri, pts):
+    """curl psi = (psi_y, -psi_x) of the P2 function with vertex values
+    psi[:nv] and facet-midpoint values psi[nv:], on triangle tri[i] at
+    point pts[i], from the barycentric form of the P2 basis."""
+    nv = len(space.x)
+    verts = space.tris[tri]                                   # (P, 3)
+    M = np.ones((len(tri), 3, 3))
+    M[:, 1:, :] = space.x[verts].transpose(0, 2, 1)            # rows 1, x, y
+    coef = np.linalg.inv(M)                    # lambda_i = coef[i] . (1, x, y)
+    lam = np.einsum("pij,pj->pi", coef, np.column_stack([np.ones(len(tri)), pts]))
+    dlam = coef[:, :, 1:]                                     # (P, 3, 2)
+    keys = {(f.v0, f.v1): i for i, f in enumerate(space.mesh.facets)}
+    grad = np.einsum("pi,pic->pc", psi[verts] * (4 * lam - 1), dlam)
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        a, b = verts[:, i], verts[:, j]
+        mid = np.array([nv + keys[min(p, q), max(p, q)] for p, q in zip(a, b)])
+        grad += 4 * psi[mid][:, None] * (lam[:, [i]] * dlam[:, j]
+                                         + lam[:, [j]] * dlam[:, i])
+    return np.column_stack([grad[:, 1], -grad[:, 0]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(scrambled_meshes(), st.integers(0, 2 ** 32))
+def test_curl_map_gives_edge_moments_of_curl(case, seed):
+    # C psi must be the two normal moments of curl psi on every facet, seen
+    # from either neighbour (curl psi is normal-continuous)
+    _, mesh = case
+    space = DGSpace(mesh)
+    psi = np.random.default_rng(seed).standard_normal(space.curl.shape[1])
+    n_gauss = 4
+    for tris in (space.facet_left, space.facet_right):
+        facets = np.flatnonzero(tris >= 0)
+        owner = np.repeat(tris[facets], n_gauss)
+        moments = space.edge_moments(
+            lambda pts: _curl_p2(space, psi, owner, pts), facets, n_gauss)
+        dofs = np.column_stack([2 * facets, 2 * facets + 1]).ravel()
+        assert np.max(np.abs((space.curl @ psi)[dofs] - moments)) <= 1e-13 * max(
+            1.0, np.max(np.abs(moments)))

@@ -289,3 +289,9 @@ def test_simplex_text_roundtrip_float():
     s = Simplex(((0.1, 0.2), (1.7, 0.3), (0.4, 2.9)))
     back = simplex_from_text(simplex_to_text(s))
     assert back.vertices == s.vertices
+
+
+def test_simplex_text_integer_tokens_are_exact():
+    s = simplex_from_text("0 0\n1 0\n-2 3\n")
+    assert s.exact and s.vertices == ((0, 0), (1, 0), (-2, 3))
+    assert not simplex_from_text("0 0\n1.5 0\n0 1\n").exact

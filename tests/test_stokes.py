@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from bdmlab.polynomials import Polynomial
-from bdmlab.shishkin import build_uniform
+from bdmlab.shishkin import build_uniform, mesh_aspect_ratio
 from bdmlab.stokes import (DGSpace, ExpPoly, StokesCase, StokesSolution,
                            assemble, convergence_study, errors,
                            interpolate_exact_solution, manufactured_case,
-                           penalty, solve, study_to_csv)
+                           penalty, solve, study_mesh, study_to_csv)
 
 F = Fraction
 
@@ -165,12 +166,43 @@ def test_solution_structure(case01):
     assert space.ndof == 8 * 64 + 4 * 8
 
 
+@pytest.mark.parametrize("kind, N, case", [
+    ("uniform", 8, "manufactured"),
+    ("shishkin", 16, "manufactured"),
+    ("uniform", 4, "linear"),
+    ("shishkin", 8, "linear"),
+])
+def test_stream_function_solve_matches_direct_solve(kind, N, case):
+    # the divergence-free-subspace solve against a direct solve of the
+    # saddle-point system itself, in velocity DOFs and pressure
+    case = manufactured_case(0.1) if case == "manufactured" else linear_case()
+    mesh, _ = study_mesh(kind, N, 0.1)
+    space = DGSpace(mesh)
+    gamma = penalty(mesh_aspect_ratio(mesh))
+    K, rhs, free_ids, _, _ = assemble(space, case, gamma)
+    x = spla.spsolve(K, rhs)
+    sol = solve(space, case, gamma)
+    n = len(free_ids)
+    for got, want in ((sol.vel_dofs[free_ids], x[:n]),
+                      (sol.pressure * space.areas, x[n:n + space.n_tri])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert abs(x[-1]) <= 1e-12     # the multiplier the solve leaves out
+
+
+def test_stream_function_solve_residual_after_refinement():
+    # about 3e-14 with the refinement step and 4e-13 without it
+    case = manufactured_case(0.1)
+    mesh, _ = study_mesh("shishkin", 32, 0.1)
+    sol = solve(DGSpace(mesh), case, penalty(mesh_aspect_ratio(mesh)))
+    assert sol.stats["residual"] <= 1e-13
+
+
 def test_max_normal_jump_matches_per_facet_reference():
     # discontinuous random fields: the batched jump must equal a per-facet
     # evaluation of each side's linear velocity
     space = DGSpace(build_uniform(4))
     coeffs = np.random.default_rng(1).standard_normal((space.n_tri, 6))
-    sol = StokesSolution(space, None, coeffs, None, 0.0, {})
+    sol = StokesSolution(space, None, coeffs, None, {})
     ts = np.array([0.25, 0.75])
     worst = 0.0
     for i in space.interior:
