@@ -9,15 +9,17 @@ Two degree-of-freedom conventions are supported:
   zero-normal-trace space Q_k.
 
 The basis of P_k^d is monomial, so every DOF is a fixed linear functional
-on monomial coefficients: a sum of coefficient times a cached moment of the
-element's `MomentTable`.  Facet moments are taken in a facet chart against
-the scaled outward normal, which makes them equal to the physical surface
-moments while keeping every number rational; the Vandermonde matrix and
-the interpolation of a polynomial field of any degree are dot products with
-the same table, exact on rational simplices.
+on monomial coefficients: one row of ints per component over one
+denominator, read off the element's `MomentTable` (a facet table row times
+the scaled normal, or an interior row cached per table).  Facet moments
+are taken in a facet chart against the scaled outward normal, which makes
+them equal to the physical surface moments while keeping every number
+rational.  The rows at degree k are the Vandermonde matrix; `dof_values`
+scales a field of any degree once to ints over one denominator and applies
+each DOF as an integer dot product, exact on rational simplices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -31,8 +33,8 @@ from .geometry import Simplex, piola_push, reference_simplex, t_bar_simplex
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
                           integrate_reference, monomial_indices)
 from .quadrature import simplex_rule
-from .spaces import (basis_nk, basis_pk, basis_pk_vector, basis_qk,  # noqa: F401
-                     integrate_poly, moment_table)
+from .spaces import (basis_nk, basis_pk, basis_qk, integrate_poly,  # noqa: F401
+                     moment_table, quotient, scaled_field)
 
 VARIANTS = ("nedelec", "bdm_original")
 
@@ -43,19 +45,31 @@ class UnisolvenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FacetMoment:
-    """v -> int_ref (v o chart) . m  t^alpha dt  on facet `facet`."""
+    """v -> int_ref (v o chart) . m  t^alpha dt  on facet `facet`: per
+    component, one integer dot product with the facet table's row for
+    alpha, weighted by that component of the int scaled normal m."""
 
     facet: int
     alpha: tuple
 
-    def apply(self, el, v: VectorPoly):
-        table, i, alpha, k = el.moments, self.facet, self.alpha, el.order
-        total = Fraction(0)
-        for p, mc in zip(v.comps, table.normals[i]):
-            if mc != 0:
-                total += mc * sum(c * table.facet(i, a, alpha, k)
-                                  for a, c in p.terms.items())
-        return total
+    def _table_row(self, el, degree):
+        rows, den = el.moments.facet(self.facet, degree, el.order)
+        normal, normal_den = el.moments.normals[self.facet]
+        return rows[self.alpha], normal, den * normal_den
+
+    def rows(self, el, degree):
+        """(rows, den): the DOF's value on v is sum_c dot(rows[c], v_c) /
+        den, v_c the coefficients of component c in graded order up to
+        `degree`."""
+        row, normal, den = self._table_row(el, degree)
+        return [[m * x for x in row] for m in normal], den
+
+    def apply(self, el, v):
+        f = scaled_field(v)
+        row, normal, den = self._table_row(el, f.degree)
+        total = sum(m * sum(map(mul, comp, row))
+                    for m, comp in zip(normal, f.comps) if m)
+        return quotient(total, den * f.denominator)
 
     def apply_quad(self, el, f, degree):
         pts, wts = simplex_rule(el.simplex.dim - 1, degree)
@@ -71,13 +85,27 @@ class FacetMoment:
 
 @dataclass(frozen=True)
 class InteriorMoment:
-    """v -> int_T v . weight dx."""
+    """v -> int_T v . weight dx: rows[c][a] = sum_b weight_c,b int_T x^(a+b)."""
 
     weight: VectorPoly
     label: str
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def apply(self, el, v: VectorPoly):
-        return el.moments.integrate(v.dot(self.weight))
+    def rows(self, el, degree):
+        """(rows, den) as for `FacetMoment.rows`; cached per moment table at
+        the highest field degree asked for, since graded order makes the
+        rows for a lower degree a prefix."""
+        cached = self._rows.get(el.moments)
+        if cached is None or cached[0] < degree:
+            cached = self._rows[el.moments] = (
+                degree, *el.moments.weighted_rows(self.weight, degree))
+        return cached[1:]
+
+    def apply(self, el, v):
+        f = scaled_field(v)
+        rows, den = self.rows(el, f.degree)
+        total = sum(sum(map(mul, comp, row)) for comp, row in zip(f.comps, rows))
+        return quotient(total, den * f.denominator)
 
     def apply_quad(self, el, f, degree):
         pts, wts = simplex_rule(el.simplex.dim, degree)
@@ -124,12 +152,17 @@ class BDMElement:
         self.variant = variant
         self.moments = moment_table(simplex)
         self._monomials = monomial_indices(simplex.dim, order)
-        basis = basis_pk_vector(simplex.dim, order)
+        n = len(self._monomials)
         self.dofs = _dof_functionals(simplex, order, variant)
-        if len(self.dofs) != basis.dim:
-            raise UnisolvenceError(
-                f"{len(self.dofs)} functionals for a {basis.dim}-dim space")
-        vandermonde = [[dof.apply(self, b) for b in basis] for dof in self.dofs]
+        if len(self.dofs) != simplex.dim * n:
+            raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
+                                   f"{simplex.dim * n}-dim space")
+        # the basis is the component-major monomial basis of P_k^d, so the
+        # Vandermonde matrix is the DOF rows at degree k
+        vandermonde = []
+        for dof in self.dofs:
+            rows, den = dof.rows(self, order)
+            vandermonde.append([quotient(x, den) for row in rows for x in row[:n]])
         try:
             inverse = linalg.invert(vandermonde)
         except linalg.SingularMatrixError as exc:
@@ -146,7 +179,8 @@ class BDMElement:
         return len(self.dofs)
 
     def dof_values(self, v: VectorPoly):
-        return [dof.apply(self, v) for dof in self.dofs]
+        f = scaled_field(v)
+        return [dof.apply(self, f) for dof in self.dofs]
 
     def dof_values_quad(self, f, degree):
         return [dof.apply_quad(self, f, degree) for dof in self.dofs]
@@ -155,8 +189,7 @@ class BDMElement:
         exact = all(isinstance(x, (Fraction, int)) for x in values)
         d = self.simplex.dim
         if exact:
-            scale = lcm(*(x.denominator for x in values))
-            scaled = [x.numerator * (scale // x.denominator) for x in values]
+            scaled, scale = linalg.over_common_denominator(values)
             den = self._denominator * scale
             coeffs = [Fraction(sum(map(mul, row, scaled)), den)
                       for row in self._inverse]

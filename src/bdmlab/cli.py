@@ -36,6 +36,15 @@ MAX_COEFF_BITS = 1024
 # Bound on --k: one d = 3 `nedelec` build took 0.8 s at k = 4, 10 s at
 # k = 6 and 189 s at k = 8 (one core of a shared 2-core VM, Python 3.11).
 MAX_ORDER = 6
+# Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
+# per element, and `stokes` doubles q on layer elements for eps <= 1e-3;
+# q = 30 took 0.8 s and 132 MiB for `stokes --eps 0.001 --N 16` (same
+# machine), while --quad-degree 100000 asked for an 18.6 GiB array.  The
+# defaults are 8 (`stokes`) and 2k + 4 <= 16 (`interpolate --mode float`).
+MAX_QUAD_DEGREE = 30
+# Bound on the sweep exponents: every preset runs in under 2 s at 40, and
+# `rvp-bounded` overflows a float norm at h3 = 10^46.
+MAX_POW = 40
 
 
 class UsageError(ValueError):
@@ -160,12 +169,16 @@ def cmd_mesh(args):
     return 0
 
 
-def polynomial_order(text):
-    value = int(text)
-    if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"must be between 1 and {MAX_ORDER}, got {value}")
-    return value
+def bounded_int(low, high):
+    """An argparse type: an int with low <= value <= high."""
+    def parse(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be between {low} and {high}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse's "invalid int value"
+    return parse
 
 
 def mesh_size(text):
@@ -255,6 +268,9 @@ SWEEP_PRESETS = {
 
 
 def cmd_sweep(args):
+    if args.pow_min > args.pow_max:
+        raise UsageError(f"--pow-min {args.pow_min} is above --pow-max "
+                         f"{args.pow_max}")
     preset = SWEEP_PRESETS[args.name]
     rng = random.Random(args.seed)
     fld = preset["field"](rng)
@@ -306,13 +322,14 @@ def build_parser():
                                            "on one element")
     p.add_argument("--simplex", default=None, help="vertex file (one per line)")
     p.add_argument("--ref", choices=["tri", "tet", "tbar"], default="tri")
-    p.add_argument("--k", type=polynomial_order, default=1)
+    p.add_argument("--k", type=bounded_int(1, MAX_ORDER), default=1)
     p.add_argument("--variant", choices=["nedelec", "bdm_original"],
                    default="nedelec")
     p.add_argument("--field", required=True,
                    help="comma-separated components, e.g. '0, x1**3'")
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--quad-degree", type=int, default=None,
+    p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
+                   default=None,
                    help="quadrature degree for float mode (default 2k + 4)")
     p.set_defaults(func=cmd_interpolate)
 
@@ -322,9 +339,9 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="ratio sweep of a named estimate")
     p.add_argument("--name", choices=sorted(SWEEP_PRESETS), required=True)
-    p.add_argument("--k", type=polynomial_order, default=None)
-    p.add_argument("--pow-min", type=int, default=1)
-    p.add_argument("--pow-max", type=int, default=10)
+    p.add_argument("--k", type=bounded_int(1, MAX_ORDER), default=None)
+    p.add_argument("--pow-min", type=bounded_int(0, MAX_POW), default=1)
+    p.add_argument("--pow-max", type=bounded_int(0, MAX_POW), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -338,7 +355,8 @@ def build_parser():
                    default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
     p.add_argument("--gamma", type=positive_float, default=None)
-    p.add_argument("--quad-degree", type=int, default=8)
+    p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
+                   default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stokes)
     return parser

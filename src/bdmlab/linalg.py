@@ -7,23 +7,30 @@ Pivoting is deterministic: first nonzero column, lowest row.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 class SingularMatrixError(ValueError):
     """Raised when a solve/inversion hits a rank-deficient matrix."""
 
 
+def over_common_denominator(values):
+    """(numerators, denominator) with value == numerator / denominator.
+
+    Rationals give ints over the lcm of their denominators.  Anything else
+    (the floats of a float-vertex simplex) is returned as is, over 1."""
+    values = list(values)
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        return values, 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _integer_rows(matrix):
     """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in matrix:
-        row = [Fraction(x) for x in row]
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+    return [over_common_denominator([Fraction(x) for x in row])[0]
+            for row in matrix]
 
 
 def _bareiss_echelon(rows, ncols):

@@ -186,6 +186,34 @@ def test_quadrature_default_degree_for_callables():
             assert abs(float(pe.coeff(alpha)) - pa.coeff(alpha)) < 1e-13
 
 
+# -- float vertices --------------------------------------------------------------
+
+# binary fractions, so the rational element lives on the same simplex
+FLOAT_VERTICES = [
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 0.5)),
+    ((0.25, -0.5), (1.5, 0.125), (-0.75, 2.0)),
+    ((0.5, 0.0, -0.25), (1.0, 0.75, 0.0), (-0.5, 0.5, 0.125), (0.25, 0.25, 1.5)),
+]
+
+
+@pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("vertices", FLOAT_VERTICES)
+def test_float_vertices_match_rational_element(vertices, k, variant):
+    floats = Simplex(vertices)
+    exact = Simplex(tuple(tuple(F(c) for c in v) for v in vertices))
+    assert not floats.exact and exact.exact
+    v = random_field(floats.dim, k + 1, random.Random(f"{vertices}{k}"))
+    want = build_element(exact, k, variant).interpolate(v)
+    got = build_element(floats, k, variant).interpolate(v)
+    assert all(isinstance(c, float) for p in got.comps for c in p.terms.values())
+    scale = max(abs(float(c)) for p in want.comps for c in p.terms.values())
+    for pg, pw in zip(got.comps, want.comps):
+        for alpha in set(pg.terms) | set(pw.terms):
+            assert abs(float(pg.coeff(alpha)) - float(pw.coeff(alpha))) \
+                <= 1e-12 * scale
+
+
 # -- Piola commuting ------------------------------------------------------------
 
 def test_commutes_identity():

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_ORDER, FieldSyntaxError, main,
-                        parse_field, parse_polynomial)
+from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_ORDER, MAX_POW, MAX_QUAD_DEGREE,
+                        FieldSyntaxError, main, parse_field, parse_polynomial)
 from fractions import Fraction
 
 F = Fraction
@@ -115,6 +115,36 @@ def test_interpolate_integer_simplex_file_is_exact(tmp_path, capsys):
     assert from_file["interpolant"][1] == "1/20 + -3/5*x1 + 3/2*x1^2"
 
 
+def _terms(text):
+    """A printed Polynomial as {monomial: float coefficient}."""
+    out = {}
+    for part in text.split(" + "):
+        coeff, _, mono = part.partition("*")
+        out[mono] = float(Fraction(coeff))
+    return out
+
+
+def test_interpolate_decimal_simplex_file_matches_exact(tmp_path, capsys):
+    # decimal tokens are floats: the float element must agree with the
+    # rational one on the same vertices
+    field = ["--k", "2", "--variant", "bdm_original", "--field", "x2**2, x1**3"]
+    results = []
+    for name, text in (("float", "0.5 0\n2 0.25\n0 1.5\n"),
+                       ("exact", "1/2 0\n2 1/4\n0 3/2\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        code, _, manifest = run(capsys, ["interpolate", "--simplex", str(path)]
+                                + field)
+        assert code == 0
+        results.append(manifest["interpolant"])
+    assert "/" in results[1][0] and "/" not in results[0][0]
+    got, want = ([_terms(p) for p in comps] for comps in results)
+    scale = max(abs(c) for p in want for c in p.values())
+    for pg, pw in zip(got, want):
+        for mono in set(pg) | set(pw):
+            assert abs(pg.get(mono, 0.0) - pw.get(mono, 0.0)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("argv, option", [
     (["mesh", "--N", "8", "--tau", "abc"], "--tau"),
     (["mesh", "--N", "8", "--tau", "1/0"], "--tau"),
@@ -152,6 +182,46 @@ def test_parse_accepts_fields_at_the_caps():
     p = parse_polynomial(f"x1**{MAX_FIELD_DEGREE} + (1/2)**-3", 2)
     assert p.degree == MAX_FIELD_DEGREE
     assert p.coeff((0, 0)) == 8
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["stokes", "--eps", "0.1", "--N", "4", "--quad-degree", "-3"],
+     "--quad-degree"),
+    (["stokes", "--eps", "0.1", "--N", "4", "--quad-degree",
+      str(MAX_QUAD_DEGREE + 1)], "--quad-degree"),
+    (["interpolate", "--mode", "float", "--field", "x1, 0", "--quad-degree",
+      "-1"], "--quad-degree"),
+    (["interpolate", "--mode", "float", "--field", "x1, 0", "--quad-degree",
+      str(MAX_QUAD_DEGREE + 1)], "--quad-degree"),
+    (["sweep", "--name", "counterexample-2d", "--pow-min", "-1"], "--pow-min"),
+    (["sweep", "--name", "counterexample-2d", "--pow-min", "5",
+      "--pow-max", "2"], "--pow-min"),
+    (["sweep", "--name", "rvp-bounded", "--pow-max", "-1"], "--pow-max"),
+    (["sweep", "--name", "rvp-bounded", "--pow-max", str(MAX_POW + 1)],
+     "--pow-max"),
+    (["sweep", "--name", "counterexample-3d", "--pow-min", str(MAX_POW + 1),
+      "--pow-max", str(MAX_POW + 1)], "--pow-min"),
+])
+def test_quad_degree_and_powers_out_of_range_exit_2(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_options_at_their_caps(capsys):
+    code, _, manifest = run(capsys, [
+        "interpolate", "--mode", "float", "--field", "x1, x2**2",
+        "--quad-degree", str(MAX_QUAD_DEGREE)])
+    assert code == 0
+    code, _, manifest = run(capsys, [
+        "interpolate", "--mode", "float", "--field", "x1, 0",
+        "--quad-degree", "0"])
+    assert code == 0
+    code, _, manifest = run(capsys, [
+        "sweep", "--name", "counterexample-2d", "--pow-min", str(MAX_POW),
+        "--pow-max", str(MAX_POW)])
+    assert code == 0 and len(manifest["ratios"]) == 1
 
 
 def test_mesh_fig6(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The DOF functionals and integrate_poly against a compose-then-integrate
-oracle, on random rational triangles and tetrahedra."""
+oracle, and the invariants of the interpolant (projection, Piola commuting,
+vertex relabelling), on random rational triangles and tetrahedra."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bdmlab.bdm import FacetMoment, InteriorMoment, build_element
-from bdmlab.geometry import DegenerateSimplexError, Simplex
+from bdmlab.bdm import (FacetMoment, InteriorMoment, build_element,
+                        commutes_with_piola)
+from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
+                             reference_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
 from bdmlab.spaces import MomentTable, integrate_poly
@@ -104,5 +107,44 @@ def test_projection_property_random_simplices(dim, k, variant):
     def check(simplex, v):
         el = build_element(simplex, k, variant)
         assert el.interpolate(v) == v
+
+    check()
+
+
+# -- invariants of the interpolant, checked with exact equality
+
+
+@st.composite
+def affine_maps(draw, dim):
+    matrix = tuple(tuple(draw(rationals) for _ in range(dim))
+                   for _ in range(dim))
+    try:
+        return AffineMap(matrix, tuple(draw(rationals) for _ in range(dim)))
+    except ValueError:      # singular
+        assume(False)
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_piola_commutes_nedelec_random_affine_maps(dim, k):
+    el_ref = build_element(reference_simplex(dim), k)
+
+    @settings(max_examples=8 if dim == 2 else 4, deadline=None)
+    @given(affine_maps(dim), fields(dim, k + 1))
+    def check(amap, v):
+        el_phys = build_element(amap.map_simplex(el_ref.simplex), k)
+        assert commutes_with_piola(el_ref, el_phys, amap, v).commutes
+
+    check()
+
+
+@pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_interpolant_invariant_under_vertex_relabelling(dim, k, variant):
+    @settings(max_examples=6 if dim == 2 else 3, deadline=None)
+    @given(simplices(dim), st.permutations(range(dim + 1)), fields(dim, k + 1))
+    def check(simplex, perm, v):
+        relabelled = Simplex(tuple(simplex.vertices[i] for i in perm))
+        assert (build_element(relabelled, k, variant).interpolate(v)
+                == build_element(simplex, k, variant).interpolate(v))
 
     check()
