@@ -45,6 +45,10 @@ MAX_QUAD_DEGREE = 30
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
 MAX_POW = 40
+# Bound on --N: one `stokes` solve at N = 256 (eps = 0.1, Shishkin mesh)
+# peaks at 2.4 GiB, and the fill of its factorization grows about 6x per
+# doubling of N (same machine).
+MAX_MESH_N = 256
 
 
 class UsageError(ValueError):
@@ -182,10 +186,12 @@ def bounded_int(low, high):
 
 
 def mesh_size(text):
-    """--N: cells per side of a layer mesh, even and at least 2."""
+    """--N: cells per side of a layer mesh, even, at least 2 and at most
+    MAX_MESH_N."""
     value = int(text)
-    if value < 2 or value % 2:
-        raise argparse.ArgumentTypeError(f"must be even and >= 2, got {value}")
+    if value < 2 or value % 2 or value > MAX_MESH_N:
+        raise argparse.ArgumentTypeError(
+            f"must be even, >= 2 and <= {MAX_MESH_N}, got {value}")
     return value
 
 
@@ -250,28 +256,32 @@ def cmd_verify(args):
 SWEEP_PRESETS = {
     "counterexample-2d": dict(
         family=TSTAR_FAMILY, estimate="stability_mac", k=1, m=None,
+        pow_min=1,
         grid=lambda a: [(Fraction(1, 2 ** j),) for j in range(a.pow_min, a.pow_max + 1)],
         field=lambda rng: VectorPoly([Polynomial.zero(2),
                                       Polynomial.variable(2, 0) ** 2])),
     "counterexample-3d": dict(
         family=WEAKER_FAMILY, estimate="interpolation_rvp", k=1, m=0,
+        pow_min=1,
         grid=lambda a: [(1, 1, 2 ** j) for j in range(a.pow_min, a.pow_max + 1)],
         field=lambda rng: VectorPoly([
             Polynomial.variable(3, 0) * Polynomial.variable(3, 2),
             -Polynomial.variable(3, 1) * Polynomial.variable(3, 2),
             Polynomial.zero(3)])),
     "rvp-bounded": dict(
-        family=T1_FAMILY, estimate="interpolation_rvp", k=1, m=1,
-        grid=lambda a: [(1, 1, 10 ** j) for j in range(0, a.pow_max + 1)],
+        family=T1_FAMILY, estimate="interpolation_rvp", k=1, m=1, pow_min=0,
+        grid=lambda a: [(1, 1, 10 ** j) for j in range(a.pow_min, a.pow_max + 1)],
         field=lambda rng: random_divfree_field(3, 3, rng)),
 }
 
 
 def cmd_sweep(args):
+    preset = SWEEP_PRESETS[args.name]
+    if args.pow_min is None:
+        args.pow_min = preset["pow_min"]
     if args.pow_min > args.pow_max:
         raise UsageError(f"--pow-min {args.pow_min} is above --pow-max "
                          f"{args.pow_max}")
-    preset = SWEEP_PRESETS[args.name]
     rng = random.Random(args.seed)
     fld = preset["field"](rng)
     result = sweep(preset["family"], lambda s, p: fld, preset["estimate"],
@@ -340,7 +350,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="ratio sweep of a named estimate")
     p.add_argument("--name", choices=sorted(SWEEP_PRESETS), required=True)
     p.add_argument("--k", type=bounded_int(1, MAX_ORDER), default=None)
-    p.add_argument("--pow-min", type=bounded_int(0, MAX_POW), default=1)
+    p.add_argument("--pow-min", type=bounded_int(0, MAX_POW), default=None,
+                   help="first exponent of the grid (default: 0 for "
+                        "rvp-bounded, 1 otherwise)")
     p.add_argument("--pow-max", type=bounded_int(0, MAX_POW), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

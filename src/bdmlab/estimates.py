@@ -39,22 +39,6 @@ def l2_norm(f, simplex):
     return math.sqrt(float(l2_norm_sq(f, simplex)))
 
 
-def l2_component_norms(v: VectorPoly, simplex):
-    """Norm broken over components."""
-    return [math.sqrt(float(l2_norm_sq(p, simplex))) for p in v.comps]
-
-
-def l2_norm_quad(f, simplex, degree):
-    """Quadrature L2 norm of a callable taking (m, d) points."""
-    pts, wts = map_rule(simplex, degree)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.ndim == 2:
-        vals = np.sum(vals * vals, axis=1)
-    else:
-        vals = vals * vals
-    return math.sqrt(float(np.dot(wts, vals)))
-
-
 def multi_indices_of_order(dim, m):
     return [a for a in monomial_indices(dim, m) if sum(a) == m]
 
@@ -196,10 +180,6 @@ def t1_simplex(*hs):
     return Simplex(((0, 0, 0), (h1, 0, 0), (0, h2, 0), (0, 0, h3)))
 
 
-def t2_simplex(h1, h2, h3):
-    return Simplex(((0, 0, 0), (h1, h2, 0), (0, h2, 0), (0, 0, h3)))
-
-
 def weaker_example_tet(h1, h2, h3):
     """Rotated second-family tetrahedron used by the 3D counterexample."""
     return Simplex(((0, 0, 0), (h1, 0, 0), (0, 0, h3), (0, h2, h3)))
@@ -212,7 +192,6 @@ def _axes(dim):
 TSTAR_FAMILY = ElementFamily("Tstar", lambda p: tstar_simplex(p[0]))
 T1_FAMILY = ElementFamily("T1", lambda p: t1_simplex(*p),
                           frame=lambda p: (_axes(len(p)), tuple(p)))
-T2_FAMILY = ElementFamily("T2", lambda p: t2_simplex(*p))
 WEAKER_FAMILY = ElementFamily("T2rot", lambda p: weaker_example_tet(*p),
                               frame=lambda p: (_axes(3), tuple(p)))
 

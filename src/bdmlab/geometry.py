@@ -276,6 +276,12 @@ def _sqrt_or_float(x):
     return math.sqrt(float(x))
 
 
+def _unit_vector(e, length):
+    """e / length, exact per component when it and the length are rational."""
+    return tuple(x / length if isinstance(length, Fraction) and isinstance(x, Fraction)
+                 else float(x) / float(length) for x in e)
+
+
 def _vertex_direction_data(s, k):
     """Unit outgoing edge directions from vertex k and the edge lengths,
     ordered by target vertex index; also |det N_k| squared, exact when
@@ -292,22 +298,16 @@ def _vertex_direction_data(s, k):
         prod_sq = prod_sq * ls
     rvp_sq = det_sq / prod_sq
     lengths = [_sqrt_or_float(ls) for ls in len_sq]
-    dirs = [tuple(x / lengths[m] if isinstance(lengths[m], Fraction) and isinstance(x, Fraction)
-                  else float(x) / float(lengths[m]) for x in e)
-            for m, e in enumerate(edges)]
-    return others, edges, lengths, dirs, rvp_sq
+    dirs = [_unit_vector(e, h) for e, h in zip(edges, lengths)]
+    return others, lengths, dirs, rvp_sq
 
 
 def rvp_report(s: Simplex) -> RegularityReport:
     """Best |det N_k| over vertices; ties broken by lowest vertex index."""
-    best_k, best_sq = None, None
-    data = {}
-    for k in range(s.dim + 1):
-        others, edges, lengths, dirs, rvp_sq = _vertex_direction_data(s, k)
-        data[k] = (others, edges, lengths, dirs, rvp_sq)
-        if best_sq is None or rvp_sq > best_sq:
-            best_k, best_sq = k, rvp_sq
-    others, edges, lengths, dirs, _ = data[best_k]
+    data = [_vertex_direction_data(s, k) for k in range(s.dim + 1)]
+    # the largest rvp_sq; max keeps the first, so ties go to the lowest index
+    best_k = max(range(s.dim + 1), key=lambda k: data[k][3])
+    _, lengths, dirs, best_sq = data[best_k]
     return RegularityReport(
         max_angle=max_angle(s),
         rvp_best=math.sqrt(float(best_sq)),
@@ -318,50 +318,41 @@ def rvp_report(s: Simplex) -> RegularityReport:
     )
 
 
+def _candidate(s, perm, ref_roles, cols, sizes):
+    """Map a reference family onto s: J has the unit columns `cols`, and
+    physical vertex perm[r] takes role r, at reference vertex ref_roles[r]."""
+    d = s.dim
+    J = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
+    amap = AffineMap(J, s.vertices[perm[0]])
+    roles = tuple(perm.index(i) for i in range(d + 1))
+    ref = tuple(ref_roles[r] for r in roles)
+    cond = amap.norm_inf() * amap.inverse().norm_inf()
+    return amap, tuple(sizes), tuple(cols), ref, roles, cond
+
+
 def _t1_candidate(s, anchor):
     """Map the first reference family onto s with the anchor vertex at the
     origin role: J columns are the unit edge directions."""
-    others, edges, lengths, dirs, rvp_sq = _vertex_direction_data(s, anchor)
+    others, lengths, dirs, _ = _vertex_direction_data(s, anchor)
     d = s.dim
-    J = tuple(tuple(dirs[m][r] for m in range(d)) for r in range(d))
-    amap = AffineMap(J, s.vertices[anchor])
     zero = Fraction(0) if s.exact else 0.0
-    ref = [None] * (d + 1)
-    ref[anchor] = (zero,) * d
-    roles = [None] * (d + 1)
-    roles[anchor] = 0
-    for m, j in enumerate(others):
-        v = [zero] * d
-        v[m] = lengths[m]
-        ref[j] = tuple(v)
-        roles[j] = m + 1
-    cond = amap.norm_inf() * amap.inverse().norm_inf()
-    return amap, tuple(lengths), tuple(dirs), tuple(ref), tuple(roles), cond
+    ref_roles = [(zero,) * d] + [
+        tuple(h if c == m else zero for c in range(d))
+        for m, h in enumerate(lengths)]
+    return _candidate(s, [anchor] + others, ref_roles, dirs, lengths)
 
 
 def _t2_candidate(s, perm):
     """Map the second family {0, h1 e1 + h2 e2, h2 e2, h3 e3} onto s with
     physical vertex perm[r] in role r."""
     p = [s.vertices[i] for i in perm]
-    e21 = _sub(p[1], p[2])
-    e20 = _sub(p[2], p[0])
-    e30 = _sub(p[3], p[0])
-    hs = [_sqrt_or_float(_dot(e, e)) for e in (e21, e20, e30)]
+    edges = (_sub(p[1], p[2]), _sub(p[2], p[0]), _sub(p[3], p[0]))
+    hs = [_sqrt_or_float(_dot(e, e)) for e in edges]
     h1, h2, h3 = hs
-    cols = [tuple(x / h if isinstance(h, Fraction) and isinstance(x, Fraction)
-                  else float(x) / float(h) for x in e)
-            for e, h in ((e21, h1), (e20, h2), (e30, h3))]
-    J = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-    amap = AffineMap(J, p[0])
+    cols = [_unit_vector(e, h) for e, h in zip(edges, hs)]
     zero = Fraction(0) if s.exact else 0.0
     ref_roles = [(zero, zero, zero), (h1, h2, zero), (zero, h2, zero), (zero, zero, h3)]
-    ref = [None] * 4
-    roles = [None] * 4
-    for r, idx in enumerate(perm):
-        ref[idx] = ref_roles[r]
-        roles[idx] = r
-    cond = amap.norm_inf() * amap.inverse().norm_inf()
-    return amap, (h1, h2, h3), tuple(cols), tuple(ref), tuple(roles), cond
+    return _candidate(s, perm, ref_roles, cols, hs)
 
 
 def classify_to_reference_family(
@@ -421,7 +412,7 @@ def piola_push(amap: AffineMap, v: VectorPoly) -> VectorPoly:
 def simplex_to_text(s: Simplex):
     lines = []
     for v in s.vertices:
-        lines.append(" ".join(_coord_to_token(x) for x in v))
+        lines.append(" ".join(coord_to_token(x) for x in v))
     return "\n".join(lines) + "\n"
 
 
@@ -435,17 +426,20 @@ def simplex_from_text(text) -> Simplex:
     for line in text.strip().splitlines():
         if not line.strip():
             continue
-        verts.append(tuple(_coord_from_token(tok) for tok in line.split()))
+        verts.append(tuple(coord_from_token(tok) for tok in line.split()))
     return Simplex(tuple(verts))
 
 
-def _coord_to_token(x):
-    if isinstance(x, Fraction):
+def coord_to_token(x):
+    """`p/q` for a rational or an int, `repr` for a float: the tokens
+    `coord_from_token` reads back exactly."""
+    if isinstance(x, (Fraction, int)):
+        x = Fraction(x)
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
 
 
-def _coord_from_token(tok):
+def coord_from_token(tok):
     """Rationals (`p/q`) and integers are exact; anything else is a float."""
     if "/" in tok:
         num, den = tok.split("/")

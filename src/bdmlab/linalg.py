@@ -145,12 +145,6 @@ def invert(matrix):
     return solve(matrix, eye)
 
 
-def matmul(a, b):
-    """Plain exact matrix product (small matrices only)."""
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def rank(matrix, ncols=None):
     if not matrix:
         return 0

@@ -213,9 +213,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def map_coeffs(self, fn):
-        return Polynomial(self.dim, {a: fn(c) for a, c in self.terms.items()})
-
     def coeff(self, alpha):
         return self.terms.get(tuple(alpha), Fraction(0))
 
@@ -307,9 +304,6 @@ class VectorPoly:
 
     def eval(self, point):
         return tuple(p.eval(point) for p in self.comps)
-
-    def map_coeffs(self, fn):
-        return VectorPoly([p.map_coeffs(fn) for p in self.comps])
 
     def __repr__(self):
         return "(" + ", ".join(repr(p) for p in self.comps) + ")"

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .geometry import coord_from_token, coord_to_token
+
 
 def transition_point(eps, convention="natural", factor=3):
     """tau = min(1/2, 3 eps |log eps|), with the log base configurable.
@@ -65,13 +67,7 @@ def triangle_aspect_ratio(pts):
 class ShishkinParams:
     N: int
     epsilon: float
-    tau: object = None              # Fraction or float; derived when None
-    log_convention: str = "natural"
-
-    def resolved_tau(self):
-        if self.tau is not None:
-            return self.tau
-        return transition_point(self.epsilon, self.log_convention)
+    tau: object                     # Fraction or float
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,6 @@ class Facet:
     v1: int
     left: int                      # triangle index
     right: Optional[int] = None    # None on the boundary
-    boundary_tag: Optional[str] = None
 
 
 @dataclass
@@ -130,26 +125,12 @@ class Mesh2D:
                 slot[side] = t
         facets = []
         for (v0, v1), (left, right) in sorted(slots.items()):
-            tag = None
             if left is None or right is None:
                 left = right if left is None else left
                 right = None
-                tag = self._boundary_tag(self.vertices[v0], self.vertices[v1])
-            facets.append(Facet(v0, v1, left, right, tag))
+            facets.append(Facet(v0, v1, left, right))
         self.facets = facets
         return self
-
-    @staticmethod
-    def _boundary_tag(p0, p1):
-        if p0[0] == p1[0] == 0:
-            return "left"
-        if p0[0] == p1[0] == 1:
-            return "right"
-        if p0[1] == p1[1] == 0:
-            return "bottom"
-        if p0[1] == p1[1] == 1:
-            return "top"
-        return "boundary"
 
 
 def _x_coordinates(N, tau):
@@ -172,7 +153,7 @@ def build_shishkin(params: ShishkinParams) -> Mesh2D:
     N = params.N
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
-    tau = params.resolved_tau()
+    tau = params.tau
     xs = _x_coordinates(N, tau)
     exact = isinstance(tau, (Fraction, int))
     ys = [Fraction(j, N) if exact else j / N for j in range(N + 1)]
@@ -222,15 +203,10 @@ def write_mesh(mesh: Mesh2D, path):
 def mesh_to_text(mesh: Mesh2D):
     lines = [f"2 {mesh.n_vertices} {mesh.n_triangles}"]
     for x, y in mesh.vertices:
-        lines.append(f"{_token(x)} {_token(y)}")
+        lines.append(f"{coord_to_token(x)} {coord_to_token(y)}")
     for a, b, c in mesh.triangles:
         lines.append(f"{a} {b} {c}")
     return "\n".join(lines) + "\n"
-
-
-def read_mesh(path) -> Mesh2D:
-    with open(path) as fh:
-        return mesh_from_text(fh.read())
 
 
 def mesh_from_text(text) -> Mesh2D:
@@ -241,23 +217,10 @@ def mesh_from_text(text) -> Mesh2D:
     vertices = []
     for ln in lines[1:1 + nv]:
         a, b = ln.split()
-        vertices.append((_untoken(a), _untoken(b)))
+        vertices.append((coord_from_token(a), coord_from_token(b)))
     triangles = []
     for ln in lines[1 + nv:1 + nv + nt]:
         a, b, c = (int(x) for x in ln.split())
         triangles.append((a, b, c))
     return Mesh2D(vertices, triangles).build_facets()
 
-
-def _token(x):
-    if isinstance(x, (Fraction, int)):
-        x = Fraction(x)
-        return f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
-
-
-def _untoken(tok):
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    return float(tok)

@@ -9,7 +9,8 @@ constraint, exactly divergence-free.  The normal component of the Dirichlet
 datum is imposed strongly through the boundary-edge DOFs; the tangential
 part is enforced weakly by the interior-penalty terms.  Keeping the normal
 trace strong is what preserves both the zero-mean pressure gauge and the
-machine-zero elementwise divergence.
+machine-zero elementwise divergence.  There is one Dirichlet path: zero data
+go through the same lift and boundary stream function as any other.
 
 The saddle-point system is assembled in full but solved in the divergence-
 free subspace: on the simply connected square the divergence-free BDM1
@@ -106,12 +107,11 @@ class StokesCase:
     f: tuple           # (ExpPoly, ExpPoly)
     grad_u: tuple      # ((du1dx, du1dy), (du2dx, du2dy))
     pressure_mean: float
-    homogeneous_bc: bool = True
 
     def boundary_g(self, pts):
         """The exact velocity at points, (P, 2); on the boundary it is the
-        Dirichlet datum (identically zero here, the stream function has
-        double zeros on the boundary)."""
+        Dirichlet datum (zero for `manufactured_case`, whose stream function
+        has double zeros on the boundary)."""
         pts = np.asarray(pts, dtype=float)
         return np.column_stack([self.u[0].eval(pts), self.u[1].eval(pts)])
 
@@ -285,23 +285,16 @@ class DGSpace:
         on_boundary[self.stream_fixed] = True
         self.stream_free = np.flatnonzero(~on_boundary)
 
-    def psi_values(self, tri_ids, pts):
-        """Local monomial basis values at points: (F, m, 6, 2)."""
+    def monomials(self, tri_ids, pts):
+        """The local P1 monomials (1, xh, yh), centroid-relative, at points:
+        (F, m, 3), in the order of each component's local coefficients."""
         local = pts - self.centers[tri_ids][:, None, :]
-        F, m = local.shape[:2]
-        psi = np.zeros((F, m, 6, 2))
-        psi[:, :, 0, 0] = 1.0
-        psi[:, :, 1, 0] = local[..., 0]
-        psi[:, :, 2, 0] = local[..., 1]
-        psi[:, :, 3, 1] = 1.0
-        psi[:, :, 4, 1] = local[..., 0]
-        psi[:, :, 5, 1] = local[..., 1]
-        return psi
+        return np.concatenate([np.ones_like(local[..., :1]), local], axis=2)
 
     def shape_values(self, tri_ids, pts):
         """Shape-function values at points: (F, m, 6, 2)."""
-        psi = self.psi_values(tri_ids, pts)
-        return np.einsum("fbj,fmbc->fmjc", self.coeff_from_dofs[tri_ids], psi)
+        C = self.coeff_from_dofs[tri_ids].reshape(-1, 2, 3, 6)
+        return np.einsum("fcbj,fmb->fmjc", C, self.monomials(tri_ids, pts))
 
     def facet_points(self, facet_ids, ts):
         """Points at parameters ts along each facet: (F, m, 2)."""
@@ -345,8 +338,8 @@ class StokesSolution:
         sp_ = self.space
         f = sp_.interior
         pts = sp_.facet_points(f, np.array([0.25, 0.75]))
-        jl, jr = (np.einsum("fmbc,fb,fc->fm", sp_.psi_values(t, pts),
-                            self.coeffs[t], sp_.facet_n[f])
+        jl, jr = (np.einsum("fmb,fcb,fc->fm", sp_.monomials(t, pts),
+                            self.coeffs[t].reshape(-1, 2, 3), sp_.facet_n[f])
                   for t in (sp_.facet_left[f], sp_.facet_right[f]))
         return float(np.max(np.abs(jl - jr), initial=0.0))
 
@@ -375,9 +368,9 @@ def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
     ids = np.concatenate(ids, axis=1)                           # (F, n)
     wline = ws[None, :] * h_e[:, None]                          # (F, m)
     cons = np.einsum("fmac,fm,fbc->fab", trace, wline, gradn)
-    pen = np.einsum("fmac,fm,fmbc->fab", trace, wline, trace)
-    local = (-nu * (cons + cons.transpose(0, 2, 1))
-             + (nu * gamma / h_pen)[:, None, None] * pen)
+    local = np.einsum("fmac,fm,fmbc->fab", trace, wline, trace)  # penalty
+    local *= (nu * gamma / h_pen)[:, None, None]
+    local -= nu * (cons + cons.transpose(0, 2, 1))
     return ids, local, trace, gradn, pts, wline
 
 
@@ -387,7 +380,8 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     Returns (K, rhs, free_ids, fixed_ids, fixed_values): K couples the free
     velocity DOFs, the area-scaled pressures and the zero-mean multiplier.
     K is the system `solve` answers for (its residual is measured on K), not
-    the one it factorizes.
+    the one it factorizes.  The Dirichlet datum always enters the same way:
+    its normal moments are `fixed_values`, its lift is in `rhs`.
     """
     if gamma <= 0:
         raise ValueError("penalty parameter must be positive")
@@ -423,29 +417,31 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         fids, local, trace, gradn, pts, wline = _facet_block(
             space, boundary, [(left[boundary], 1.0)], gamma, nu, ts, ws)
         add(fids, local)
-        if not case.homogeneous_bc:
-            # weak Dirichlet data in the jump slots (tangential part; the
-            # normal part is fixed strongly through the boundary DOFs)
-            gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
-            h_pen = space.facet_h_pen[boundary]
-            lift = (-nu * np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
-                    + (nu * gamma / h_pen)[:, None]
-                    * np.einsum("fmc,fm,fmac->fa", gv, wline, trace))
-            np.add.at(rhs_vel, fids.ravel(), lift.ravel())
+        # weak Dirichlet data in the jump slots (tangential part; the
+        # normal part is fixed strongly through the boundary DOFs)
+        gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
+        h_pen = space.facet_h_pen[boundary]
+        lift = (-nu * np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
+                + (nu * gamma / h_pen)[:, None]
+                * np.einsum("fmc,fm,fmac->fa", gv, wline, trace))
+        np.add.at(rhs_vel, fids.ravel(), lift.ravel())
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_vel, n_vel)).tocsr()
+    del rows, cols, vals  # freed here, K and the factors reuse their memory
     A = 0.5 * (A + A.T)  # the form is symmetric; remove summation roundoff
 
-    # body force: int_T f . shape; layer elements of very small eps get a
-    # doubled rule, mirroring the error-integral policy
+    # body force: int_T f . shape, the local monomial moments of f mapped
+    # by `coeff_from_dofs`; layer elements of very small eps get a doubled
+    # rule, mirroring the error-integral policy
     for ids, phys, wts in _quadrature(space, case, quad_degree):
         flat = phys.reshape(-1, 2)
         fv = np.stack([case.f[0].eval(flat), case.f[1].eval(flat)],
                       axis=1).reshape(phys.shape)
-        shp = space.shape_values(ids, phys)
-        contrib = np.einsum("tm,tmjc,tmc->tj", wts, shp, fv)
+        moments = np.einsum("tm,tmc,tmb->tcb", wts, fv,
+                            space.monomials(ids, phys)).reshape(-1, 6)
+        contrib = np.einsum("tbj,tb->tj", space.coeff_from_dofs[ids], moments)
         np.add.at(rhs_vel, space.tri_dof_ids[ids].ravel(), contrib.ravel())
 
     # continuity rows, scaled to enforce the divergence value itself
@@ -478,7 +474,8 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     """Solve `assemble`'s system in the divergence-free subspace.
 
     The free velocity is u = C_b psi_b + C_f psi_f with C = `space.curl`:
-    psi_b on the boundary reproduces the fixed boundary moments and psi_f
+    psi_b on the boundary reproduces the fixed boundary moments (for every
+    datum, zero included: there is one Dirichlet path) and psi_f
     solves the SPD system C_f^T A C_f psi_f = C_f^T (rhs_u - A C_b psi_b),
     factorized once without pivoting.  The area-scaled pressure p solves
     B^T p = rhs_u - A u (normal equations, one pressure pinned); since B^T
@@ -507,9 +504,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         p += space.areas * ((r[-1] - p.sum()) / space.areas.sum())
         return np.concatenate([u, p, [0.0]])
 
-    u0 = np.zeros(n_free)
-    if not case.homogeneous_bc:
-        u0 = C[:, space.stream_fixed] @ _boundary_stream(space, fixed_values)
+    u0 = C[:, space.stream_fixed] @ _boundary_stream(space, fixed_values)
     x = correction(rhs, u0)
     x += correction(rhs - K @ x, np.zeros(n_free))
     denom = float(np.linalg.norm(rhs))
@@ -524,7 +519,6 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         "residual": residual,
         "n_unknowns": S.shape[0],
         "nnz": int(S.nnz),
-        "div_max": float(np.max(np.abs(coeffs[:, 1] + coeffs[:, 5]))),
     }
     return StokesSolution(space, vel, coeffs, pressure, stats)
 

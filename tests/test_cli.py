@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
-from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_ORDER, MAX_POW, MAX_QUAD_DEGREE,
-                        FieldSyntaxError, main, parse_field, parse_polynomial)
+from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
+                        MAX_QUAD_DEGREE, FieldSyntaxError, build_parser, main,
+                        parse_field, parse_polynomial)
 from fractions import Fraction
 
 F = Fraction
@@ -155,6 +157,9 @@ def test_interpolate_decimal_simplex_file_matches_exact(tmp_path, capsys):
     (["stokes", "--eps", "0.1", "--N", "8", "--N", "0"], "--N"),
     (["stokes", "--eps", "2", "--N", "4"], "--eps"),
     (["stokes", "--eps", "0.1", "--N", "4", "--gamma", "-1"], "--gamma"),
+    (["mesh", "--N", str(MAX_MESH_N + 2)], "--N"),
+    (["stokes", "--eps", "0.1", "--N", "4", "--N", str(MAX_MESH_N + 2)],
+     "--N"),
 ])
 def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -222,6 +227,27 @@ def test_options_at_their_caps(capsys):
         "sweep", "--name", "counterexample-2d", "--pow-min", str(MAX_POW),
         "--pow-max", str(MAX_POW)])
     assert code == 0 and len(manifest["ratios"]) == 1
+
+
+def test_mesh_size_cap_is_accepted_by_the_parser():
+    parser = build_parser()
+    assert parser.parse_args(["mesh", "--N", str(MAX_MESH_N)]).N == MAX_MESH_N
+    args = parser.parse_args(["stokes", "--eps", "0.1", "--N", str(MAX_MESH_N)])
+    assert args.N == [MAX_MESH_N]
+
+
+@pytest.mark.parametrize("bounds, pow_min, h3", [
+    (["--pow-max", "0"], 0, [1.0]),
+    (["--pow-min", "2", "--pow-max", "3"], 2, [100.0, 1000.0]),
+])
+def test_rvp_bounded_honours_pow_min(bounds, pow_min, h3, tmp_path, capsys):
+    path = tmp_path / "rvp.csv"
+    code, _, manifest = run(capsys, [
+        "sweep", "--name", "rvp-bounded", *bounds, "--out", str(path)])
+    assert code == 0
+    assert manifest["config"]["pow_min"] == pow_min
+    with path.open() as fh:
+        assert [float(row["h3"]) for row in csv.DictReader(fh)] == h3
 
 
 def test_mesh_fig6(tmp_path, capsys):

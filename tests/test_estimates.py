@@ -40,16 +40,6 @@ def test_zero_norm():
     assert l2_norm(VectorPoly.zero(2, 2), tstar_simplex(F(1))) == 0.0
 
 
-def test_component_norms():
-    from bdmlab.estimates import l2_component_norms
-    ts = tstar_simplex(F(1))
-    v = VectorPoly([Polynomial.zero(2), x(2, 0) ** 2])
-    norms = l2_component_norms(v, ts)
-    assert norms[0] == 0.0
-    assert abs(norms[1] ** 2 - 1 / 15) < 1e-14
-    assert abs(l2_norm(v, ts) - norms[1]) < 1e-15
-
-
 def test_abs_derivative_sum_matches_plain_norm_for_single_term():
     # with one derivative and no sign change the abs-sum norm is the norm
     s = t1_simplex(F(1), F(1))

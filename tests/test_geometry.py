@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              classify_to_reference_family, facet_normals,
@@ -225,6 +227,34 @@ def test_classify_float_reproduction():
                                    atol=1e-12)
 
 
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def simplices(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    try:
+        return Simplex(tuple(tuple(draw(rationals) for _ in range(dim))
+                             for _ in range(dim + 1)))
+    except DegenerateSimplexError:
+        assume(False)
+
+
+# threshold 0 always takes the regular vertex (T1); threshold 2 is above
+# every rvp value, so it searches all orderings (T1 for d = 2, T2 for d = 3)
+@pytest.mark.parametrize("threshold", [0.0, 2.0])
+@settings(max_examples=40, deadline=None)
+@given(s=simplices())
+def test_classify_map_carries_reference_vertices(threshold, s):
+    rep = classify_to_reference_family(s, rvp_threshold=threshold)
+    if threshold > 1 and s.dim == 3:    # second family: role 1 at (h1, h2, 0)
+        assert rep.reference_vertices[rep.role_of_vertex.index(1)][1] != 0
+    for i in range(s.dim + 1):
+        got = [float(g) for g in rep.map.apply(rep.reference_vertices[i])]
+        np.testing.assert_allclose(got, [float(x) for x in s.vertices[i]],
+                                   rtol=0, atol=1e-12)
+
+
 # -- Piola -------------------------------------------------------------------
 
 def test_piola_identity():
@@ -295,3 +325,25 @@ def test_simplex_text_integer_tokens_are_exact():
     s = simplex_from_text("0 0\n1 0\n-2 3\n")
     assert s.exact and s.vertices == ((0, 0), (1, 0), (-2, 3))
     assert not simplex_from_text("0 0\n1.5 0\n0 1\n").exact
+
+
+tokens = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(1, 50)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_simplex_text_roundtrip_is_exact(dim, data):
+    rows = [[data.draw(tokens) for _ in range(dim)] for _ in range(dim + 1)]
+    want = tuple(tuple(F(tok) for tok in row) for row in rows)
+    try:
+        Simplex(want)
+    except DegenerateSimplexError:
+        assume(False)
+    s = simplex_from_text("".join(" ".join(row) + "\n" for row in rows))
+    assert s.exact and s.vertices == want
+    back = simplex_from_text(simplex_to_text(s))
+    assert back.exact and back.vertices == want
+    assert simplex_to_text(back) == simplex_to_text(s)

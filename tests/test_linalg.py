@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from bdmlab import linalg
 
 
+def matmul(a, b):
+    """Plain exact matrix product: the oracle for `solve` and `invert`."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def test_solve_exact():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = linalg.solve(A, [Fraction(5), Fraction(10)])
@@ -24,7 +30,7 @@ def test_invert_roundtrip():
          [Fraction(0), Fraction(1), Fraction(4)],
          [Fraction(5), Fraction(6), Fraction(0)]]
     inv = linalg.invert(A)
-    assert linalg.matmul(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert matmul(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_singular_raises():
@@ -100,7 +106,7 @@ def test_solve_property(M, data):
             linalg.solve(M, rhs)
         return
     X = linalg.solve(M, rhs)
-    assert linalg.matmul(M, X) == rhs
+    assert matmul(M, X) == rhs
     x = linalg.solve(M, [r[0] for r in rhs])
     assert x == [r[0] for r in X]
     assert all(isinstance(v, Fraction) for v in x)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmlab.geometry import Simplex, max_angle
 from bdmlab.shishkin import (ShishkinParams, aspect_ratio,
@@ -128,7 +130,7 @@ def test_fig6_mesh():
 
 def test_odd_n_rejected():
     with pytest.raises(ValueError):
-        build_shishkin(ShishkinParams(N=5, epsilon=0.01))
+        build_shishkin(ShishkinParams(N=5, epsilon=0.01, tau=F(3, 50)))
 
 
 def test_facet_structure():
@@ -137,8 +139,6 @@ def test_facet_structure():
     boundary = mesh.boundary_facets()
     assert len(interior) + len(boundary) == len(mesh.facets)
     assert len(boundary) == 8
-    assert all(f.boundary_tag in ("left", "right", "bottom", "top")
-               for f in boundary)
     assert all(f.right is not None for f in interior)
 
 
@@ -157,3 +157,36 @@ def test_mesh_text_roundtrip_float():
     text = mesh_to_text(mesh)
     back = mesh_from_text(text)
     assert mesh_to_text(back) == text
+
+
+def _same_vertices(a, b):
+    """Equal values of equal types (a Fraction equals the float it rounds
+    to, so `==` alone does not tell an exact read from a float one)."""
+    return a == b and [type(x) for v in a for x in v] == [
+        type(x) for v in b for x in v]
+
+
+taus = st.one_of(
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000),
+                 max_denominator=1000),
+    st.floats(min_value=1e-6, max_value=0.999))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.sampled_from([2, 4, 6, 8]), tau=taus, uniform=st.booleans())
+def test_mesh_text_roundtrip_is_exact(N, tau, uniform):
+    mesh = (build_uniform(N) if uniform
+            else build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau)))
+    text = mesh_to_text(mesh)
+    back = mesh_from_text(text)
+    assert _same_vertices(back.vertices, mesh.vertices)
+    assert back.triangles == mesh.triangles
+    assert back.facets == mesh.facets
+    assert mesh_to_text(back) == text
+
+
+def test_mesh_text_integer_tokens_are_exact():
+    back = mesh_from_text("2 4 2\n0 0\n1 0\n0 1\n1 1\n0 1 3\n0 3 2\n")
+    assert _same_vertices(back.vertices, [(F(0), F(0)), (F(1), F(0)),
+                                          (F(0), F(1)), (F(1), F(1))])
+    assert sum(back.triangle_area(t) for t in range(2)) == 1

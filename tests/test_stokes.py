@@ -41,7 +41,7 @@ def linear_case():
         f=(ExpPoly(pplain=one), ExpPoly(pplain=zero)),
         grad_u=((ExpPoly(pplain=zero), ExpPoly(pplain=one)),
                 (ExpPoly(pplain=one), ExpPoly(pplain=zero))),
-        pressure_mean=0.0, homogeneous_bc=False)
+        pressure_mean=0.0)
 
 
 # -- penalty ---------------------------------------------------------------------
