@@ -156,6 +156,9 @@ def _manifest(command, config, **extra):
 
 def cmd_mesh(args):
     if args.kind == "uniform":
+        if args.tau is not None:
+            raise UsageError("--tau sets the transition of the Shishkin "
+                             "mesh; the uniform one has it at 1/2")
         mesh = build_uniform(args.N)
         tau = Fraction(1, 2)
     else:

@@ -60,15 +60,15 @@ def directional_derivative(field, alpha, directions):
     return out
 
 
-def abs_derivative_sum_norm(f, simplex, m, degree=12):
+def abs_derivative_sum_norm(f, simplex, m):
     """L2 norm of x -> sum of |all order-m coordinate derivatives| of f,
-    summed over components for vector fields (quadrature; the absolute
-    values make the integrand non-polynomial)."""
+    summed over components for vector fields (a degree-12 rule; the
+    absolute values make the integrand non-polynomial)."""
     comps = f.comps if isinstance(f, VectorPoly) else (f,)
     dim = comps[0].dim
     derivs = [derivative(p, beta) for p in comps
               for beta in multi_indices_of_order(dim, m)]
-    pts, wts = map_rule(simplex, degree)
+    pts, wts = map_rule(simplex, 12)
     total = np.zeros(len(wts))
     for dp in derivs:
         total += np.abs(dp.eval(pts))
@@ -227,11 +227,10 @@ class SweepResult:
         return [r.ratio for r in self.reports]
 
 
-def evaluate_estimate(estimate_id, simplex, v, k, m=None, frame=None,
-                      variant="nedelec"):
+def evaluate_estimate(estimate_id, simplex, v, k, m=None, frame=None):
     """One (element, field) evaluation of a named estimate; returns
     (lhs, labeled rhs terms)."""
-    el = build_element(simplex, k, variant)
+    el = build_element(simplex, k)
     if estimate_id == "stability_mac":
         return stability_lhs(v, el), stability_rhs_mac(v, simplex)
     if estimate_id == "stability_rvp":
@@ -267,8 +266,8 @@ def ratio_verdict(ratios):
     return "inconclusive"
 
 
-def sweep(family: ElementFamily, field_gen, estimate_id, grid, k=1, m=None,
-          variant="nedelec") -> SweepResult:
+def sweep(family: ElementFamily, field_gen, estimate_id, grid, k=1,
+          m=None) -> SweepResult:
     """Evaluate an estimate over a parameter grid.
 
     `field_gen(simplex, params)` supplies the test field per grid point; the
@@ -282,7 +281,7 @@ def sweep(family: ElementFamily, field_gen, estimate_id, grid, k=1, m=None,
         frame = family.frame(params) if family.frame else None
         v = field_gen(simplex, params)
         lhs, terms = evaluate_estimate(estimate_id, simplex, v, k, m=m,
-                                       frame=frame, variant=variant)
+                                       frame=frame)
         reports.append(EstimateReport(estimate_id, params, lhs, terms))
     return SweepResult(estimate_id, reports, ratio_verdict(
         [r.ratio for r in reports]))
@@ -316,10 +315,10 @@ def _fmt(x):
 # ---------------------------------------------------------------------------
 # random test data
 
-def random_polynomial(dim, degree, rng, scale=6):
+def random_polynomial(dim, degree, rng):
     terms = {}
     for alpha in monomial_indices(dim, degree):
-        c = Fraction(rng.randint(-scale, scale), rng.randint(1, 3))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         if c:
             terms[alpha] = c
     return Polynomial(dim, terms)
@@ -342,12 +341,13 @@ def random_divfree_field(dim, degree, rng):
     ])
 
 
-def random_mac_simplex(dim, rng, angle_cap=2.6, coord_range=3):
-    """Random integer-coordinate simplex satisfying the angle cap."""
+def random_mac_simplex(dim, rng):
+    """Random simplex with integer coordinates in [-3, 3] and every angle
+    at most 2.6 (the maximum angle condition)."""
     from .geometry import DegenerateSimplexError, max_angle
 
     while True:
-        verts = tuple(tuple(rng.randint(-coord_range, coord_range)
+        verts = tuple(tuple(rng.randint(-3, 3)
                             for _ in range(dim)) for _ in range(dim + 1))
         try:
             s = Simplex(verts)
@@ -355,5 +355,5 @@ def random_mac_simplex(dim, rng, angle_cap=2.6, coord_range=3):
             continue
         if abs(s.edge_det()) < 1:
             continue
-        if max_angle(s) <= angle_cap:
+        if max_angle(s) <= 2.6:
             return s

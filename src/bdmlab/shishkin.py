@@ -6,14 +6,15 @@ rational, so the total mesh area is exactly 1 in that mode.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+
+import numpy as np
 
 from .geometry import coord_from_token, coord_to_token
 
 
-def transition_point(eps, convention="natural", factor=3):
+def transition_point(eps, convention="natural"):
     """tau = min(1/2, 3 eps |log eps|), with the log base configurable.
 
     Returns an exact Fraction in base-10 mode when eps is an exact negative
@@ -23,15 +24,15 @@ def transition_point(eps, convention="natural", factor=3):
     if not 0 < eps_f < 1:
         raise ValueError("eps must lie in (0, 1)")
     if convention == "natural":
-        tau = factor * eps_f * abs(math.log(eps_f))
+        tau = 3 * eps_f * abs(math.log(eps_f))
         return min(0.5, tau)
     if convention == "base10":
         fr = Fraction(eps).limit_denominator(10 ** 15)
         if fr.numerator == 1 and _is_power_of_ten(fr.denominator):
             exponent = round(math.log10(fr.denominator))
-            tau = Fraction(factor, 1) * fr * exponent
+            tau = 3 * fr * exponent
             return min(Fraction(1, 2), tau)
-        tau = factor * eps_f * abs(math.log10(eps_f))
+        tau = 3 * eps_f * abs(math.log10(eps_f))
         return min(0.5, tau)
     raise ValueError(f"unknown log convention {convention!r}")
 
@@ -70,19 +71,19 @@ class ShishkinParams:
     tau: object                     # Fraction or float
 
 
-@dataclass(frozen=True)
-class Facet:
-    v0: int
-    v1: int
-    left: int                      # triangle index
-    right: Optional[int] = None    # None on the boundary
-
-
-@dataclass
+@dataclass(eq=False)
 class Mesh2D:
+    """Vertices and triangles, plus the facet topology `build_facets`
+    fills in: `facet_v` (F, 2) holds the vertex keys v0 < v1, sorted;
+    `facet_left` and `facet_right` the incident triangles (`facet_right`
+    is -1 on the boundary); `tri_facets` (T, 3) each triangle's facets,
+    ascending."""
     vertices: list
     triangles: list
-    facets: list = field(default_factory=list)
+    facet_v: np.ndarray = None
+    facet_left: np.ndarray = None
+    facet_right: np.ndarray = None
+    tri_facets: np.ndarray = None
 
     @property
     def n_vertices(self):
@@ -99,12 +100,6 @@ class Mesh2D:
         (x0, y0), (x1, y1), (x2, y2) = self.triangle_points(t)
         return ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
 
-    def boundary_facets(self):
-        return [f for f in self.facets if f.right is None]
-
-    def interior_facets(self):
-        return [f for f in self.facets if f.right is not None]
-
     def build_facets(self):
         """Unique edges, sorted by vertex key, with their incident
         triangles; left = the triangle for which the edge normal
@@ -113,23 +108,28 @@ class Mesh2D:
         A triangle is the left one of an edge it traverses along the key
         when it is counter-clockwise, and of one it traverses against the
         key when it is clockwise: one exact orientation test per triangle."""
-        slots = {}
-        for t, (a, b, c) in enumerate(self.triangles):
-            (xa, ya), (xb, yb), (xc, yc) = (self.vertices[i] for i in (a, b, c))
-            ccw = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0
-            for v0, v1 in ((a, b), (b, c), (c, a)):
-                slot = slots.setdefault((min(v0, v1), max(v0, v1)), [None, None])
-                side = int((v0 < v1) != ccw)
-                if slot[side] is not None:
-                    raise ValueError("non-conforming mesh")
-                slot[side] = t
-        facets = []
-        for (v0, v1), (left, right) in sorted(slots.items()):
-            if left is None or right is None:
-                left = right if left is None else left
-                right = None
-            facets.append(Facet(v0, v1, left, right))
-        self.facets = facets
+        V = self.vertices
+        ccw = np.array([(xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0
+                        for (xa, ya), (xb, yb), (xc, yc)
+                        in ((V[a], V[b], V[c]) for a, b, c in self.triangles)],
+                       dtype=bool)
+        tails = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        heads = np.roll(tails, -1, axis=1)
+        nv = self.n_vertices
+        keys, facet_of = np.unique(
+            np.minimum(tails, heads) * nv + np.maximum(tails, heads),
+            return_inverse=True)
+        # slot 2 f is the left side of facet f, slot 2 f + 1 the right one
+        slots = 2 * facet_of.ravel() + ((tails < heads) != ccw[:, None]).ravel()
+        if np.bincount(slots).max(initial=0) > 1:
+            raise ValueError("non-conforming mesh")
+        owner = np.full(2 * len(keys), -1, dtype=np.int64)
+        owner[slots] = np.repeat(np.arange(self.n_triangles), 3)
+        left, right = owner.reshape(-1, 2).T
+        self.facet_v = np.column_stack([keys // nv, keys % nv])
+        self.facet_left = np.where(left < 0, right, left)
+        self.facet_right = np.where(left < 0, -1, right)
+        self.tri_facets = np.sort(facet_of.reshape(-1, 3), axis=1)
         return self
 
 

@@ -12,13 +12,15 @@ trace strong is what preserves both the zero-mean pressure gauge and the
 machine-zero elementwise divergence.  There is one Dirichlet path: zero data
 go through the same lift and boundary stream function as any other.
 
-The saddle-point system is assembled in full but solved in the divergence-
+Only the blocks of the saddle-point system are assembled (the velocity
+form and the continuity rows), and the system is solved in the divergence-
 free subspace: on the simply connected square the divergence-free BDM1
 fields are exactly the curls of continuous P2 stream functions, so the
 velocity comes from one SPD system in the stream function (half the
 unknowns, no pressure, no pivoting).  The pressure follows from the
 momentum rows.  Its only freedom is an additive constant, so the zero-mean
-gauge is a shift after the solve instead of a multiplier in the system.
+gauge is a shift after the solve, and the system is never formed as one
+matrix.
 """
 
 import csv
@@ -66,22 +68,10 @@ class ExpPoly:
         return ExpPoly(pexp, self.pplain.diff(axis), self.eps)
 
     def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            return ExpPoly(self.pexp, self.pplain + other, self.eps)
         return ExpPoly(self.pexp + other.pexp, self.pplain + other.pplain, self.eps)
-
-    def __sub__(self, other):
-        return self + (other * (-1))
 
     def __mul__(self, scalar):
         return ExpPoly(self.pexp * scalar, self.pplain * scalar, self.eps)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, ExpPoly) and self.pexp == other.pexp
-                and self.pplain == other.pplain
-                and float(self.eps) == float(other.eps))
 
     def is_zero(self):
         return self.pexp.is_zero() and self.pplain.is_zero()
@@ -94,8 +84,6 @@ class ExpPoly:
         if self.pplain.terms:
             vals += self.pplain.eval(pts)
         return vals
-
-    __call__ = eval
 
 
 @dataclass
@@ -116,10 +104,11 @@ class StokesCase:
         return np.column_stack([self.u[0].eval(pts), self.u[1].eval(pts)])
 
 
-def manufactured_case(eps, nu=1.0) -> StokesCase:
+def manufactured_case(eps) -> StokesCase:
     """Boundary-layer stream-function solution on the unit square:
     xi = x^2 (1-x)^2 y^2 (1-y)^2 exp(-x/eps), u = curl xi, p = exp(-x/eps),
-    f = -nu Lap u + grad p (all derivatives exact in the coefficients)."""
+    f = -Lap u + grad p with viscosity nu = 1 (all derivatives exact in the
+    coefficients)."""
     eps_fr = Fraction(eps).limit_denominator(10 ** 12)
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
@@ -130,13 +119,13 @@ def manufactured_case(eps, nu=1.0) -> StokesCase:
     u2 = xi.diff(0) * (-1)
     p = ExpPoly(pexp=Polynomial.constant(2, Fraction(1)), eps=eps_fr)
     f = tuple(
-        (ui.diff(0).diff(0) + ui.diff(1).diff(1)) * (-nu) + p.diff(i)
+        (ui.diff(0).diff(0) + ui.diff(1).diff(1)) * -1.0 + p.diff(i)
         for i, ui in enumerate((u1, u2))
     )
     grad = ((u1.diff(0), u1.diff(1)), (u2.diff(0), u2.diff(1)))
     e = float(eps_fr)
     mean = e * (1.0 - math.exp(-1.0 / e))  # integral of exp(-x/eps) over the square
-    return StokesCase(epsilon=e, nu=nu, u=(u1, u2), p=p, f=f, grad_u=grad,
+    return StokesCase(epsilon=e, nu=1.0, u=(u1, u2), p=p, f=f, grad_u=grad,
                       pressure_mean=mean)
 
 
@@ -162,14 +151,13 @@ class DGSpace:
         self.x = np.array([[float(a), float(b)] for a, b in mesh.vertices])
         self.tris = np.array(mesh.triangles, dtype=int)
         self.n_tri = len(mesh.triangles)
-        self.n_facets = len(mesh.facets)
-        # the facet topology, read once: vertex keys, the `left` triangle
-        # and the `right` one (-1 on the boundary)
-        topo = np.array([(f.v0, f.v1, f.left, -1 if f.right is None else f.right)
-                         for f in mesh.facets], dtype=int).reshape(-1, 4)
-        self.facet_v = topo[:, :2]
-        self.facet_left = topo[:, 2]
-        self.facet_right = topo[:, 3]
+        # the facet topology of the mesh: vertex keys, the `left` triangle
+        # and the `right` one (-1 on the boundary), each triangle's facets
+        self.facet_v = mesh.facet_v
+        self.facet_left = mesh.facet_left
+        self.facet_right = mesh.facet_right
+        self.tri_facets = mesh.tri_facets
+        self.n_facets = len(mesh.facet_v)
         self.interior = np.flatnonzero(self.facet_right >= 0)
         self.boundary = np.flatnonzero(self.facet_right < 0)
         # the normal moments on boundary facets are fixed by the datum
@@ -221,13 +209,6 @@ class DGSpace:
         amin = np.minimum(self.areas[left],
                           self.areas[np.where(right < 0, left, right)])
         self.facet_h_pen = 2.0 * amin / self.facet_len
-        # facets are sorted by vertex key: find each triangle edge by a
-        # binary search on the keys encoded as single integers
-        nv = len(self.x)
-        heads = np.roll(self.tris, -1, axis=1)
-        edges = np.minimum(self.tris, heads) * nv + np.maximum(self.tris, heads)
-        self.tri_facets = np.sort(
-            np.searchsorted(fv[:, 0] * nv + fv[:, 1], edges), axis=1)
         dof_ids = np.empty((self.n_tri, 6), dtype=int)
         dof_ids[:, 0::2] = 2 * self.tri_facets
         dof_ids[:, 1::2] = 2 * self.tri_facets + 1
@@ -375,13 +356,12 @@ def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
 
 
 def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
-    """Assemble the SIP saddle-point system.
+    """Assemble the SIP blocks over all velocity DOFs.
 
-    Returns (K, rhs, free_ids, fixed_ids, fixed_values): K couples the free
-    velocity DOFs, the area-scaled pressures and the zero-mean multiplier.
-    K is the system `solve` answers for (its residual is measured on K), not
-    the one it factorizes.  The Dirichlet datum always enters the same way:
-    its normal moments are `fixed_values`, its lift is in `rhs`.
+    Returns (A, B, rhs): the symmetric velocity form A, the continuity rows
+    B (one per triangle, area-scaled pressures) and the momentum
+    right-hand side, which holds the lift of the Dirichlet datum; the normal
+    moments of the datum on boundary facets are fixed by `solve`.
     """
     if gamma <= 0:
         raise ValueError("penalty parameter must be positive")
@@ -391,10 +371,11 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     gamma = float(gamma)
 
     rows, cols, vals = [], [], []
-    rhs_vel = np.zeros(n_vel)
+    rhs = np.zeros(n_vel)
 
     def add(ids, local):
         """Scatter per-item local matrices (F, n, n) at DOF ids (F, n)."""
+        ids = ids.astype(np.int32)    # the index type of scipy's CSR
         n = ids.shape[1]
         rows.append(np.repeat(ids, n, axis=1).ravel())
         cols.append(np.tile(ids, (1, n)).ravel())
@@ -424,12 +405,12 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         lift = (-nu * np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
                 + (nu * gamma / h_pen)[:, None]
                 * np.einsum("fmc,fm,fmac->fa", gv, wline, trace))
-        np.add.at(rhs_vel, fids.ravel(), lift.ravel())
+        np.add.at(rhs, fids.ravel(), lift.ravel())
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_vel, n_vel)).tocsr()
-    del rows, cols, vals  # freed here, K and the factors reuse their memory
+    del rows, cols, vals  # freed here, B and the factors reuse their memory
     A = 0.5 * (A + A.T)  # the form is symmetric; remove summation roundoff
 
     # body force: int_T f . shape, the local monomial moments of f mapped
@@ -442,97 +423,78 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         moments = np.einsum("tm,tmc,tmb->tcb", wts, fv,
                             space.monomials(ids, phys)).reshape(-1, 6)
         contrib = np.einsum("tbj,tb->tj", space.coeff_from_dofs[ids], moments)
-        np.add.at(rhs_vel, space.tri_dof_ids[ids].ravel(), contrib.ravel())
+        np.add.at(rhs, space.tri_dof_ids[ids].ravel(), contrib.ravel())
 
     # continuity rows, scaled to enforce the divergence value itself
     B = sp.coo_matrix(
         (-space.shape_divs.ravel(),
          (np.repeat(np.arange(n_tri), 6), space.tri_dof_ids.ravel())),
         shape=(n_tri, n_vel)).tocsr()
-
-    # the normal moments of the Dirichlet datum are fixed on boundary facets
-    free_ids, fixed_ids = space.free_dofs, space.fixed_dofs
-    fixed_values = space.edge_moments(case.boundary_g, boundary, 4)
-
-    A_ff = A[free_ids][:, free_ids]
-    A_fc = A[free_ids][:, fixed_ids]
-    B_f = B[:, free_ids]
-    B_c = B[:, fixed_ids]
-
-    rhs_u = rhs_vel[free_ids] - A_fc @ fixed_values
-    rhs_p = -B_c @ fixed_values
-
-    ones = sp.csr_matrix(np.ones((n_tri, 1)))
-    K = sp.bmat([[A_ff, B_f.T, None],
-                 [B_f, None, ones],
-                 [None, ones.T, None]], format="csc")
-    rhs = np.concatenate([rhs_u, rhs_p, [0.0]])
-    return K, rhs, free_ids, fixed_ids, fixed_values
+    return A, B, rhs
 
 
 def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolution:
-    """Solve `assemble`'s system in the divergence-free subspace.
+    """Solve the system of `assemble`'s blocks in the divergence-free
+    subspace.
 
-    The free velocity is u = C_b psi_b + C_f psi_f with C = `space.curl`:
-    psi_b on the boundary reproduces the fixed boundary moments (for every
-    datum, zero included: there is one Dirichlet path) and psi_f
-    solves the SPD system C_f^T A C_f psi_f = C_f^T (rhs_u - A C_b psi_b),
-    factorized once without pivoting.  The area-scaled pressure p solves
-    B^T p = rhs_u - A u (normal equations, one pressure pinned); since B^T
-    annihilates only the constant pressure, the zero-mean gauge is a shift
-    and the multiplier of K is zero.  One step of iterative refinement on
-    the residual of K reuses the factors.
+    The velocity is u = C_b psi_b + C_f psi_f with C = `space.curl`.  psi_b
+    on the boundary reproduces the normal moments g of the datum on the
+    boundary facets (for every datum, zero included: there is one Dirichlet
+    path); the rows of C_f there are zero, so u keeps them.  psi_f solves
+    the SPD system C_f^T A C_f psi_f = C_f^T (rhs - A C_b psi_b), factorized
+    once without pivoting.  The area-scaled pressure p solves B^T p =
+    rhs - A u on the free rows (normal equations, one pressure pinned);
+    since B^T annihilates only the constant pressure, the zero-mean gauge is
+    a shift.  One step of iterative refinement reuses the factors.  The
+    residual is relative, over the free momentum rows, the continuity rows
+    with g on the right-hand side and the zero-sum gauge.
     """
-    K, rhs, free_ids, fixed_ids, fixed_values = assemble(
-        space, case, gamma, quad_degree)
-    n_free, n_tri = len(free_ids), space.n_tri
-    A = K[:n_free, :n_free]
-    B = K[n_free:n_free + n_tri, :n_free]
-    C = space.curl[free_ids]
-    C_f = C[:, space.stream_free]
+    A, B, rhs = assemble(space, case, gamma, quad_degree)
+    free, fixed, areas = space.free_dofs, space.fixed_dofs, space.areas
+    g = space.edge_moments(case.boundary_g, space.boundary, 4)
+    C_f = space.curl[:, space.stream_free]
     S = (C_f.T @ A @ C_f).tocsc()
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
-    normal = (B @ B.T).tocsc()[1:, 1:]
+    B_f = B[:, free]
+    normal = (B_f @ B_f.T).tocsc()[1:, 1:]
 
-    def correction(r, u0):
-        """(u, p, 0) from the momentum and gauge rows of a right-hand side
-        r, with u0 the velocity the boundary stream function fixes."""
-        u = u0 + C_f @ lu.solve(C_f.T @ (r[:n_free] - A @ u0))
-        p = np.zeros(n_tri)
-        p[1:] = spla.spsolve(normal, (B @ (r[:n_free] - A @ u))[1:])
-        p += space.areas * ((r[-1] - p.sum()) / space.areas.sum())
-        return np.concatenate([u, p, [0.0]])
+    def correction(r, u0, total):
+        """Velocity and area-scaled pressure for the momentum right-hand
+        side r (its free rows), with u0 the velocity the boundary stream
+        function fixes and `total` the sum of the pressure."""
+        u = u0 + C_f @ lu.solve(C_f.T @ (r - A @ u0))
+        p = np.zeros(space.n_tri)
+        p[1:] = spla.spsolve(normal, (B_f @ (r - A @ u)[free])[1:])
+        p += areas * ((total - p.sum()) / areas.sum())
+        return u, p
 
-    u0 = C[:, space.stream_fixed] @ _boundary_stream(space, fixed_values)
-    x = correction(rhs, u0)
-    x += correction(rhs - K @ x, np.zeros(n_free))
-    denom = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(K @ x - rhs)) / (denom if denom else 1.0)
-    vel = np.zeros(space.n_vel)
-    vel[free_ids] = x[:n_free]
-    vel[fixed_ids] = fixed_values
+    # psi_b: the boundary rows of `curl` with the first boundary vertex
+    # pinned to zero and the first facet's flux row dropped (the fluxes of
+    # a divergence-free datum sum to zero around the boundary, so that row
+    # is implied by the others)
+    C_b = space.curl[:, space.stream_fixed]
+    psi_b = np.zeros(C_b.shape[1])
+    psi_b[1:] = spla.spsolve(C_b[fixed][1:, 1:].tocsc(), g[1:])
+    u0 = C_b @ psi_b
+    u0[fixed] = g
+    u, p = correction(rhs, u0, 0.0)
+    du, dp = correction(rhs - A @ u - B.T @ p, np.zeros(space.n_vel), -p.sum())
+    u += du
+    p += dp
+    lift = np.zeros(space.n_vel)
+    lift[fixed] = g
+    denom = np.linalg.norm(np.concatenate([(rhs - A @ lift)[free], B @ lift]))
+    residual = float(np.linalg.norm(np.concatenate(
+        [(rhs - A @ u - B.T @ p)[free], B @ u, [p.sum()]]))) / (denom or 1.0)
     coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
-                       vel[space.tri_dof_ids])
-    pressure = x[n_free:n_free + n_tri] / space.areas
+                       u[space.tri_dof_ids])
     stats = {
         "residual": residual,
         "n_unknowns": S.shape[0],
         "nnz": int(S.nnz),
     }
-    return StokesSolution(space, vel, coeffs, pressure, stats)
-
-
-def _boundary_stream(space, fixed_values):
-    """Stream-function values on the boundary (`space.stream_fixed`) whose
-    curl has the fixed boundary moments: the boundary rows of `curl` with
-    the first boundary vertex pinned to zero and the first facet's flux row
-    dropped (the fluxes of a divergence-free datum sum to zero around the
-    boundary, so that row is implied by the others)."""
-    C_b = space.curl[space.fixed_dofs][:, space.stream_fixed]
-    psi = np.zeros(C_b.shape[1])
-    psi[1:] = spla.spsolve(C_b[1:, 1:].tocsc(), fixed_values[1:])
-    return psi
+    return StokesSolution(space, u, coeffs, p / areas, stats)
 
 
 def _quadrature(space, case, quad_degree):
@@ -607,11 +569,11 @@ def study_mesh(kind, N, eps, log_convention="natural"):
 
 
 def convergence_study(eps_list, N_list, kind, log_convention="natural",
-                      gamma_override=None, quad_degree=8, nu=1.0):
+                      gamma_override=None, quad_degree=8):
     """One row per (epsilon, N): errors, parameters and observed rates."""
     rows = []
     for eps in eps_list:
-        case = manufactured_case(eps, nu)
+        case = manufactured_case(eps)
         prev = None
         for N in N_list:
             mesh, tau = study_mesh(kind, N, eps, log_convention)

@@ -168,6 +168,16 @@ def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [["--uniform"], ["--kind", "uniform"]])
+def test_mesh_uniform_rejects_tau(kind, capsys):
+    # the uniform mesh has its transition at 1/2: a --tau would be echoed
+    # in the manifest but not used
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", *kind, "--N", "4", "--tau", "1/3"])
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [
     "x1**(10**6), 0",           # exponent far past the degree cap
     "(x1**7)**2, 0",            # degree past the cap through nested powers

@@ -48,11 +48,12 @@ def scrambled_meshes(draw):
     return N, Mesh2D(vertices, triangles).build_facets()
 
 
-def _side(mesh, facet, t):
-    """(other vertex - p0) . (t_y, -t_x): negative when the facet normal
-    points out of triangle t."""
-    (x0, y0), (x1, y1) = mesh.vertices[facet.v0], mesh.vertices[facet.v1]
-    other = next(v for v in mesh.triangles[t] if v not in (facet.v0, facet.v1))
+def _side(mesh, f, t):
+    """(other vertex - p0) . (t_y, -t_x) for facet f: negative when the
+    facet normal points out of triangle t."""
+    v0, v1 = mesh.facet_v[f]
+    (x0, y0), (x1, y1) = mesh.vertices[v0], mesh.vertices[v1]
+    other = next(v for v in mesh.triangles[t] if v not in (v0, v1))
     xo, yo = mesh.vertices[other]
     return (xo - x0) * (y1 - y0) - (yo - y0) * (x1 - x0)
 
@@ -61,25 +62,31 @@ def _side(mesh, facet, t):
 @given(scrambled_meshes())
 def test_facet_topology(case):
     N, mesh = case
-    keys = [(f.v0, f.v1) for f in mesh.facets]
+    keys = [tuple(k) for k in mesh.facet_v.tolist()]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(v0 < v1 for v0, v1 in keys)
     slots = collections.Counter()
-    for f in mesh.facets:
-        slots[(f.left, f.v0, f.v1)] += 1
-        if f.right is None:
+    for f, ((v0, v1), left, right) in enumerate(zip(
+            keys, mesh.facet_left.tolist(), mesh.facet_right.tolist())):
+        slots[(left, v0, v1)] += 1
+        if right < 0:
             # a lone triangle takes the left slot whichever way the key
             # orders the edge, so the normal may point either way here
-            assert _side(mesh, f, f.left) != 0
+            assert _side(mesh, f, left) != 0
         else:
-            assert _side(mesh, f, f.left) < 0 < _side(mesh, f, f.right)
-            slots[(f.right, f.v0, f.v1)] += 1
+            assert _side(mesh, f, left) < 0 < _side(mesh, f, right)
+            slots[(right, v0, v1)] += 1
     edges = collections.Counter(
         (t, min(a, b), max(a, b))
         for t, tri in enumerate(mesh.triangles)
         for a, b in zip(tri, tri[1:] + tri[:1]))
     assert slots == edges and set(edges.values()) == {1}
-    assert len(mesh.boundary_facets()) == 4 * N
+    assert np.count_nonzero(mesh.facet_right < 0) == 4 * N
+    # each triangle's three facets, ascending
+    expected = [sorted(keys.index((min(a, b), max(a, b)))
+                       for a, b in zip(tri, tri[1:] + tri[:1]))
+                for tri in mesh.triangles]
+    assert mesh.tri_facets.tolist() == expected
 
 
 @pytest.mark.parametrize("triangles", [
@@ -97,18 +104,11 @@ def test_non_conforming_mesh_rejected(triangles):
 def test_dgspace_topology_matches_facets(case):
     _, mesh = case
     space = DGSpace(mesh)
-    facets = mesh.facets
-    right = [-1 if f.right is None else f.right for f in facets]
-    assert space.facet_left.tolist() == [f.left for f in facets]
-    assert space.facet_right.tolist() == right
+    right = mesh.facet_right.tolist()
     assert space.interior.tolist() == [i for i, r in enumerate(right) if r >= 0]
     assert space.boundary.tolist() == [i for i, r in enumerate(right) if r < 0]
-    # each triangle's three facets, ascending
-    keys = [(f.v0, f.v1) for f in facets]
-    expected = [sorted(keys.index((min(a, b), max(a, b)))
-                       for a, b in zip(tri, tri[1:] + tri[:1]))
-                for tri in mesh.triangles]
-    assert space.tri_facets.tolist() == expected
+    assert space.fixed_dofs.tolist() == [
+        2 * i + j for i in space.boundary.tolist() for j in (0, 1)]
     # outward signs: the signed normal leaves the left triangle
     n = space.facet_n * space.facet_out_sign[:, None]
     rel = space.centers[space.facet_left] - space.facet_p0
@@ -126,7 +126,7 @@ def _curl_p2(space, psi, tri, pts):
     coef = np.linalg.inv(M)                    # lambda_i = coef[i] . (1, x, y)
     lam = np.einsum("pij,pj->pi", coef, np.column_stack([np.ones(len(tri)), pts]))
     dlam = coef[:, :, 1:]                                     # (P, 3, 2)
-    keys = {(f.v0, f.v1): i for i, f in enumerate(space.mesh.facets)}
+    keys = {tuple(k): i for i, k in enumerate(space.facet_v.tolist())}
     grad = np.einsum("pi,pic->pc", psi[verts] * (4 * lam - 1), dlam)
     for i, j in ((0, 1), (1, 2), (0, 2)):
         a, b = verts[:, i], verts[:, j]

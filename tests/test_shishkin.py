@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,7 +79,7 @@ def test_counts_and_exact_area():
 def test_euler_characteristic():
     mesh = build_uniform(4)
     v = mesh.n_vertices
-    e = len(mesh.facets)
+    e = len(mesh.facet_v)
     f = mesh.n_triangles
     assert v - e + f == 1
 
@@ -135,11 +136,12 @@ def test_odd_n_rejected():
 
 def test_facet_structure():
     mesh = build_uniform(2)
-    interior = mesh.interior_facets()
-    boundary = mesh.boundary_facets()
-    assert len(interior) + len(boundary) == len(mesh.facets)
-    assert len(boundary) == 8
-    assert all(f.right is not None for f in interior)
+    n_facets = len(mesh.facet_v)
+    assert mesh.facet_v.shape == (n_facets, 2)
+    assert mesh.facet_left.shape == mesh.facet_right.shape == (n_facets,)
+    assert np.all(mesh.facet_left >= 0)
+    assert np.count_nonzero(mesh.facet_right < 0) == 8
+    assert n_facets == 16          # 3 N^2 + 2 N edges
 
 
 def test_mesh_text_roundtrip_bit_exact():
@@ -181,7 +183,8 @@ def test_mesh_text_roundtrip_is_exact(N, tau, uniform):
     back = mesh_from_text(text)
     assert _same_vertices(back.vertices, mesh.vertices)
     assert back.triangles == mesh.triangles
-    assert back.facets == mesh.facets
+    for name in ("facet_v", "facet_left", "facet_right", "tri_facets"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name))
     assert mesh_to_text(back) == text
 
 

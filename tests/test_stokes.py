@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bdmlab.polynomials import Polynomial
@@ -116,18 +117,34 @@ def test_exppoly_derivative_chain():
 
 # -- assembly/solve -----------------------------------------------------------------
 
+def saddle_point_system(space, case, gamma):
+    """The system the solve answers for, built from `assemble`'s blocks:
+    free velocity DOFs, area-scaled pressures and a zero-mean multiplier,
+    with the boundary moments g of the datum on the right-hand side."""
+    A, B, rhs = assemble(space, case, gamma)
+    free, fixed = space.free_dofs, space.fixed_dofs
+    g = space.edge_moments(case.boundary_g, space.boundary, 4)
+    ones = sp.csr_matrix(np.ones((space.n_tri, 1)))
+    K = sp.bmat([[A[free][:, free], B[:, free].T, None],
+                 [B[:, free], None, ones],
+                 [None, ones.T, None]], format="csc")
+    rhs = np.concatenate([rhs[free] - A[free][:, fixed] @ g,
+                          -B[:, fixed] @ g, [0.0]])
+    return K, rhs
+
+
 def test_matrix_symmetry(case01):
     space = DGSpace(build_uniform(4))
-    K, _, _, _, _ = assemble(space, case01, 10.0)
-    diff = (K - K.T).toarray()
+    A, _, _ = assemble(space, case01, 10.0)
+    diff = (A - A.T).toarray()
     assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_coercivity_smoke():
     space = DGSpace(build_uniform(2))
-    K, _, free_ids, _, _ = assemble(space, zero_case(), 10.0)
-    n = len(free_ids)
-    Ad = K[:n, :n].toarray()
+    A, _, _ = assemble(space, zero_case(), 10.0)
+    free = space.free_dofs
+    Ad = A[free][:, free].toarray()
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.standard_normal(Ad.shape[0])
@@ -179,7 +196,8 @@ def test_stream_function_solve_matches_direct_solve(kind, N, case):
     mesh, _ = study_mesh(kind, N, 0.1)
     space = DGSpace(mesh)
     gamma = penalty(mesh_aspect_ratio(mesh))
-    K, rhs, free_ids, _, _ = assemble(space, case, gamma)
+    K, rhs = saddle_point_system(space, case, gamma)
+    free_ids = space.free_dofs
     x = spla.spsolve(K, rhs)
     sol = solve(space, case, gamma)
     n = len(free_ids)
@@ -187,6 +205,12 @@ def test_stream_function_solve_matches_direct_solve(kind, N, case):
                       (sol.pressure * space.areas, x[n:n + space.n_tri])):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert abs(x[-1]) <= 1e-12     # the multiplier the solve leaves out
+    # the reported residual is that of the saddle-point system at the
+    # solver's own solution
+    y = np.concatenate([sol.vel_dofs[free_ids], sol.pressure * space.areas,
+                        [0.0]])
+    want = np.linalg.norm(K @ y - rhs) / np.linalg.norm(rhs)
+    assert abs(sol.stats["residual"] - want) <= 1e-14
 
 
 def test_stream_function_solve_residual_after_refinement():
