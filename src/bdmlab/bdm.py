@@ -21,20 +21,20 @@ each DOF as an integer dot product, exact on rational simplices.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 import numpy as np
 
 from . import linalg
 from .geometry import Simplex, piola_push, reference_simplex, t_bar_simplex
+from .linalg import quotient
 # integrate_poly and integrate_reference stay importable by name from this
 # module: perfbench/tracing.py rebinds them here.
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
                           integrate_reference, monomial_indices)
 from .quadrature import simplex_rule
 from .spaces import (basis_nk, basis_pk, basis_qk, integrate_poly,  # noqa: F401
-                     moment_table, quotient, scaled_field)
+                     moment_table, scaled_field)
 
 VARIANTS = ("nedelec", "bdm_original")
 
@@ -169,9 +169,10 @@ class BDMElement:
             raise UnisolvenceError("singular DOF system") from exc
         # the inverse as integers over one common denominator, so that
         # applying it to DOF values is integer arithmetic
-        self._denominator = lcm(*(x.denominator for row in inverse for x in row))
-        self._inverse = [[x.numerator * (self._denominator // x.denominator)
-                          for x in row] for row in inverse]
+        nums, self._denominator = linalg.over_common_denominator(
+            x for row in inverse for x in row)
+        size = len(inverse)
+        self._inverse = [nums[i:i + size] for i in range(0, size * size, size)]
         self._inverse_float = None
 
     @property

@@ -87,7 +87,7 @@ def check_counterexample_2d(hs=(1, Fraction(1, 2), Fraction(1, 8),
         res.record(dv_sq == F(2, 3) * h,
                    f"h={h}: ||d v2/d x1||^2 = {dv_sq} = 2h/3")
     grid = [(F(1, 2 ** j),) for j in range(1, 11)]
-    result = sweep(TSTAR_FAMILY, lambda s, p: v, "stability_mac", grid, k=1)
+    result = sweep(TSTAR_FAMILY, v, "stability_mac", grid, k=1)
     res.record(result.verdict == "diverging",
                f"stability ratio sweep over h = 2^-1..2^-10: {result.verdict}")
     res.data["verdict"] = result.verdict
@@ -130,7 +130,7 @@ def check_counterexample_3d() -> CheckResult:
         ok = all(lhs == normalizer * rhs for lhs, rhs in terms)
         res.record(ok, "display-chain right-hand terms match exactly")
     grid = [(1, 1, 2 ** j) for j in range(0, 11)]
-    result = sweep(WEAKER_FAMILY, lambda s, p: u, "interpolation_rvp",
+    result = sweep(WEAKER_FAMILY, u, "interpolation_rvp",
                    grid, k=1, m=0)
     res.record(result.verdict == "diverging",
                f"directional-form ratio sweep h3/h1 = 2^0..2^10: {result.verdict}")

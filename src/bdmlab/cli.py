@@ -285,10 +285,9 @@ def cmd_sweep(args):
     if args.pow_min > args.pow_max:
         raise UsageError(f"--pow-min {args.pow_min} is above --pow-max "
                          f"{args.pow_max}")
-    rng = random.Random(args.seed)
-    fld = preset["field"](rng)
-    result = sweep(preset["family"], lambda s, p: fld, preset["estimate"],
-                   preset["grid"](args), k=args.k or preset["k"], m=preset["m"])
+    result = sweep(preset["family"], preset["field"](random.Random(args.seed)),
+                   preset["estimate"], preset["grid"](args),
+                   k=args.k or preset["k"], m=preset["m"])
     if args.out:
         sweep_to_csv(result, args.out)
     _manifest("sweep", vars(args), verdict=result.verdict,

@@ -163,7 +163,6 @@ def poly_project(v, simplex, m):
 
 @dataclass(frozen=True)
 class ElementFamily:
-    kind: str
     make: callable          # params tuple -> Simplex
     frame: callable = None  # params tuple -> (directions, sizes) or None
 
@@ -189,10 +188,10 @@ def _axes(dim):
     return tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
 
 
-TSTAR_FAMILY = ElementFamily("Tstar", lambda p: tstar_simplex(p[0]))
-T1_FAMILY = ElementFamily("T1", lambda p: t1_simplex(*p),
+TSTAR_FAMILY = ElementFamily(lambda p: tstar_simplex(p[0]))
+T1_FAMILY = ElementFamily(lambda p: t1_simplex(*p),
                           frame=lambda p: (_axes(len(p)), tuple(p)))
-WEAKER_FAMILY = ElementFamily("T2rot", lambda p: weaker_example_tet(*p),
+WEAKER_FAMILY = ElementFamily(lambda p: weaker_example_tet(*p),
                               frame=lambda p: (_axes(3), tuple(p)))
 
 
@@ -266,20 +265,18 @@ def ratio_verdict(ratios):
     return "inconclusive"
 
 
-def sweep(family: ElementFamily, field_gen, estimate_id, grid, k=1,
+def sweep(family: ElementFamily, v, estimate_id, grid, k=1,
           m=None) -> SweepResult:
-    """Evaluate an estimate over a parameter grid.
+    """Evaluate an estimate of the field `v` over a parameter grid.
 
-    `field_gen(simplex, params)` supplies the test field per grid point; the
-    frame (directions and size parameters) comes from the family when it has
-    one.  Reports keep the per-term breakdown for the CSV export.
+    The frame (directions and size parameters) comes from the family when
+    it has one.  Reports keep the per-term breakdown for the CSV export.
     """
     reports = []
     for params in grid:
         params = tuple(params)
         simplex = family.make(params)
         frame = family.frame(params) if family.frame else None
-        v = field_gen(simplex, params)
         lhs, terms = evaluate_estimate(estimate_id, simplex, v, k, m=m,
                                        frame=frame)
         reports.append(EstimateReport(estimate_id, params, lhs, terms))

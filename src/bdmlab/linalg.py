@@ -27,6 +27,11 @@ def over_common_denominator(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def quotient(num, den):
+    """num / den: a Fraction for an int numerator, else num's own type."""
+    return Fraction(num, den) if isinstance(num, int) else num / den
+
+
 def _integer_rows(matrix):
     """Scale each row by the lcm of its denominators; returns int rows."""
     return [over_common_denominator([Fraction(x) for x in row])[0]

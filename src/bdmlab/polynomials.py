@@ -7,9 +7,12 @@ tuple to its coefficient; zero coefficients are never stored.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
+
+from .linalg import over_common_denominator, quotient
 
 
 def grlex_key(alpha):
@@ -31,6 +34,56 @@ def monomial_indices(dim, degree):
     rec((), dim, degree)
     out.sort(key=grlex_key)
     return out
+
+
+@lru_cache(maxsize=None)
+def monomial_positions(dim, degree):
+    """{a: position of x^a in graded order} for |a| <= degree.  Graded
+    order makes the monomials of a lower degree a prefix, so a coefficient
+    vector of degree n pairs term by term with any longer table row."""
+    return {a: j for j, a in enumerate(monomial_indices(dim, degree))}
+
+
+@lru_cache(maxsize=None)
+def _raised_positions(nvars, degree):
+    """raised[k][j]: position of t_k times the j-th monomial, |g_j| < degree."""
+    positions = monomial_positions(nvars, degree)
+    return [[positions[g[:k] + (g[k] + 1,) + g[k + 1:]]
+             for g in monomial_indices(nvars, degree - 1)]
+            for k in range(nvars)]
+
+
+def composed_monomials(chart, degree):
+    """({a: P_a}, D) with x^a o chart == P_a(t) / D^|a| for |a| <= degree.
+
+    `chart` is (A, b), the map t -> A t + b.  D is the common denominator
+    of the chart's entries, so each P_a has int coefficients (dense over
+    the monomials of t up to |a|, graded order): P_a is one lower-degree P
+    times one scaled chart coordinate.  A float chart gives float P_a over
+    D = 1."""
+    matrix, origin = chart
+    dim, nvars = len(matrix), len(matrix[0])
+    nums, D = over_common_denominator([x for row in matrix for x in row]
+                                      + list(origin))
+    linear = [nums[j * nvars:(j + 1) * nvars] for j in range(dim)]
+    offset = nums[dim * nvars:]
+    raised = _raised_positions(nvars, degree) if degree else []
+    zero = (0,) * dim
+    composed = {zero: [1]}
+    for a in monomial_indices(dim, degree):
+        if a == zero:
+            continue
+        j = next(j for j, aj in enumerate(a) if aj)
+        lower = composed[a[:j] + (a[j] - 1,) + a[j + 1:]]
+        P = [0] * comb(sum(a) + nvars, nvars)
+        b, A = offset[j], linear[j]
+        for pos, c in enumerate(lower):
+            if c:
+                P[pos] += c * b
+                for k in range(nvars):
+                    P[raised[k][pos]] += c * A[k]
+        composed[a] = P
+    return composed, D
 
 
 class Polynomial:
@@ -179,39 +232,23 @@ class Polynomial:
 
         `matrix` has self.dim rows; the number of columns sets the dimension
         of the result, so a 3-variable polynomial restricted to a 2-parameter
-        facet chart comes out as a 2-variable polynomial.
+        facet chart comes out as a 2-variable polynomial.  With p's
+        coefficients as ints c_a over den and x^a o chart == P_a / D^|a|
+        (`composed_monomials`), p o chart is sum_a c_a D^(n-|a|) P_a over
+        den D^n, n the degree of p.
         """
-        nvars = len(matrix[0]) if matrix else 0
-        subs = []
-        for i in range(self.dim):
-            terms = {}
-            if offset[i] != 0:
-                terms[(0,) * nvars] = offset[i]
-            for j in range(nvars):
-                if matrix[i][j] != 0:
-                    alpha = [0] * nvars
-                    alpha[j] = 1
-                    terms[tuple(alpha)] = matrix[i][j]
-            subs.append(Polynomial(nvars, terms))
-        # cache powers of each substitution polynomial
-        max_pow = [0] * self.dim
-        for a in self.terms:
-            for i, ai in enumerate(a):
-                max_pow[i] = max(max_pow[i], ai)
-        pows = []
-        for i in range(self.dim):
-            plist = [Polynomial.constant(nvars, Fraction(1))]
-            for _ in range(max_pow[i]):
-                plist.append(plist[-1] * subs[i])
-            pows.append(plist)
-        out = Polynomial(nvars)
-        for a, c in self.terms.items():
-            term = Polynomial.constant(nvars, c)
-            for i, ai in enumerate(a):
-                if ai:
-                    term = term * pows[i][ai]
-            out = out + term
-        return out
+        n, nvars = self.degree, len(matrix[0])
+        composed, D = composed_monomials((matrix, offset), n)
+        nums, den = over_common_denominator(self.terms.values())
+        positions = monomial_positions(nvars, n)
+        total = [0] * len(positions)
+        for a, c in zip(self.terms, nums):
+            c *= D ** (n - sum(a))
+            for pos, x in enumerate(composed[a]):
+                total[pos] += c * x
+        den *= D ** n
+        return Polynomial(nvars, {t: quotient(x, den)
+                                  for t, x in zip(positions, total) if x})
 
     def coeff(self, alpha):
         return self.terms.get(tuple(alpha), Fraction(0))

@@ -2,8 +2,11 @@
 exact integration over simplices through per-simplex monomial-moment tables.
 
 The constrained spaces (divergence-free with vanishing normal trace, and
-the p . x == 0 space) are computed literally as nullspaces of their
-defining linear constraints over exact rationals.
+the p . x == 0 space S_k) are computed literally as nullspaces of their
+defining linear constraints over exact rationals.  N_k = P_{k-1}^d + S_k
+needs no elimination of its own: p . x == 0 couples only coefficients of
+one total degree, so each nullspace vector of S_k is homogeneous, and the
+ones below degree k already lie in P_{k-1}^d.
 
 Exact integrals are integer arithmetic: a moment table holds its entries
 as ints over one denominator, and a polynomial or field is scaled once to
@@ -14,13 +17,15 @@ one integer dot product and one Fraction.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import add, mul
 
 from . import linalg
-from .linalg import over_common_denominator
-from .polynomials import (Polynomial, VectorPoly, integrate_reference,
-                          monomial_indices)
+from .geometry import Simplex
+from .linalg import over_common_denominator, quotient
+from .polynomials import (Polynomial, VectorPoly, composed_monomials,
+                          integrate_reference, monomial_indices,
+                          monomial_positions)
 
 
 @dataclass(frozen=True)
@@ -40,19 +45,6 @@ class SpaceBasis:
 # ---------------------------------------------------------------------------
 # numbers over one denominator
 
-def quotient(num, den):
-    """num / den: a Fraction for an int numerator, else num's own type."""
-    return Fraction(num, den) if isinstance(num, int) else num / den
-
-
-@lru_cache(maxsize=None)
-def _monomial_positions(dim, degree):
-    """{a: position of x^a in graded order} for |a| <= degree.  Graded
-    order makes the monomials of a lower degree a prefix, so a coefficient
-    vector of degree n pairs term by term with any longer table row."""
-    return {a: j for j, a in enumerate(monomial_indices(dim, degree))}
-
-
 class ScaledField:
     """A polynomial field as ints over one denominator: component c has
     coefficient comps[c][j] / denominator on the j-th monomial of graded
@@ -62,7 +54,7 @@ class ScaledField:
 
     def __init__(self, v: VectorPoly):
         self.degree = max(p.degree for p in v.comps)
-        positions = _monomial_positions(v.dim, self.degree)
+        positions = monomial_positions(v.dim, self.degree)
         nums, self.denominator = over_common_denominator(
             c for p in v.comps for c in p.terms.values())
         nums = iter(nums)
@@ -97,51 +89,10 @@ def _shifted_reference_moments(nvars, degree, shift_degree):
     """(rows, F): rows[b][j] / F == int_ref t^(g_j + b) dt for |g_j| <=
     degree and every |b| <= shift_degree."""
     R, F = _reference_moments(nvars, degree + shift_degree)
-    positions = _monomial_positions(nvars, degree + shift_degree)
+    positions = monomial_positions(nvars, degree + shift_degree)
     gammas = monomial_indices(nvars, degree)
     return {b: [R[positions[tuple(map(add, g, b))]] for g in gammas]
             for b in monomial_indices(nvars, shift_degree)}, F
-
-
-@lru_cache(maxsize=None)
-def _raised_positions(nvars, degree):
-    """raised[k][j]: position of t_k times the j-th monomial, |g_j| < degree."""
-    positions = _monomial_positions(nvars, degree)
-    return [[positions[g[:k] + (g[k] + 1,) + g[k + 1:]]
-             for g in monomial_indices(nvars, degree - 1)]
-            for k in range(nvars)]
-
-
-def _composed_monomials(chart, degree):
-    """({a: P_a}, D) with x^a o chart == P_a(t) / D^|a| for |a| <= degree.
-
-    D is the common denominator of the chart's entries, so each P_a has int
-    coefficients (dense over the monomials of t up to |a|, graded order):
-    P_a is one lower-degree P times one scaled chart coordinate.  A float
-    chart gives float P_a over D = 1."""
-    matrix, origin = chart
-    dim, nvars = len(matrix), len(matrix[0])
-    nums, D = over_common_denominator([x for row in matrix for x in row]
-                                      + list(origin))
-    linear = [nums[j * nvars:(j + 1) * nvars] for j in range(dim)]
-    offset = nums[dim * nvars:]
-    raised = _raised_positions(nvars, degree) if degree else []
-    zero = (0,) * dim
-    composed = {zero: [1]}
-    for a in monomial_indices(dim, degree):
-        if a == zero:
-            continue
-        j = next(j for j, aj in enumerate(a) if aj)
-        lower = composed[a[:j] + (a[j] - 1,) + a[j + 1:]]
-        P = [0] * comb(sum(a) + nvars, nvars)
-        b, A = offset[j], linear[j]
-        for pos, c in enumerate(lower):
-            if c:
-                P[pos] += c * b
-                for k in range(nvars):
-                    P[raised[k][pos]] += c * A[k]
-        composed[a] = P
-    return composed, D
 
 
 class MomentTable:
@@ -158,7 +109,7 @@ class MomentTable:
       the chart of `Simplex.facet_chart`, for |a| <= n and |alpha| <= m.
 
     Each monomial goes through the chart with int coefficients
-    (`_composed_monomials`), and each entry is the dot product of those
+    (`composed_monomials`), and each entry is the dot product of those
     with a cached table of int reference moments g! F / (|g| + d)!.  A
     miss refills the whole table up to the missing degree.  Charts, the
     scaled facet normals (as ints over one denominator, `normals`) and
@@ -185,7 +136,7 @@ class MomentTable:
         n, V, den = self._volume
         if degree > n:
             n = degree
-            composed, D = _composed_monomials(self._chart, n)
+            composed, D = composed_monomials(self._chart, n)
             R, F = _reference_moments(self.dim, n)
             (det,), det_den = self._det
             V = [det * sum(map(mul, P, R)) * D ** (n - sum(a))
@@ -201,7 +152,7 @@ class MomentTable:
         n, m, rows, den = self._facet[i]
         if degree > n or alpha_degree > m:
             n, m = max(n, degree), max(m, alpha_degree)
-            composed, D = _composed_monomials(self._facet_charts[i], n)
+            composed, D = composed_monomials(self._facet_charts[i], n)
             shifted, F = _shifted_reference_moments(self.dim - 1, n, m)
             scales = [D ** (n - sum(a)) for a in composed]
             rows = {alpha: [sum(map(mul, P, moments)) * s
@@ -217,7 +168,7 @@ class MomentTable:
         of component c in graded order: rows[c][a] = sum_b w_c,b V[a + b]."""
         wdeg = max(p.degree for p in weight.comps)
         V, den = self.volume(degree + wdeg)
-        positions = _monomial_positions(self.dim, degree + wdeg)
+        positions = monomial_positions(self.dim, degree + wdeg)
         nums, wden = over_common_denominator(
             c for p in weight.comps for c in p.terms.values())
         nums = iter(nums)
@@ -226,13 +177,13 @@ class MomentTable:
             terms = [(b, next(nums)) for b in p.terms]
             rows.append([sum(w * V[positions[tuple(map(add, a, b))]]
                              for b, w in terms)
-                         for a in _monomial_positions(self.dim, degree)])
+                         for a in monomial_positions(self.dim, degree)])
         return rows, wden * den
 
     def integrate(self, p: Polynomial):
         """Exact int_T p dx."""
         V, den = self.volume(p.degree)
-        positions = _monomial_positions(self.dim, p.degree)
+        positions = monomial_positions(self.dim, p.degree)
         nums, pden = over_common_denominator(p.terms.values())
         total = sum(map(mul, nums, [V[positions[a]] for a in p.terms]))
         return quotient(total, pden * den)
@@ -259,24 +210,17 @@ def integrate_poly(p: Polynomial, simplex):
 
 def basis_pk(dim, k):
     """Monomial basis of scalar P_k in graded lexicographic order."""
-    if k < 0:
-        return SpaceBasis("Pk", k, ())
     members = tuple(Polynomial.monomial(dim, a) for a in monomial_indices(dim, k))
     return SpaceBasis("Pk", k, members)
 
 
 def basis_pk_vector(dim, k):
     """Component-major vector monomial basis of P_k^d."""
-    if k < 0:
-        return SpaceBasis("Pk_vec", k, ())
-    members = []
-    scalars = monomial_indices(dim, k)
-    for comp in range(dim):
-        for a in scalars:
-            comps = [Polynomial.zero(dim) for _ in range(dim)]
-            comps[comp] = Polynomial.monomial(dim, a)
-            members.append(VectorPoly(comps))
-    return SpaceBasis("Pk_vec", k, tuple(members))
+    members = tuple(
+        VectorPoly([Polynomial.monomial(dim, a) if c == comp
+                    else Polynomial.zero(dim) for c in range(dim)])
+        for comp in range(dim) for a in monomial_indices(dim, k))
+    return SpaceBasis("Pk_vec", k, members)
 
 
 def _vector_unknowns(dim, k):
@@ -286,11 +230,11 @@ def _vector_unknowns(dim, k):
 def _vectors_to_fields(vectors, unknowns, dim):
     fields = []
     for vec in vectors:
-        comps = [Polynomial.zero(dim) for _ in range(dim)]
+        terms = [{} for _ in range(dim)]
         for x, (comp, a) in zip(vec, unknowns):
             if x != 0:
-                comps[comp] = comps[comp] + Polynomial.monomial(dim, a, x)
-        fields.append(VectorPoly(comps))
+                terms[comp][a] = x
+        fields.append(VectorPoly([Polynomial(dim, t) for t in terms]))
     return fields
 
 
@@ -299,65 +243,51 @@ def basis_sk(dim, k):
     if k < 0:
         return SpaceBasis("Sk", k, ())
     unknowns = _vector_unknowns(dim, k)
-    rows_index = {a: r for r, a in enumerate(monomial_indices(dim, k + 1))}
+    rows_index = monomial_positions(dim, k + 1)
     matrix = [[Fraction(0)] * len(unknowns) for _ in rows_index]
     for col, (comp, a) in enumerate(unknowns):
-        target = list(a)
-        target[comp] += 1
-        matrix[rows_index[tuple(target)]][col] = Fraction(1)
+        target = a[:comp] + (a[comp] + 1,) + a[comp + 1:]
+        matrix[rows_index[target]][col] = Fraction(1)
     null = linalg.nullspace(matrix, ncols=len(unknowns))
     return SpaceBasis("Sk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
 
 def basis_nk(dim, k):
-    """Basis of P_{k-1}^d + S_k: concatenation reduced to a maximal
-    independent subset (the two spans overlap below the top degree)."""
+    """Basis of N_k = P_{k-1}^d + S_k: the monomial basis of P_{k-1}^d,
+    then the members of S_k of degree k."""
     if k <= 0:
         return SpaceBasis("Nk", k, ())
-    candidates = list(basis_pk_vector(dim, k - 1)) + list(basis_sk(dim, k))
-    unknowns = _vector_unknowns(dim, k)
-    col_of = {ua: i for i, ua in enumerate(unknowns)}
-    kept = []
-    echelon = {}  # pivot column -> normalized row
-    for cand in candidates:
-        vec = [Fraction(0)] * len(unknowns)
-        for comp, poly in enumerate(cand.comps):
-            for a, c in poly.terms.items():
-                vec[col_of[(comp, a)]] = Fraction(c)
-        for piv, row in echelon.items():
-            if vec[piv] != 0:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
-        if piv is None:
-            continue
-        f = vec[piv]
-        echelon[piv] = [x / f for x in vec]
-        kept.append(cand)
-    return SpaceBasis("Nk", k, tuple(kept))
+    top = tuple(z for z in basis_sk(dim, k)
+                if max(p.degree for p in z.comps) == k)
+    return SpaceBasis("Nk", k, basis_pk_vector(dim, k - 1).members + top)
 
 
 def basis_qk(simplex, k):
-    """Basis of {z in P_k^d : div z = 0, z . n = 0 on every facet}."""
+    """Basis of {z in P_k^d : div z = 0, z . n = 0 on every facet}.
+
+    The constraints are built on the exact binary values of float vertices:
+    rounded float rows can be independent, which would lose members.  The
+    members of a float simplex come back with float coefficients."""
     if k < 1:
         return SpaceBasis("Qk", k, ())
+    exact = simplex.exact
+    if not exact:
+        simplex = Simplex(tuple(tuple(Fraction(x) for x in v)
+                                for v in simplex.vertices))
     dim = simplex.dim
     unknowns = _vector_unknowns(dim, k)
-    rows = []
     # divergence coefficients vanish
-    div_index = {a: r for r, a in enumerate(monomial_indices(dim, k - 1))}
-    div_rows = [[Fraction(0)] * len(unknowns) for _ in div_index]
+    div_index = monomial_positions(dim, k - 1)
+    rows = [[Fraction(0)] * len(unknowns) for _ in div_index]
     for col, (comp, a) in enumerate(unknowns):
         if a[comp] > 0:
-            b = list(a)
-            b[comp] -= 1
-            div_rows[div_index[tuple(b)]][col] = Fraction(a[comp])
-    rows.extend(div_rows)
+            b = a[:comp] + (a[comp] - 1,) + a[comp + 1:]
+            rows[div_index[b]][col] = Fraction(a[comp])
     # normal trace vanishes identically on each facet (in the facet chart)
+    facet_index = monomial_positions(dim - 1, k)
     for i in range(dim + 1):
         matrix, origin = simplex.facet_chart(i)
         m = simplex.scaled_facet_normal(i)
-        facet_index = {a: r for r, a in enumerate(monomial_indices(dim - 1, k))}
         facet_rows = [[Fraction(0)] * len(unknowns) for _ in facet_index]
         composed_cache = {}
         for col, (comp, a) in enumerate(unknowns):
@@ -370,6 +300,8 @@ def basis_qk(simplex, k):
                 facet_rows[facet_index[ta]][col] += tc * m[comp]
         rows.extend(facet_rows)
     null = linalg.nullspace(rows, ncols=len(unknowns))
+    if not exact:
+        null = [[float(x) for x in vec] for vec in null]
     return SpaceBasis("Qk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
 

@@ -38,13 +38,14 @@ from .shishkin import (Mesh2D, ShishkinParams, build_shishkin, build_uniform,
                        mesh_aspect_ratio, transition_point)
 
 
-def penalty(sigma, k=1, convention="natural"):
-    """Jump penalization gamma = 4 k^2 ceil(log sigma); for sigma <= 1 the
-    aspect-ratio bump is floored away."""
+def penalty(sigma, convention="natural"):
+    """Jump penalization gamma = 4 k^2 ceil(log sigma) for the degree k = 1
+    of the velocity space; for sigma <= 1 the aspect-ratio bump is floored
+    away."""
     if sigma <= 1:
-        return 4 * k * k
+        return 4
     val = math.log(sigma) if convention == "natural" else math.log10(sigma)
-    return 4 * k * k * math.ceil(val)
+    return 4 * math.ceil(val)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,6 @@ class ExpPoly:
 @dataclass
 class StokesCase:
     epsilon: float
-    nu: float
     u: tuple           # (ExpPoly, ExpPoly)
     p: ExpPoly
     f: tuple           # (ExpPoly, ExpPoly)
@@ -125,7 +125,7 @@ def manufactured_case(eps) -> StokesCase:
     grad = ((u1.diff(0), u1.diff(1)), (u2.diff(0), u2.diff(1)))
     e = float(eps_fr)
     mean = e * (1.0 - math.exp(-1.0 / e))  # integral of exp(-x/eps) over the square
-    return StokesCase(epsilon=e, nu=1.0, u=(u1, u2), p=p, f=f, grad_u=grad,
+    return StokesCase(epsilon=e, u=(u1, u2), p=p, f=f, grad_u=grad,
                       pressure_mean=mean)
 
 
@@ -325,7 +325,7 @@ class StokesSolution:
         return float(np.max(np.abs(jl - jr), initial=0.0))
 
 
-def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
+def _facet_block(space, facet_ids, sides, gamma, ts, ws):
     """SIP facet contributions for a batch of facets.
 
     `sides` is [(tri_ids, sign)] with one entry for boundary facets and two
@@ -350,8 +350,8 @@ def _facet_block(space, facet_ids, sides, gamma, nu, ts, ws):
     wline = ws[None, :] * h_e[:, None]                          # (F, m)
     cons = np.einsum("fmac,fm,fbc->fab", trace, wline, gradn)
     local = np.einsum("fmac,fm,fmbc->fab", trace, wline, trace)  # penalty
-    local *= (nu * gamma / h_pen)[:, None, None]
-    local -= nu * (cons + cons.transpose(0, 2, 1))
+    local *= (gamma / h_pen)[:, None, None]
+    local -= cons + cons.transpose(0, 2, 1)
     return ids, local, trace, gradn, pts, wline
 
 
@@ -365,7 +365,6 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     """
     if gamma <= 0:
         raise ValueError("penalty parameter must be positive")
-    nu = case.nu
     n_vel = space.n_vel
     n_tri = space.n_tri
     gamma = float(gamma)
@@ -381,9 +380,9 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         cols.append(np.tile(ids, (1, n)).ravel())
         vals.append(local.ravel())
 
-    # volume terms: nu * area * (grad a : grad b), constants for P1 shapes
+    # volume terms: area * (grad a : grad b), constants for P1 shapes
     G = space.shape_grads.reshape(n_tri, 6, 4)
-    add(space.tri_dof_ids, nu * np.einsum("t,tak,tbk->tab", space.areas, G, G))
+    add(space.tri_dof_ids, np.einsum("t,tak,tbk->tab", space.areas, G, G))
 
     # facet terms
     ts, ws = gauss_01(2)
@@ -392,18 +391,18 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     if len(interior):
         fids, local, _, _, _, _ = _facet_block(
             space, interior, [(left[interior], 1.0), (right[interior], -1.0)],
-            gamma, nu, ts, ws)
+            gamma, ts, ws)
         add(fids, local)
     if len(boundary):
         fids, local, trace, gradn, pts, wline = _facet_block(
-            space, boundary, [(left[boundary], 1.0)], gamma, nu, ts, ws)
+            space, boundary, [(left[boundary], 1.0)], gamma, ts, ws)
         add(fids, local)
         # weak Dirichlet data in the jump slots (tangential part; the
         # normal part is fixed strongly through the boundary DOFs)
         gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
         h_pen = space.facet_h_pen[boundary]
-        lift = (-nu * np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
-                + (nu * gamma / h_pen)[:, None]
+        lift = (-np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
+                + (gamma / h_pen)[:, None]
                 * np.einsum("fmc,fm,fmac->fa", gv, wline, trace))
         np.add.at(rhs, fids.ravel(), lift.ravel())
 
@@ -579,7 +578,7 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural",
             mesh, tau = study_mesh(kind, N, eps, log_convention)
             sigma = mesh_aspect_ratio(mesh)
             gamma = gamma_override if gamma_override is not None else penalty(
-                sigma, 1, log_convention)
+                sigma, log_convention)
             space = DGSpace(mesh)
             sol = solve(space, case, gamma, quad_degree)
             err_u, err_p = errors(sol, case, quad_degree)

@@ -12,9 +12,9 @@ import numpy as np
 from bdmlab.bdm import build_element
 from bdmlab.checks import (check_counterexample_2d, check_counterexample_3d,
                            check_dof_variants, check_structural_lemmas)
-from bdmlab.estimates import (T1_FAMILY, l2_norm, random_divfree_field,
-                              random_field, random_mac_simplex, rhs_mac,
-                              sweep)
+from bdmlab.estimates import (MAC_RATIO_CAP, T1_FAMILY, l2_norm,
+                              random_divfree_field, random_field,
+                              random_mac_simplex, rhs_mac, sweep)
 from bdmlab.geometry import Simplex, max_angle
 from bdmlab.shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
                              mesh_aspect_ratio, transition_point)
@@ -93,12 +93,10 @@ def test_criterion_6_anisotropic_stability():
     for trial in range(3):
         v = random_divfree_field(3, 3, rng)
         grid = [(1, 1, 10 ** j) for j in range(0, 7)]
-        result = sweep(T1_FAMILY, lambda s, p: v, "interpolation_rvp",
-                       grid, k=1, m=1)
+        result = sweep(T1_FAMILY, v, "interpolation_rvp", grid, k=1, m=1)
         ratios = [r.ratio for r in result.reports]
         assert max(ratios) / min(ratios) < 10, f"trial {trial}: {ratios}"
     # diameter-form ratio bounded over 100 random angle-capped simplices
-    cap = 100.0
     for dim, n_simplices in ((2, 50), (3, 50)):
         for _ in range(n_simplices):
             s = random_mac_simplex(dim, rng)
@@ -108,7 +106,7 @@ def test_criterion_6_anisotropic_stability():
                 err = l2_norm(v - el.interpolate(v), s)
                 for m in range(k + 1):
                     rhs = sum(val for _, val in rhs_mac(v, s, m))
-                    assert err <= cap * rhs
+                    assert err <= MAC_RATIO_CAP * rhs
     _report(6, "stability ratios bounded (directional and diameter forms)",
             t0, 60.0)
 
@@ -146,7 +144,7 @@ def _run(kind, N, eps, tau_convention="natural", penalty_convention="natural"):
         tau = transition_point(eps, tau_convention)
         mesh = build_shishkin(ShishkinParams(N=N, epsilon=float(eps), tau=tau))
     sigma = mesh_aspect_ratio(mesh)
-    gamma = penalty(sigma, 1, penalty_convention)
+    gamma = penalty(sigma, penalty_convention)
     space = DGSpace(mesh)
     case = manufactured_case(eps)
     sol = solve(space, case, gamma)

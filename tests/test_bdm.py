@@ -196,10 +196,9 @@ FLOAT_VERTICES = [
 ]
 
 
-@pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("vertices", FLOAT_VERTICES)
-def test_float_vertices_match_rational_element(vertices, k, variant):
+def check_float_element(vertices, k, variant, tol):
+    """The float element on `vertices` interpolates like the rational one on
+    the same binary values: every coefficient within tol of the largest."""
     floats = Simplex(vertices)
     exact = Simplex(tuple(tuple(F(c) for c in v) for v in vertices))
     assert not floats.exact and exact.exact
@@ -211,7 +210,30 @@ def test_float_vertices_match_rational_element(vertices, k, variant):
     for pg, pw in zip(got.comps, want.comps):
         for alpha in set(pg.terms) | set(pw.terms):
             assert abs(float(pg.coeff(alpha)) - float(pw.coeff(alpha))) \
-                <= 1e-12 * scale
+                <= tol * scale
+
+
+@pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("vertices", FLOAT_VERTICES)
+def test_float_vertices_match_rational_element(vertices, k, variant):
+    check_float_element(vertices, k, variant, 1e-12)
+
+
+# one-decimal vertices are not binary fractions, so each float is rounded
+DECIMAL_CASES = [
+    (((0.1, 0.2), (1.3, 0.1), (0.2, 1.1)), 2),
+    (((-0.3, 0.7), (0.9, -0.2), (0.4, 1.6)), 2),
+    (((0.5, 0.5), (2.1, 0.3), (1.2, 1.9)), 2),
+    (((0.1, 0.2), (1.3, 0.1), (0.2, 1.1)), 3),
+    (((0.1, 0.2, 0.3), (1.3, 0.1, -0.2), (0.2, 1.1, 0.4), (0.3, -0.1, 1.2)), 2),
+    (((-0.4, 0.1, 0.6), (0.9, 0.3, 0.1), (0.2, 1.4, -0.3), (0.5, 0.7, 1.1)), 2),
+]
+
+
+@pytest.mark.parametrize("vertices,k", DECIMAL_CASES)
+def test_decimal_vertices_bdm_original(vertices, k):
+    check_float_element(vertices, k, "bdm_original", 1e-5)
 
 
 # -- Piola commuting ------------------------------------------------------------

@@ -147,6 +147,17 @@ def test_interpolate_decimal_simplex_file_matches_exact(tmp_path, capsys):
             assert abs(pg.get(mono, 0.0) - pw.get(mono, 0.0)) <= 1e-12 * scale
 
 
+def test_interpolate_decimal_simplex_file_bdm_original(tmp_path, capsys):
+    # one-decimal tokens are not binary fractions: Q_2 must keep its member
+    path = tmp_path / "simplex.txt"
+    path.write_text("0.1 0.2\n1.3 0.1\n0.2 1.1\n")
+    code, _, manifest = run(capsys, [
+        "interpolate", "--simplex", str(path), "--variant", "bdm_original",
+        "--k", "2", "--field", "x2**2, x1**3"])
+    assert code == 0
+    assert manifest["ndofs"] == 12
+
+
 @pytest.mark.parametrize("argv, option", [
     (["mesh", "--N", "8", "--tau", "abc"], "--tau"),
     (["mesh", "--N", "8", "--tau", "1/0"], "--tau"),

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bdmlab.bdm import build_element
-from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
-                              abs_derivative_sum_norm,
+from bdmlab.estimates import (MAC_RATIO_CAP, T1_FAMILY, TSTAR_FAMILY,
+                              WEAKER_FAMILY, abs_derivative_sum_norm,
                               evaluate_estimate, l2_norm, l2_norm_sq,
                               poly_project, random_divfree_field,
                               random_field, random_mac_simplex, ratio_verdict,
@@ -179,7 +179,7 @@ def test_verdict_leading_zero_ratio():
 def test_sweep_counterexample_2d_diverges():
     v = VectorPoly([Polynomial.zero(2), x(2, 0) ** 2])
     grid = [(F(1, 2 ** j),) for j in range(1, 11)]
-    result = sweep(TSTAR_FAMILY, lambda s, p: v, "stability_mac", grid, k=1)
+    result = sweep(TSTAR_FAMILY, v, "stability_mac", grid, k=1)
     assert result.verdict == "diverging"
     ratios = result.ratios
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -188,7 +188,7 @@ def test_sweep_counterexample_2d_diverges():
 def test_sweep_counterexample_3d_diverges():
     u = VectorPoly([x(3, 0) * x(3, 2), -x(3, 1) * x(3, 2), Polynomial.zero(3)])
     grid = [(1, 1, 2 ** j) for j in range(0, 11)]
-    result = sweep(WEAKER_FAMILY, lambda s, p: u, "interpolation_rvp",
+    result = sweep(WEAKER_FAMILY, u, "interpolation_rvp",
                    grid, k=1, m=0)
     assert result.verdict == "diverging"
 
@@ -197,7 +197,7 @@ def test_sweep_t1_bounded_for_divfree_fields():
     rng = random.Random(7)
     v = random_divfree_field(3, 3, rng)
     grid = [(1, 1, 10 ** j) for j in range(0, 7)]
-    result = sweep(T1_FAMILY, lambda s, p: v, "interpolation_rvp",
+    result = sweep(T1_FAMILY, v, "interpolation_rvp",
                    grid, k=1, m=1)
     assert result.verdict == "bounded"
 
@@ -240,7 +240,6 @@ def test_rvp_ratio_invariance_scaling_and_relabeling():
 
 def test_mac_ratios_bounded_random_simplices():
     rng = random.Random(17)
-    cap = 100.0
     for dim in (2, 3):
         for _ in range(10):
             s = random_mac_simplex(dim, rng)
@@ -250,13 +249,13 @@ def test_mac_ratios_bounded_random_simplices():
                     lhs, terms = evaluate_estimate("interpolation_mac", s, v,
                                                    k=k, m=m)
                     rhs = sum(val for _, val in terms)
-                    assert lhs <= cap * rhs
+                    assert lhs <= MAC_RATIO_CAP * rhs
 
 
 def test_sweep_csv_deterministic(tmp_path):
     v = VectorPoly([Polynomial.zero(2), x(2, 0) ** 2])
     grid = [(F(1, 2 ** j),) for j in range(1, 5)]
-    result = sweep(TSTAR_FAMILY, lambda s, p: v, "stability_mac", grid, k=1)
+    result = sweep(TSTAR_FAMILY, v, "stability_mac", grid, k=1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     sweep_to_csv(result, p1)
     sweep_to_csv(result, p2)

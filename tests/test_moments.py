@@ -1,5 +1,6 @@
-"""The DOF functionals and integrate_poly against a compose-then-integrate
-oracle, and the invariants of the interpolant (projection, Piola commuting,
+"""Polynomial.compose_affine, the DOF functionals and integrate_poly against
+a substitute-then-integrate oracle that shares no code with the moment
+tables, and the invariants of the interpolant (projection, Piola commuting,
 vertex relabelling), on random rational triangles and tetrahedra."""
 
 from fractions import Fraction
@@ -41,18 +42,50 @@ def fields(dim, degree):
                     max_size=dim).map(VectorPoly)
 
 
-# -- the oracle: compose the whole integrand through the chart, then integrate
+@st.composite
+def charts(draw, dim, nvars):
+    """An affine map t -> A t + b from nvars variables to dim (A may be
+    singular: composition does not need an inverse)."""
+    matrix = tuple(tuple(draw(rationals) for _ in range(nvars))
+                   for _ in range(dim))
+    return matrix, tuple(draw(rationals) for _ in range(dim))
+
+
+# -- the oracle: substitute the chart into the whole integrand, then integrate
+
+def substitute(p, matrix, offset):
+    """p(A t + b) by plain substitution, sum_a c_a prod_i (A_i t + b_i)^a_i,
+    with Polynomial products and powers only."""
+    nvars = len(matrix[0])
+    coords = [Polynomial.constant(nvars, b_i)
+              + sum((Polynomial.variable(nvars, j) * a_ij
+                     for j, a_ij in enumerate(row)), Polynomial.zero(nvars))
+              for row, b_i in zip(matrix, offset)]
+    powers = {}
+    out = Polynomial.zero(nvars)
+    for a, c in p.terms.items():
+        term = Polynomial.constant(nvars, c)
+        for i, a_i in enumerate(a):
+            if (i, a_i) not in powers:
+                powers[i, a_i] = coords[i] ** a_i
+            term = term * powers[i, a_i]
+        out = out + term
+    return out
+
 
 def integrate_oracle(p, simplex):
     A, b = simplex.chart()
-    return integrate_reference(p.compose_affine(A, b)) * abs(simplex.edge_det())
+    return integrate_reference(substitute(p, A, b)) * abs(simplex.edge_det())
 
 
-def facet_moment_oracle(simplex, facet, alpha, v):
+def facet_moment_oracle(simplex, facet, v):
+    """alpha -> the moment of v's normal trace against t^alpha on the
+    facet, with the trace substituted once."""
     matrix, origin = simplex.facet_chart(facet)
-    normal_trace = v.compose_affine(matrix, origin).dot(
+    normal_trace = VectorPoly([substitute(p, matrix, origin)
+                               for p in v.comps]).dot(
         simplex.scaled_facet_normal(facet))
-    return integrate_reference(
+    return lambda alpha: integrate_reference(
         normal_trace * Polynomial.monomial(simplex.dim - 1, alpha))
 
 
@@ -60,6 +93,15 @@ def element_stub(simplex, order):
     """What the functionals read from an element: a fresh table and k."""
     return SimpleNamespace(simplex=simplex, order=order,
                            moments=MomentTable(simplex))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.integers(0, 5).flatmap(lambda n: polynomials(d, n)),
+    st.sampled_from([d, d - 1]).flatmap(lambda m: charts(d, m)))))
+def test_compose_affine_matches_substitution(case):
+    p, (matrix, offset) = case
+    assert p.compose_affine(matrix, offset) == substitute(p, matrix, offset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,11 +121,10 @@ def test_facet_moments_match_oracle(case):
     el = element_stub(simplex, k)
     d = simplex.dim
     for facet in range(d + 1):
+        oracle = facet_moment_oracle(simplex, facet, v)
         # highest degree first, so lower-degree entries come from its fill
         for alpha in reversed(monomial_indices(d - 1, k)):
-            dof = FacetMoment(facet, alpha)
-            assert dof.apply(el, v) == facet_moment_oracle(simplex, facet,
-                                                           alpha, v)
+            assert FacetMoment(facet, alpha).apply(el, v) == oracle(alpha)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from bdmlab.geometry import Simplex, reference_simplex
-from bdmlab.polynomials import Polynomial, VectorPoly
+from bdmlab.polynomials import Polynomial, VectorPoly, monomial_indices
 from bdmlab.spaces import (basis_nk, basis_pk, basis_pk_vector, basis_qk,
                            basis_sk, facet_polynomial_count, integrate_poly)
 
@@ -50,6 +50,42 @@ def test_sk_members_satisfy_constraint():
 ])
 def test_nk_dims(dim, k, expect):
     assert basis_nk(dim, k).dim == expect
+
+
+def nk_by_elimination(dim, k):
+    """N_k as the maximal independent subset of the concatenated bases of
+    P_{k-1}^d and S_k, kept in order by a Fraction Gaussian elimination:
+    the oracle for `basis_nk`, which needs no elimination of its own."""
+    if k <= 0:
+        return ()
+    candidates = list(basis_pk_vector(dim, k - 1)) + list(basis_sk(dim, k))
+    unknowns = [(comp, a) for comp in range(dim)
+                for a in monomial_indices(dim, k)]
+    col_of = {ua: i for i, ua in enumerate(unknowns)}
+    kept = []
+    echelon = {}  # pivot column -> normalized row
+    for cand in candidates:
+        vec = [F(0)] * len(unknowns)
+        for comp, poly in enumerate(cand.comps):
+            for a, c in poly.terms.items():
+                vec[col_of[(comp, a)]] = F(c)
+        for piv, row in echelon.items():
+            if vec[piv] != 0:
+                f = vec[piv]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        piv = next((i for i, x in enumerate(vec) if x != 0), None)
+        if piv is None:
+            continue
+        f = vec[piv]
+        echelon[piv] = [x / f for x in vec]
+        kept.append(cand)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("dim,k", [(2, k) for k in range(7)]
+                         + [(3, k) for k in range(5)])
+def test_nk_members_match_elimination(dim, k):
+    assert basis_nk(dim, k).members == nk_by_elimination(dim, k)
 
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (2, 4),

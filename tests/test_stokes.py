@@ -23,9 +23,8 @@ def case01():
 
 def zero_case():
     zero = ExpPoly()
-    return StokesCase(epsilon=0.5, nu=1.0, u=(zero, zero), p=zero,
-                      f=(zero, zero), grad_u=((zero, zero), (zero, zero)),
-                      pressure_mean=0.0)
+    return StokesCase(epsilon=0.5, u=(zero, zero), p=zero, f=(zero, zero),
+                      grad_u=((zero, zero), (zero, zero)), pressure_mean=0.0)
 
 
 def linear_case():
@@ -36,7 +35,7 @@ def linear_case():
     zero = Polynomial.zero(2)
     one = Polynomial.constant(2, F(1))
     return StokesCase(
-        epsilon=0.5, nu=1.0,
+        epsilon=0.5,
         u=(ExpPoly(pplain=y), ExpPoly(pplain=x)),
         p=ExpPoly(pplain=x - F(1, 2)),
         f=(ExpPoly(pplain=one), ExpPoly(pplain=zero)),
@@ -48,11 +47,10 @@ def linear_case():
 # -- penalty ---------------------------------------------------------------------
 
 def test_penalty_values():
-    assert penalty(math.e, 1) == 4
-    assert penalty(8.93, 1, "natural") == 12
-    assert penalty(8.93, 2, "natural") == 48
-    assert penalty(0.8, 1) == 4  # floored
-    assert penalty(8.93, 1, "base10") == 4
+    assert penalty(math.e) == 4
+    assert penalty(8.93, "natural") == 12
+    assert penalty(0.8) == 4  # floored
+    assert penalty(8.93, "base10") == 4
 
 
 # -- manufactured case ------------------------------------------------------------
@@ -94,7 +92,7 @@ def test_body_force_matches_finite_differences(case01):
             e0[comp] = h1
             gradp = (case01.p.eval(np.array([p + e0]))[0]
                      - case01.p.eval(np.array([p - e0]))[0]) / (2 * h1)
-            fd_vals.append(-case01.nu * lap + gradp)
+            fd_vals.append(-lap + gradp)  # viscosity 1
             exact_vals.append(case01.f[comp].eval(np.array([p]))[0])
     scale = max(abs(v) for v in exact_vals)
     worst = max(abs(fd - ex) / max(abs(ex), 1e-3 * scale)
