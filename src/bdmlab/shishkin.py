@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import coord_from_token, coord_to_token
+from .linalg import over_common_denominator
 
 
 def transition_point(eps, convention="natural"):
@@ -51,17 +52,6 @@ def aspect_ratio(tau):
         raise ValueError("tau must lie in (0, 1)")
     root = math.sqrt(1.0 + 4.0 * t * t)
     return root / (1.0 + 2.0 * t - root)
-
-
-def triangle_aspect_ratio(pts):
-    """Longest edge over twice the inradius."""
-    a = math.dist(pts[0], pts[1])
-    b = math.dist(pts[1], pts[2])
-    c = math.dist(pts[2], pts[0])
-    s = 0.5 * (a + b + c)
-    area = math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
-    inradius = area / s
-    return max(a, b, c) / (2.0 * inradius)
 
 
 @dataclass(frozen=True)
@@ -107,13 +97,16 @@ class Mesh2D:
 
         A triangle is the left one of an edge it traverses along the key
         when it is counter-clockwise, and of one it traverses against the
-        key when it is clockwise: one exact orientation test per triangle."""
-        V = self.vertices
-        ccw = np.array([(xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0
-                        for (xa, ya), (xb, yb), (xc, yc)
-                        in ((V[a], V[b], V[c]) for a, b, c in self.triangles)],
-                       dtype=bool)
+        key when it is clockwise.  The orientation test is one array
+        expression: rational vertices as Python ints over one common
+        denominator (object arrays, exact at any size), float ones as
+        floats."""
+        nums, _ = over_common_denominator(c for v in self.vertices for c in v)
+        exact = all(isinstance(c, int) for c in nums)
         tails = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        pts = np.array(nums, dtype=object if exact else float).reshape(-1, 2)
+        (xa, ya), (xb, yb), (xc, yc) = pts[tails].transpose(1, 2, 0)
+        ccw = ((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0).astype(bool)
         heads = np.roll(tails, -1, axis=1)
         nv = self.n_vertices
         keys, facet_of = np.unique(
@@ -186,10 +179,18 @@ def build_uniform(N: int) -> Mesh2D:
 
 
 def mesh_aspect_ratio(mesh: Mesh2D):
-    """Max elementwise longest-edge / (2 inradius)."""
-    return max(triangle_aspect_ratio([(float(x), float(y))
-                                      for x, y in mesh.triangle_points(t)])
-               for t in range(mesh.n_triangles))
+    """Max elementwise longest-edge / (2 inradius), as one array expression
+    over the float vertices (Heron's formula for the area).  The edge
+    lengths come from `math.hypot` as a ufunc: it rounds like the
+    `math.dist` of a per-triangle evaluation, where `np.hypot` can differ
+    in the last place."""
+    pts = np.array(mesh.vertices, dtype=float)[np.array(mesh.triangles)]
+    d = pts - np.roll(pts, -1, axis=1)                  # (T, 3, 2) edge vectors
+    hypot = np.frompyfunc(math.hypot, 2, 1)
+    a, b, c = hypot(d[..., 0], d[..., 1]).astype(float).T
+    s = 0.5 * (a + b + c)
+    area = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
+    return float(np.max(np.maximum(np.maximum(a, b), c) / (2.0 * (area / s))))
 
 
 # ---------------------------------------------------------------------------

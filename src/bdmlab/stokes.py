@@ -21,6 +21,14 @@ unknowns, no pressure, no pivoting).  The pressure follows from the
 momentum rows.  Its only freedom is an additive constant, so the zero-mean
 gauge is a shift after the solve, and the system is never formed as one
 matrix.
+
+No work runs per point or per facet in Python.  The manufactured fields
+are evaluated by `eval_fields`, several at a time on one point set: dense
+float coefficient arrays against power tables of x and y built once, with
+exp(-x/eps) computed once.  The volume integrals (body force, errors) run
+over triangle batches of at most QUAD_BATCH_POINTS quadrature points, and
+the facet terms over batches of FACET_BATCH interior facets, as batched
+matmuls; both bounds keep the temporaries of a large mesh small.
 """
 
 import csv
@@ -78,13 +86,45 @@ class ExpPoly:
         return self.pexp.is_zero() and self.pplain.is_zero()
 
     def eval(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        vals = np.zeros(pts.shape[0])
-        if self.pexp.terms:
-            vals += self.pexp.eval(pts) * np.exp(-pts[:, 0] / float(self.eps))
-        if self.pplain.terms:
-            vals += self.pplain.eval(pts)
-        return vals
+        return eval_fields([self], pts)[0]
+
+
+def eval_fields(fields, pts):
+    """The values of ExpPoly fields at points (P, 2): (len(fields), P).
+
+    Each polynomial part becomes a dense float array c[i, j] of the
+    coefficients of x^i y^j.  The powers of x and y are built once, by
+    repeated multiplication, as rows X[i] = x^i and Y[j] = y^j, and
+    exp(-x/eps) once per eps, so a part costs one small matmul and a sum
+    over rows: sum_j (c^T X)[j] * Y[j]."""
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    deg = max((p.degree for f in fields for p in (f.pexp, f.pplain)), default=0)
+    X = np.ones((deg + 1, len(pts)))
+    Y = np.ones((deg + 1, len(pts)))
+    for i in range(1, deg + 1):
+        np.multiply(X[i - 1], x, out=X[i])
+        np.multiply(Y[i - 1], y, out=Y[i])
+
+    def part(poly):
+        n = poly.degree + 1
+        c = np.zeros((n, n))
+        for (i, j), coeff in poly.terms.items():
+            c[i, j] = float(coeff)
+        terms = c.T @ X[:n]
+        terms *= Y[:n]
+        return terms.sum(axis=0)
+
+    decay = {}
+    vals = np.zeros((len(fields), len(pts)))
+    for row, f in zip(vals, fields):
+        if f.pexp.terms:
+            if f.eps not in decay:
+                decay[f.eps] = np.exp(-x / float(f.eps))
+            row += part(f.pexp) * decay[f.eps]
+        if f.pplain.terms:
+            row += part(f.pplain)
+    return vals
 
 
 @dataclass
@@ -100,8 +140,7 @@ class StokesCase:
         """The exact velocity at points, (P, 2); on the boundary it is the
         Dirichlet datum (zero for `manufactured_case`, whose stream function
         has double zeros on the boundary)."""
-        pts = np.asarray(pts, dtype=float)
-        return np.column_stack([self.u[0].eval(pts), self.u[1].eval(pts)])
+        return eval_fields(self.u, pts).T
 
 
 def manufactured_case(eps) -> StokesCase:
@@ -273,9 +312,11 @@ class DGSpace:
         return np.concatenate([np.ones_like(local[..., :1]), local], axis=2)
 
     def shape_values(self, tri_ids, pts):
-        """Shape-function values at points: (F, m, 6, 2)."""
-        C = self.coeff_from_dofs[tri_ids].reshape(-1, 2, 3, 6)
-        return np.einsum("fcbj,fmb->fmjc", C, self.monomials(tri_ids, pts))
+        """Shape-function values at points (F, m, 2): (F, 6, 2 m), the
+        component c at point q in column c m + q."""
+        C = self.coeff_from_dofs[tri_ids].transpose(0, 2, 1).reshape(-1, 12, 3)
+        vals = C @ self.monomials(tri_ids, pts).transpose(0, 2, 1)
+        return vals.reshape(len(tri_ids), 6, -1)
 
     def facet_points(self, facet_ids, ts):
         """Points at parameters ts along each facet: (F, m, 2)."""
@@ -298,7 +339,7 @@ class DGSpace:
         ref_pts, ref_wts = simplex_rule(2, degree)
         origin = self.tri_pts[tri_ids, 0]
         E = self.tri_pts[tri_ids][:, 1:] - origin[:, None, :]   # (T, 2, 2)
-        phys = np.einsum("qk,tkd->tqd", ref_pts, E) + origin[:, None, :]
+        phys = ref_pts @ E + origin[:, None, :]
         wts = ref_wts[None, :] * (2.0 * self.areas[tri_ids])[:, None]
         return phys, wts
 
@@ -325,34 +366,40 @@ class StokesSolution:
         return float(np.max(np.abs(jl - jr), initial=0.0))
 
 
+# Interior facets per `_facet_block` call in `assemble`.
+FACET_BATCH = 2048
+
+
 def _facet_block(space, facet_ids, sides, gamma, ts, ws):
     """SIP facet contributions for a batch of facets.
 
     `sides` is [(tri_ids, sign)] with one entry for boundary facets and two
-    for interior ones; returns (ids, local) with shapes (F, n) and (F, n, n),
-    plus the traces/gradn used for the data lift.
+    for interior ones, whose local DOFs are the `tri_dof_ids` of the sides
+    in turn (n = 6 or 12); returns the local matrices (F, n, n), plus what
+    the data lift needs: the points (F, m, 2) and each DOF's weighted test
+    trace (F, n, 2 m), in the column order of `DGSpace.shape_values`.
     """
     h_e = space.facet_len[facet_ids]
-    h_pen = space.facet_h_pen[facet_ids]
+    s = (gamma / space.facet_h_pen[facet_ids])[:, None, None]
     n = space.facet_n[facet_ids] * space.facet_out_sign[facet_ids][:, None]
     pts = space.facet_points(facet_ids, ts)
     avg_w = 0.5 if len(sides) == 2 else 1.0
-    traces, gradns, ids = [], [], []
+    traces, gradns = [], []
     for tri_ids, sign in sides:
-        shp = space.shape_values(tri_ids, pts)                  # (F, m, 6, 2)
-        gn = np.einsum("fjca,fa->fjc", space.shape_grads[tri_ids], n)
-        traces.append(sign * shp)
-        gradns.append(avg_w * gn)
-        ids.append(space.tri_dof_ids[tri_ids])
-    trace = np.concatenate(traces, axis=2)                      # (F, m, n, 2)
-    gradn = np.concatenate(gradns, axis=1)                      # (F, n, 2)
-    ids = np.concatenate(ids, axis=1)                           # (F, n)
-    wline = ws[None, :] * h_e[:, None]                          # (F, m)
-    cons = np.einsum("fmac,fm,fbc->fab", trace, wline, gradn)
-    local = np.einsum("fmac,fm,fmbc->fab", trace, wline, trace)  # penalty
-    local *= (gamma / h_pen)[:, None, None]
-    local -= cons + cons.transpose(0, 2, 1)
-    return ids, local, trace, gradn, pts, wline
+        traces.append(sign * space.shape_values(tri_ids, pts))
+        gradns.append(avg_w * np.einsum("fjca,fa->fjc",
+                                        space.shape_grads[tri_ids], n))
+    trace = np.concatenate(traces, axis=1)                      # (F, n, 2m)
+    # the averaged normal derivative, repeated at each point
+    gradn = np.repeat(np.concatenate(gradns, axis=1), len(ts), axis=2)
+    wline = np.tile(ws[None, :] * h_e[:, None], 2)[:, None, :]  # (F, 1, 2m)
+    # the weighted test trace of s [v] - {dv/dn}: with it, the penalty
+    # s [u][v] minus both consistency terms {du/dn}[v] + [u]{dv/dn} is one
+    # matmul, and the data lift another
+    wtest = (s * trace - gradn) * wline
+    local = np.concatenate([wtest, trace * wline], axis=2) @ np.concatenate(
+        [trace, -gradn], axis=2).transpose(0, 2, 1)
+    return local, pts, wtest
 
 
 def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
@@ -369,59 +416,61 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     n_tri = space.n_tri
     gamma = float(gamma)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_vel)
-
-    def add(ids, local):
-        """Scatter per-item local matrices (F, n, n) at DOF ids (F, n)."""
-        ids = ids.astype(np.int32)    # the index type of scipy's CSR
-        n = ids.shape[1]
-        rows.append(np.repeat(ids, n, axis=1).ravel())
-        cols.append(np.tile(ids, (1, n)).ravel())
-        vals.append(local.ravel())
-
-    # volume terms: area * (grad a : grad b), constants for P1 shapes
-    G = space.shape_grads.reshape(n_tri, 6, 4)
-    add(space.tri_dof_ids, np.einsum("t,tak,tbk->tab", space.areas, G, G))
-
-    # facet terms
-    ts, ws = gauss_01(2)
     interior, boundary = space.interior, space.boundary
     left, right = space.facet_left, space.facet_right
-    if len(interior):
-        fids, local, _, _, _, _ = _facet_block(
-            space, interior, [(left[interior], 1.0), (right[interior], -1.0)],
-            gamma, ts, ws)
-        add(fids, local)
+    dof_ids = space.tri_dof_ids.astype(np.int32)   # the index type of scipy's CSR
+    rhs = np.zeros(n_vel)
+
+    # A is summed in 6 x 6 blocks first: per triangle its diagonal block
+    # (the volume term and the self-coupling of its facets), per interior
+    # facet the coupling of its left and right triangle.  A is the
+    # symmetric part of T = (diagonal blocks) + 2 (left-right blocks), so
+    # the CSR conversion sees only 36 COO triplets per triangle and per
+    # interior facet, and A is exactly symmetric.
+    G = space.shape_grads.reshape(n_tri, 6, 4)
+    diag = space.areas[:, None, None] * (G @ G.transpose(0, 2, 1))
+    coupling = np.empty((len(interior), 6, 6))
+    # interior facets in batches, which bounds the facet temporaries (about
+    # 5 kB per facet) whatever the mesh size
+    ts, ws = gauss_01(2)
+    for start in range(0, len(interior), FACET_BATCH):
+        f = interior[start:start + FACET_BATCH]
+        local = _facet_block(space, f, [(left[f], 1.0), (right[f], -1.0)],
+                             gamma, ts, ws)[0]
+        np.add.at(diag, left[f], local[:, :6, :6])
+        np.add.at(diag, right[f], local[:, 6:, 6:])
+        coupling[start:start + len(f)] = local[:, :6, 6:]
     if len(boundary):
-        fids, local, trace, gradn, pts, wline = _facet_block(
+        local, pts, wtest = _facet_block(
             space, boundary, [(left[boundary], 1.0)], gamma, ts, ws)
-        add(fids, local)
+        np.add.at(diag, left[boundary], local)
         # weak Dirichlet data in the jump slots (tangential part; the
         # normal part is fixed strongly through the boundary DOFs)
         gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
-        h_pen = space.facet_h_pen[boundary]
-        lift = (-np.einsum("fmc,fm,fac->fa", gv, wline, gradn)
-                + (gamma / h_pen)[:, None]
-                * np.einsum("fmc,fm,fmac->fa", gv, wline, trace))
-        np.add.at(rhs, fids.ravel(), lift.ravel())
+        gv = gv.transpose(0, 2, 1).reshape(len(boundary), -1, 1)  # (F, 2m, 1)
+        np.add.at(rhs, dof_ids[left[boundary]].ravel(), (wtest @ gv).ravel())
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_vel, n_vel)).tocsr()
-    del rows, cols, vals  # freed here, B and the factors reuse their memory
-    A = 0.5 * (A + A.T)  # the form is symmetric; remove summation roundoff
+    shape = (n_tri + len(interior), 6, 6)
+    r = np.concatenate([dof_ids, dof_ids[left[interior]]])
+    c = np.concatenate([dof_ids, dof_ids[right[interior]]])
+    vals = np.concatenate([diag, 2.0 * coupling]).ravel()
+    del diag, coupling    # freed before the CSR arrays
+    T = sp.coo_matrix((vals, (np.broadcast_to(r[:, :, None], shape).ravel(),
+                              np.broadcast_to(c[:, None, :], shape).ravel())),
+                      shape=(n_vel, n_vel)).tocsr()
+    del vals, r, c
+    A = T + T.T
+    del T
+    A = 0.5 * A    # also copies the arrays of the sum to their final size
 
     # body force: int_T f . shape, the local monomial moments of f mapped
     # by `coeff_from_dofs`; layer elements of very small eps get a doubled
     # rule, mirroring the error-integral policy
     for ids, phys, wts in _quadrature(space, case, quad_degree):
-        flat = phys.reshape(-1, 2)
-        fv = np.stack([case.f[0].eval(flat), case.f[1].eval(flat)],
-                      axis=1).reshape(phys.shape)
-        moments = np.einsum("tm,tmc,tmb->tcb", wts, fv,
-                            space.monomials(ids, phys)).reshape(-1, 6)
-        contrib = np.einsum("tbj,tb->tj", space.coeff_from_dofs[ids], moments)
+        fv = eval_fields(case.f, phys.reshape(-1, 2)).reshape(2, *wts.shape)
+        moments = (fv * wts)[:, :, None] @ space.monomials(ids, phys)
+        moments = moments.transpose(1, 2, 0, 3).reshape(-1, 1, 6)  # (T, 1, 6)
+        contrib = (moments @ space.coeff_from_dofs[ids])[:, 0]
         np.add.at(rhs, space.tri_dof_ids[ids].ravel(), contrib.ravel())
 
     # continuity rows, scaled to enforce the divergence value itself
@@ -453,6 +502,14 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     g = space.edge_moments(case.boundary_g, space.boundary, 4)
     C_f = space.curl[:, space.stream_free]
     S = (C_f.T @ A @ C_f).tocsc()
+    # entries that vanish in exact arithmetic come out as roundoff, about
+    # 1e-18 of the diagonal scale (the others are above 1e-10 of it); which
+    # of them are stored depends on the summation order, and with them the
+    # ordering and the fill of the factor, so they are dropped
+    d = np.sqrt(S.diagonal())
+    S.data[np.abs(S.data) <= 1e-12 * d[S.indices]
+           * np.repeat(d, np.diff(S.indptr))] = 0.0
+    S.eliminate_zeros()
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     B_f = B[:, free]
@@ -492,14 +549,22 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         "residual": residual,
         "n_unknowns": S.shape[0],
         "nnz": int(S.nnz),
+        "lu_nnz": int(lu.nnz),     # nnz(L) + nnz(U), the factor's fill
     }
     return StokesSolution(space, u, coeffs, p / areas, stats)
 
 
+# Points per quadrature batch: bounds the power tables of `eval_fields` and
+# the other point-wise arrays of `assemble` and `errors`.
+QUAD_BATCH_POINTS = 2 ** 16
+
+
 def _quadrature(space, case, quad_degree):
-    """(tri_ids, points (T, m, 2), weights (T, m)) per group of triangles
+    """(tri_ids, points (T, m, 2), weights (T, m)) per batch of triangles
     sharing a rule: the default degree, doubled on layer elements when
-    epsilon is at or below 1e-3."""
+    epsilon is at or below 1e-3.  A batch holds at most QUAD_BATCH_POINTS
+    points (but at least one triangle), so the point-wise temporaries of
+    the callers stay bounded whatever the mesh and the rule."""
     tri_ids = np.arange(space.n_tri)
     groups = [(tri_ids, quad_degree)]
     if case.epsilon <= 1e-3:
@@ -508,8 +573,10 @@ def _quadrature(space, case, quad_degree):
         groups = [(tri_ids[in_layer], 2 * quad_degree),
                   (tri_ids[~in_layer], quad_degree)]
     for ids, degree in groups:
-        if len(ids):
-            yield (ids, *space.triangle_quad(degree, ids))
+        size = max(1, QUAD_BATCH_POINTS // len(simplex_rule(2, degree)[1]))
+        for start in range(0, len(ids), size):
+            batch = ids[start:start + size]
+            yield (batch, *space.triangle_quad(degree, batch))
 
 
 def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
@@ -519,17 +586,12 @@ def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
     space = sol.space
     err_grad_sq = 0.0
     err_p_sq = 0.0
+    exact = [g for row in case.grad_u for g in row] + [case.p]
     for ids, phys, wts in _quadrature(space, case, quad_degree):
-        flat = phys.reshape(-1, 2)
-        m = phys.shape[1]
-        diff_sq = np.zeros((len(ids), m))
-        gh = np.stack([sol.coeffs[ids][:, 1], sol.coeffs[ids][:, 2],
-                       sol.coeffs[ids][:, 4], sol.coeffs[ids][:, 5]], axis=1)
-        for pos, (comp, axis) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            exact = case.grad_u[comp][axis].eval(flat).reshape(len(ids), m)
-            diff_sq += (exact - gh[:, pos][:, None]) ** 2
-        err_grad_sq += float(np.sum(wts * diff_sq))
-        p_exact = case.p.eval(flat).reshape(len(ids), m) - case.pressure_mean
+        vals = eval_fields(exact, phys.reshape(-1, 2)).reshape(5, *wts.shape)
+        gh = sol.coeffs[ids][:, [1, 2, 4, 5]].T[:, :, None]     # (4, T, 1)
+        err_grad_sq += float(np.sum(wts * np.sum((vals[:4] - gh) ** 2, axis=0)))
+        p_exact = vals[4] - case.pressure_mean
         err_p_sq += float(np.sum(wts * (p_exact - sol.pressure[ids][:, None]) ** 2))
     return math.sqrt(err_grad_sq), math.sqrt(err_p_sq)
 
@@ -569,7 +631,9 @@ def study_mesh(kind, N, eps, log_convention="natural"):
 
 def convergence_study(eps_list, N_list, kind, log_convention="natural",
                       gamma_override=None, quad_degree=8):
-    """One row per (epsilon, N): errors, parameters and observed rates."""
+    """One row per (epsilon, N): errors, parameters and observed rates,
+    the contract values, and the factor's fill `lu_nnz` (a row key that
+    `STUDY_COLUMNS` leaves out of the CSV)."""
     rows = []
     for eps in eps_list:
         case = manufactured_case(eps)
@@ -593,6 +657,7 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural",
                 "div_max": float(np.max(np.abs(sol.elementwise_divergence()))),
                 "jump_max": sol.max_normal_jump(),
                 "residual": sol.stats["residual"],
+                "lu_nnz": sol.stats["lu_nnz"],
             })
     return rows
 

@@ -318,6 +318,10 @@ def test_stokes_subcommand(tmp_path, capsys):
     assert code == 0
     assert len(manifest["rows"]) == 2
     assert out_path.exists()
+    # the factor's fill is in the manifest, not in the CSV
+    fills = [row["lu_nnz"] for row in manifest["rows"]]
+    assert all(isinstance(n, int) for n in fills) and 0 < fills[0] < fills[1]
+    assert "lu_nnz" not in out_path.read_text().splitlines()[0]
 
 
 def test_stokes_csv_deterministic(tmp_path, capsys):

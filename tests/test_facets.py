@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bdmlab.linalg import over_common_denominator
 from bdmlab.shishkin import Mesh2D, ShishkinParams, build_shishkin, build_uniform
 from bdmlab.stokes import DGSpace
 
@@ -97,6 +98,82 @@ def test_non_conforming_mesh_rejected(triangles):
     vertices = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
     with pytest.raises(ValueError, match="non-conforming"):
         Mesh2D(vertices, triangles).build_facets()
+
+
+def _fraction_oracle(mesh):
+    """(facet_left, facet_right) from one Fraction orientation test per
+    triangle: a triangle is the left one of an edge it traverses along the
+    key when it is counter-clockwise, else the right one; a lone triangle
+    is the left one."""
+    sides = collections.defaultdict(lambda: [-1, -1])
+    for t, tri in enumerate(mesh.triangles):
+        (xa, ya), (xb, yb), (xc, yc) = (
+            [Fraction(c) for c in mesh.vertices[v]] for v in tri)
+        ccw = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            sides[min(a, b), max(a, b)][(a < b) != ccw] = t
+    pairs = [sides[key] for key in sorted(sides)]
+    return ([r if l < 0 else l for l, r in pairs],
+            [-1 if l < 0 else r for l, r in pairs])
+
+
+big = st.integers(2 ** 64, 2 ** 66)
+
+
+@st.composite
+def rational_images(draw):
+    """A scrambled mesh under a rational affine map with denominators
+    above 2^64, so the vertices over one common denominator need far more
+    than 63 bits; the map may reverse the orientation."""
+    N, mesh = draw(scrambled_meshes())
+    a, b, c, d, e, f = (Fraction(draw(st.sampled_from([-1, 1])) * draw(big),
+                                 draw(big)) for _ in range(6))
+    assume(a * d != b * c)
+    vertices = [(a * Fraction(x) + b * Fraction(y) + e,
+                 c * Fraction(x) + d * Fraction(y) + f)
+                for x, y in mesh.vertices]
+    return N, Mesh2D(vertices, mesh.triangles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_images())
+def test_orientation_exact_beyond_int64(case):
+    _, mesh = case
+    nums, den = over_common_denominator(c for v in mesh.vertices for c in v)
+    assert den > 2 ** 63 and max(abs(n) for n in nums) > 2 ** 63
+    mesh.build_facets()
+    left, right = _fraction_oracle(mesh)
+    assert mesh.facet_left.tolist() == left
+    assert mesh.facet_right.tolist() == right
+    with pytest.raises(ValueError, match="non-conforming"):
+        Mesh2D(mesh.vertices, mesh.triangles + mesh.triangles[:1]).build_facets()
+
+
+def test_orientation_of_slivers_beyond_float_precision():
+    # two slivers on either side of the edge (0, 1), thinner than a float
+    # can resolve: in floats both look degenerate and land in one slot
+    d = Fraction(1, 10 ** 30)
+    third = Fraction(1, 3)
+    vertices = [(0, 0), (third, third), (2 * third, 2 * third + d),
+                (2 * third, 2 * third - d)]
+    mesh = Mesh2D(vertices, [(0, 1, 2), (0, 1, 3)]).build_facets()
+    left, right = _fraction_oracle(mesh)
+    assert mesh.facet_left.tolist() == left and mesh.facet_right.tolist() == right
+    # on the edge (0, 1), the counter-clockwise triangle 0 is the left one
+    assert (mesh.facet_left[0], mesh.facet_right[0]) == (0, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scrambled_meshes())
+def test_float_and_fraction_vertices_give_one_topology(case):
+    # float meshes keep the float test; on their exact Fraction copies the
+    # exact test agrees, and both match the oracle
+    _, mesh = case
+    exact = Mesh2D([tuple(Fraction(c) for c in v) for v in mesh.vertices],
+                   mesh.triangles).build_facets()
+    left, right = _fraction_oracle(mesh)
+    for m in (mesh, exact):
+        assert m.facet_left.tolist() == left and m.facet_right.tolist() == right
 
 
 @settings(max_examples=20, deadline=None)

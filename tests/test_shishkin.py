@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 from bdmlab.geometry import Simplex, max_angle
 from bdmlab.shishkin import (ShishkinParams, aspect_ratio,
                              build_shishkin, build_uniform, mesh_aspect_ratio,
-                             mesh_from_text, mesh_to_text, transition_point,
-                             triangle_aspect_ratio)
+                             mesh_from_text, mesh_to_text, transition_point)
 
 F = Fraction
+
+
+def triangle_aspect_ratio(pts):
+    """Longest edge over twice the inradius, one triangle at a time: the
+    oracle of the array expression in `mesh_aspect_ratio`."""
+    a = math.dist(pts[0], pts[1])
+    b = math.dist(pts[1], pts[2])
+    c = math.dist(pts[2], pts[0])
+    s = 0.5 * (a + b + c)
+    area = math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
+    inradius = area / s
+    return max(a, b, c) / (2.0 * inradius)
 
 
 # -- transition point -----------------------------------------------------------
@@ -58,6 +69,25 @@ def test_aspect_ratio_monotone_decreasing():
     taus = [0.01 + 0.49 * i / 200 for i in range(201)]
     vals = [aspect_ratio(t) for t in taus]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("N, tau", [
+    (1, None), (2, None), (8, None), (32, None),          # uniform meshes
+    (4, transition_point(0.1)), (16, transition_point(1e-3)),
+    (32, transition_point(1e-6)), (2, 0.3), (8, 0.3),     # float tau
+    (4, F(1, 3)), (16, F(3, 50)), (32, F(7, 1000)),       # Fraction tau
+    (4, transition_point(F(1, 10), "base10")),            # tau = 3/10
+])
+def test_mesh_aspect_ratio_matches_per_triangle_oracle(N, tau):
+    # bit-identical: at tau = 3/10 with N = 2 and 4, edge lengths from
+    # `np.hypot` give a maximum that differs from the oracle's in the last
+    # place
+    mesh = (build_uniform(N) if tau is None
+            else build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau)))
+    oracle = max(triangle_aspect_ratio([(float(x), float(y))
+                                        for x, y in mesh.triangle_points(t)])
+                 for t in range(mesh.n_triangles))
+    assert mesh_aspect_ratio(mesh) == oracle
 
 
 def test_mesh_aspect_matches_formula():

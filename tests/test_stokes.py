@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdmlab import stokes
 from bdmlab.polynomials import Polynomial
+from bdmlab.quadrature import simplex_rule
 from bdmlab.shishkin import build_uniform, mesh_aspect_ratio
-from bdmlab.stokes import (DGSpace, ExpPoly, StokesCase, StokesSolution,
-                           assemble, convergence_study, errors,
-                           interpolate_exact_solution, manufactured_case,
-                           penalty, solve, study_mesh, study_to_csv)
+from bdmlab.stokes import (QUAD_BATCH_POINTS, DGSpace, ExpPoly, StokesCase,
+                           StokesSolution, assemble, convergence_study, errors,
+                           eval_fields, interpolate_exact_solution,
+                           manufactured_case, penalty, solve, study_mesh,
+                           study_to_csv)
 
 F = Fraction
 
@@ -113,6 +120,63 @@ def test_exppoly_derivative_chain():
     assert abs(d.eval(pts)[0] - expected) < 1e-14
 
 
+def _random_poly(draw, degree):
+    return Polynomial(2, {(i, j): F(draw(st.integers(-50, 50)),
+                                    draw(st.integers(1, 9)))
+                          for i in range(degree + 1)
+                          for j in range(degree + 1 - i)
+                          if draw(st.booleans())})
+
+
+@st.composite
+def exp_polys(draw, eps):
+    """ExpPoly fields of degree <= 8 with only the exp part, only the plain
+    part, both, or neither (the zero field)."""
+    parts = draw(st.sampled_from(["exp", "plain", "both", "zero"]))
+    degree = draw(st.integers(0, 8))
+    pexp = _random_poly(draw, degree) if parts in ("exp", "both") else None
+    pplain = _random_poly(draw, degree) if parts in ("plain", "both") else None
+    return ExpPoly(pexp, pplain, eps)
+
+
+@st.composite
+def field_sets(draw):
+    eps = draw(st.sampled_from([F(1), F(1, 10), F(1, 1000), F(1, 10 ** 6)]))
+    fields = draw(st.lists(exp_polys(eps), min_size=1, max_size=5))
+    # rational points that floats hold exactly
+    pts = draw(st.lists(st.tuples(*[st.builds(F, st.integers(0, 256),
+                                               st.just(256))] * 2),
+                        min_size=1, max_size=8))
+    return fields, pts
+
+
+def _magnitude(p, x, y):
+    return sum(abs(c) * x ** i * y ** j for (i, j), c in p.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_sets())
+def test_eval_fields_matches_exact_evaluation(case):
+    # Fraction evaluation at rational points times math.exp, against the
+    # float power tables.  The bound is relative to the sum of the terms'
+    # magnitudes, which is what float cancellation is relative to, plus
+    # the spacing of subnormal floats on the exp part
+    fields, pts = case
+    got = eval_fields(fields, np.array(pts, dtype=float))
+    assert got.shape == (len(fields), len(pts))
+    for f, row in zip(fields, got):
+        assert np.array_equal(f.eval(np.array(pts, dtype=float)), row)
+        for (x, y), value in zip(pts, row):
+            decay = F(math.exp(-(x / f.eps)))
+            want = f.pexp.eval((x, y)) * decay + f.pplain.eval((x, y))
+            size = (_magnitude(f.pexp, x, y) * decay
+                    + _magnitude(f.pplain, x, y))
+            slack = F(sys.float_info.min) * _magnitude(f.pexp, x, y)
+            assert abs(F(value) - want) <= F(1, 10 ** 13) * size + slack
+            if f.is_zero():
+                assert value == 0.0
+
+
 # -- assembly/solve -----------------------------------------------------------------
 
 def saddle_point_system(space, case, gamma):
@@ -129,6 +193,72 @@ def saddle_point_system(space, case, gamma):
     rhs = np.concatenate([rhs[free] - A[free][:, fixed] @ g,
                           -B[:, fixed] @ g, [0.0]])
     return K, rhs
+
+
+@pytest.fixture(scope="module")
+def space64():
+    return DGSpace(build_uniform(64))
+
+
+@pytest.mark.parametrize("eps, degree, layer_degree", [
+    (0.1, 8, None), (0.1, 16, None), (0.1, 30, None), (0.1, 60, None),
+    (1e-3, 30, 60),       # doubled rule on the layer elements
+])
+def test_quadrature_batches_are_bounded(space64, eps, degree, layer_degree):
+    batches = list(stokes._quadrature(space64, manufactured_case(eps), degree))
+    sizes = {degree: len(simplex_rule(2, degree)[1])}
+    if layer_degree:
+        sizes[layer_degree] = len(simplex_rule(2, layer_degree)[1])
+    assert len(batches) > 1
+    for ids, phys, wts in batches:
+        assert phys.shape == (len(ids), wts.shape[1], 2)
+        assert wts.shape[1] in sizes.values()
+        assert len(ids) * wts.shape[1] <= QUAD_BATCH_POINTS
+    if layer_degree:
+        assert {wts.shape[1] for _, _, wts in batches} == set(sizes.values())
+    ids = np.concatenate([ids for ids, _, _ in batches])
+    assert np.array_equal(np.sort(ids), np.arange(space64.n_tri))
+
+
+def test_facet_batches_do_not_change_the_blocks(monkeypatch, case01):
+    # batches of 7 interior facets (the last one partial) against one batch
+    space = DGSpace(study_mesh("shishkin", 8, 0.1)[0])
+    A, B, rhs = assemble(space, case01, 12.0)
+    monkeypatch.setattr(stokes, "FACET_BATCH", 7)
+    A7, B7, rhs7 = assemble(space, case01, 12.0)
+    assert len(space.interior) % 7 and len(space.interior) > 7
+    assert abs(A7 - A).max() <= 1e-14 * abs(A).max()
+    assert (B7 != B).nnz == 0 and np.array_equal(rhs7, rhs)
+
+
+def test_stream_matrix_stores_no_roundoff_entries(case01):
+    # with gamma = 4 (the penalty of these meshes) entries of C_f^T A C_f
+    # vanish in exact arithmetic but come out as roundoff, 1e-18 of the
+    # diagonal scale where the others are above 1e-2; which of them are
+    # stored depends on the summation order (and the factor's fill on
+    # them), so the solve must factorize without them
+    space = DGSpace(study_mesh("uniform", 8, 0.1)[0])
+    A, _, _ = assemble(space, case01, 4.0)
+    C_f = space.curl[:, space.stream_free]
+    S = (C_f.T @ A @ C_f).tocoo()
+    d = np.sqrt(S.diagonal())
+    rel = np.abs(S.data) / (d[S.row] * d[S.col])
+    assert np.count_nonzero(rel < 1e-14) > 0 and rel[rel >= 1e-14].min() > 1e-10
+    assert solve(space, case01, 4.0).stats["nnz"] == np.count_nonzero(rel > 1e-12)
+
+
+def test_solve_reports_factor_fill(monkeypatch, case01):
+    factors = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(stokes.spla, "splu", recording_splu)
+    sol = solve(DGSpace(build_uniform(8)), case01, 8.0)
+    (lu,) = factors
+    assert sol.stats["lu_nnz"] == lu.L.nnz + lu.U.nnz > sol.stats["nnz"]
 
 
 def test_matrix_symmetry(case01):
