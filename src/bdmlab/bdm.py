@@ -16,7 +16,8 @@ are taken in a facet chart against the scaled outward normal, which makes
 them equal to the physical surface moments while keeping every number
 rational.  The rows at degree k are the Vandermonde matrix; `dof_values`
 scales a field of any degree once to ints over one denominator and applies
-each DOF as an integer dot product, exact on rational simplices.
+each DOF as an integer dot product.  Simplex vertices are Fractions, so
+the element and every interpolant of a rational field are exact.
 """
 
 from dataclasses import dataclass, field

@@ -2,9 +2,10 @@
 and Piola transforms, plus the constructive classification onto the two
 axis-aligned reference families of anisotropic elements.
 
-Coordinates may be Fractions (exact mode) or floats.  Everything that can
-stay rational does: scaled facet normals, charts, volumes and the Piola
-transform of polynomial fields are exact for rational vertices.
+Coordinates are Fractions: a float becomes the shortest decimal that
+rounds to it, the one its `repr` prints.  Scaled facet normals, charts,
+volumes and the Piola transform of polynomial fields are exact; only edge
+lengths and directions that are not rational fall back to floats.
 """
 
 import math
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import invert
 from .polynomials import Polynomial, VectorPoly
 
 DEFAULT_RVP_THRESHOLD = 0.1
@@ -26,11 +28,13 @@ class DegenerateSimplexError(ValueError):
 
 
 def _as_number(x):
+    """x as a Fraction; a float (numpy's included) as the decimal its repr
+    prints, and nan or inf raise ValueError."""
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, Fraction):
         return x
-    return float(x)
+    return Fraction(repr(float(x)))
 
 
 def _det(m):
@@ -79,10 +83,6 @@ class Simplex:
     @property
     def dim(self):
         return len(self.vertices[0])
-
-    @property
-    def exact(self):
-        return all(isinstance(x, Fraction) for v in self.vertices for x in v)
 
     def edge_matrix(self):
         """Columns p_i - p_0, i = 1..d."""
@@ -160,7 +160,7 @@ def t_bar_simplex():
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x = J xtilde + x0.  Entries may be Fractions (exact) or floats."""
+    """x = J xtilde + x0, with Fraction entries read as for `Simplex`."""
 
     matrix: tuple
     offset: tuple
@@ -188,12 +188,7 @@ class AffineMap:
         )
 
     def inverse(self):
-        from .linalg import invert
-        exact = all(isinstance(x, Fraction) for r in self.matrix for x in r)
-        if exact:
-            inv = invert([list(r) for r in self.matrix])
-        else:
-            inv = np.linalg.inv(np.array(self.matrix, dtype=float)).tolist()
+        inv = invert([list(r) for r in self.matrix])
         ioff = [-sum(inv[i][j] * self.offset[j] for j in range(self.dim))
                 for i in range(self.dim)]
         return AffineMap(tuple(tuple(r) for r in inv), tuple(ioff))
@@ -267,26 +262,25 @@ def max_angle(s: Simplex):
 
 
 def _sqrt_or_float(x):
-    """Square root, kept as an exact Fraction for perfect rational squares."""
-    if isinstance(x, Fraction):
-        rn = math.isqrt(x.numerator)
-        rd = math.isqrt(x.denominator)
-        if rn * rn == x.numerator and rd * rd == x.denominator:
-            return Fraction(rn, rd)
+    """Square root of a Fraction, kept exact for perfect rational squares."""
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
     return math.sqrt(float(x))
 
 
 def _unit_vector(e, length):
-    """e / length, exact per component when it and the length are rational."""
-    return tuple(x / length if isinstance(length, Fraction) and isinstance(x, Fraction)
-                 else float(x) / float(length) for x in e)
+    """e / length: exact for a rational length, floats for an irrational
+    (float) one."""
+    return tuple(x / length for x in e)
 
 
 def _vertex_direction_data(s, k):
     """Unit outgoing edge directions from vertex k and the edge lengths,
-    ordered by target vertex index; also |det N_k| squared, exact when
-    the simplex is rational.  Lengths and directions stay rational whenever
-    the edge lengths are perfect rational squares."""
+    ordered by target vertex index; also |det N_k| squared, exact.  Lengths
+    and directions stay rational whenever the edge lengths are perfect
+    rational squares."""
     pk = s.vertices[k]
     others = [j for j in range(s.dim + 1) if j != k]
     edges = [_sub(s.vertices[j], pk) for j in others]
@@ -335,7 +329,7 @@ def _t1_candidate(s, anchor):
     origin role: J columns are the unit edge directions."""
     others, lengths, dirs, _ = _vertex_direction_data(s, anchor)
     d = s.dim
-    zero = Fraction(0) if s.exact else 0.0
+    zero = Fraction(0)
     ref_roles = [(zero,) * d] + [
         tuple(h if c == m else zero for c in range(d))
         for m, h in enumerate(lengths)]
@@ -350,7 +344,7 @@ def _t2_candidate(s, perm):
     hs = [_sqrt_or_float(_dot(e, e)) for e in edges]
     h1, h2, h3 = hs
     cols = [_unit_vector(e, h) for e, h in zip(edges, hs)]
-    zero = Fraction(0) if s.exact else 0.0
+    zero = Fraction(0)
     ref_roles = [(zero, zero, zero), (h1, h2, zero), (zero, h2, zero), (zero, zero, h3)]
     return _candidate(s, perm, ref_roles, cols, hs)
 

@@ -18,7 +18,8 @@ def over_common_denominator(values):
     """(numerators, denominator) with value == numerator / denominator.
 
     Rationals give ints over the lcm of their denominators.  Anything else
-    (the floats of a float-vertex simplex) is returned as is, over 1."""
+    (float coefficients, such as those of an irrational edge direction) is
+    returned as is, over 1."""
     values = list(values)
     try:
         den = lcm(*(x.denominator for x in values))

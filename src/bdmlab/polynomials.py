@@ -59,8 +59,7 @@ def composed_monomials(chart, degree):
     `chart` is (A, b), the map t -> A t + b.  D is the common denominator
     of the chart's entries, so each P_a has int coefficients (dense over
     the monomials of t up to |a|, graded order): P_a is one lower-degree P
-    times one scaled chart coordinate.  A float chart gives float P_a over
-    D = 1."""
+    times one scaled chart coordinate."""
     matrix, origin = chart
     dim, nvars = len(matrix), len(matrix[0])
     nums, D = over_common_denominator([x for row in matrix for x in row]

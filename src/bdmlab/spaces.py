@@ -21,7 +21,6 @@ from math import factorial
 from operator import add, mul
 
 from . import linalg
-from .geometry import Simplex
 from .linalg import over_common_denominator, quotient
 from .polynomials import (Polynomial, VectorPoly, composed_monomials,
                           integrate_reference, monomial_indices,
@@ -113,8 +112,7 @@ class MomentTable:
     with a cached table of int reference moments g! F / (|g| + d)!.  A
     miss refills the whole table up to the missing degree.  Charts, the
     scaled facet normals (as ints over one denominator, `normals`) and
-    |det| are computed once.  A float-vertex simplex goes through the same
-    code with float entries over denominator 1.
+    |det| are computed once.
     """
 
     __slots__ = ("dim", "normals", "_chart", "_det", "_facet_charts",
@@ -190,17 +188,12 @@ class MomentTable:
 
 
 @lru_cache(maxsize=8)
-def _cached_table(simplex, exact):
-    return MomentTable(simplex)
-
-
 def moment_table(simplex):
     """The MomentTable of a simplex, shared through a small LRU cache.
 
     Entries depend on the vertices only, so sharing a table cannot change a
-    result; an exact simplex and a float one with equal vertices get
-    separate tables, since they compute in different number types."""
-    return _cached_table(simplex, simplex.exact)
+    result."""
+    return MomentTable(simplex)
 
 
 def integrate_poly(p: Polynomial, simplex):
@@ -263,17 +256,10 @@ def basis_nk(dim, k):
 
 
 def basis_qk(simplex, k):
-    """Basis of {z in P_k^d : div z = 0, z . n = 0 on every facet}.
-
-    The constraints are built on the exact binary values of float vertices:
-    rounded float rows can be independent, which would lose members.  The
-    members of a float simplex come back with float coefficients."""
+    """Basis of {z in P_k^d : div z = 0, z . n = 0 on every facet}, via an
+    exact nullspace."""
     if k < 1:
         return SpaceBasis("Qk", k, ())
-    exact = simplex.exact
-    if not exact:
-        simplex = Simplex(tuple(tuple(Fraction(x) for x in v)
-                                for v in simplex.vertices))
     dim = simplex.dim
     unknowns = _vector_unknowns(dim, k)
     # divergence coefficients vanish
@@ -300,8 +286,6 @@ def basis_qk(simplex, k):
                 facet_rows[facet_index[ta]][col] += tc * m[comp]
         rows.extend(facet_rows)
     null = linalg.nullspace(rows, ncols=len(unknowns))
-    if not exact:
-        null = [[float(x) for x in vec] for vec in null]
     return SpaceBasis("Qk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
 

@@ -513,7 +513,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     B_f = B[:, free]
-    normal = (B_f @ B_f.T).tocsc()[1:, 1:]
+    normal = spla.splu((B_f @ B_f.T).tocsc()[1:, 1:])
 
     def correction(r, u0, total):
         """Velocity and area-scaled pressure for the momentum right-hand
@@ -521,7 +521,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         function fixes and `total` the sum of the pressure."""
         u = u0 + C_f @ lu.solve(C_f.T @ (r - A @ u0))
         p = np.zeros(space.n_tri)
-        p[1:] = spla.spsolve(normal, (B_f @ (r - A @ u)[free])[1:])
+        p[1:] = normal.solve((B_f @ (r - A @ u)[free])[1:])
         p += areas * ((total - p.sum()) / areas.sum())
         return u, p
 

@@ -188,7 +188,7 @@ def test_quadrature_default_degree_for_callables():
 
 # -- float vertices --------------------------------------------------------------
 
-# binary fractions, so the rational element lives on the same simplex
+# binary fractions: each float is the decimal it prints as and its own value
 FLOAT_VERTICES = [
     ((0.0, 0.0), (1.0, 0.0), (0.0, 0.5)),
     ((0.25, -0.5), (1.5, 0.125), (-0.75, 2.0)),
@@ -196,31 +196,28 @@ FLOAT_VERTICES = [
 ]
 
 
-def check_float_element(vertices, k, variant, tol):
-    """The float element on `vertices` interpolates like the rational one on
-    the same binary values: every coefficient within tol of the largest."""
+def check_float_element(vertices, k, variant):
+    """A float vertex is the decimal it prints as: the simplex equals the
+    one on the Fractions of those decimals, and both interpolate alike."""
     floats = Simplex(vertices)
-    exact = Simplex(tuple(tuple(F(c) for c in v) for v in vertices))
-    assert not floats.exact and exact.exact
+    decimals = Simplex(tuple(tuple(F(repr(c)) for c in v) for v in vertices))
+    assert floats == decimals == Simplex(np.array(vertices))
+    assert all(type(c) is F for v in floats.vertices for c in v)
     v = random_field(floats.dim, k + 1, random.Random(f"{vertices}{k}"))
-    want = build_element(exact, k, variant).interpolate(v)
     got = build_element(floats, k, variant).interpolate(v)
-    assert all(isinstance(c, float) for p in got.comps for c in p.terms.values())
-    scale = max(abs(float(c)) for p in want.comps for c in p.terms.values())
-    for pg, pw in zip(got.comps, want.comps):
-        for alpha in set(pg.terms) | set(pw.terms):
-            assert abs(float(pg.coeff(alpha)) - float(pw.coeff(alpha))) \
-                <= tol * scale
+    assert all(type(c) is F for p in got.comps for c in p.terms.values())
+    assert got == build_element(decimals, k, variant).interpolate(v)
 
 
 @pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("vertices", FLOAT_VERTICES)
 def test_float_vertices_match_rational_element(vertices, k, variant):
-    check_float_element(vertices, k, variant, 1e-12)
+    check_float_element(vertices, k, variant)
 
 
-# one-decimal vertices are not binary fractions, so each float is rounded
+# one-decimal vertices are not binary fractions: each float's binary value
+# differs from the decimal, and the simplex takes the decimal
 DECIMAL_CASES = [
     (((0.1, 0.2), (1.3, 0.1), (0.2, 1.1)), 2),
     (((-0.3, 0.7), (0.9, -0.2), (0.4, 1.6)), 2),
@@ -233,7 +230,9 @@ DECIMAL_CASES = [
 
 @pytest.mark.parametrize("vertices,k", DECIMAL_CASES)
 def test_decimal_vertices_bdm_original(vertices, k):
-    check_float_element(vertices, k, "bdm_original", 1e-5)
+    binary = tuple(tuple(F(c) for c in v) for v in vertices)
+    assert Simplex(vertices).vertices != binary
+    check_float_element(vertices, k, "bdm_original")
 
 
 # -- Piola commuting ------------------------------------------------------------

@@ -257,7 +257,9 @@ def test_solve_reports_factor_fill(monkeypatch, case01):
 
     monkeypatch.setattr(stokes.spla, "splu", recording_splu)
     sol = solve(DGSpace(build_uniform(8)), case01, 8.0)
-    (lu,) = factors
+    # the stream-function system, then the pressure normal equations
+    lu, _ = factors
+    assert lu.shape[0] == sol.stats["n_unknowns"]
     assert sol.stats["lu_nnz"] == lu.L.nnz + lu.U.nnz > sol.stats["nnz"]
 
 
