@@ -14,25 +14,41 @@ denominator, read off the element's `MomentTable` (a facet table row times
 the scaled normal, or an interior row cached per table).  Facet moments
 are taken in a facet chart against the scaled outward normal, which makes
 them equal to the physical surface moments while keeping every number
-rational.  The rows at degree k are the Vandermonde matrix; `dof_values`
-scales a field of any degree once to ints over one denominator and applies
-each DOF as an integer dot product.  Simplex vertices are Fractions, so
-the element and every interpolant of a rational field are exact.
+rational.  `dof_values` scales a field of any degree once to ints over
+one denominator and applies each DOF as an integer dot product.
+
+The interpolant's coefficients are the inverse DOF (Vandermonde) matrix
+applied to the DOF values, held as int rows over one denominator.  The
+two variants get it differently:
+
+* ``nedelec`` commutes with the contravariant Piola map, so one reference
+  element per (d, k), built from its own DOF matrix on
+  `reference_simplex(d)` the first time it is needed and then cached, is
+  mapped onto each simplex in integer arithmetic (`_mapped_inverse`);
+* ``bdm_original`` does not (its Q_k moments do not map), so each element
+  inverts its own DOF matrix, the DOF rows at degree k.
+
+Simplex vertices are Fractions, so the element and every interpolant of a
+rational field are exact, and both ways give the same Fractions.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
 from . import linalg
-from .geometry import Simplex, piola_push, reference_simplex, t_bar_simplex
+from .geometry import (AffineMap, Simplex, piola_push, reference_simplex,
+                       t_bar_simplex)
 from .linalg import quotient
 # integrate_poly and integrate_reference stay importable by name from this
 # module: perfbench/tracing.py rebinds them here.
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
-                          integrate_reference, monomial_indices)
+                          composed_monomials, integrate_reference,
+                          monomial_indices)
 from .quadrature import simplex_rule
 from .spaces import (basis_nk, basis_pk, basis_qk, integrate_poly,  # noqa: F401
                      moment_table, scaled_field)
@@ -158,23 +174,33 @@ class BDMElement:
         if len(self.dofs) != simplex.dim * n:
             raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
                                    f"{simplex.dim * n}-dim space")
-        # the basis is the component-major monomial basis of P_k^d, so the
-        # Vandermonde matrix is the DOF rows at degree k
+        # the inverse DOF matrix as int rows over one common denominator, so
+        # that applying it to DOF values is integer arithmetic
+        if variant == "nedelec" and simplex != reference_simplex(simplex.dim):
+            self._inverse, self._denominator = _mapped_inverse(
+                simplex, _reference_element(simplex.dim, order))
+        else:
+            self._inverse, self._denominator = self._vandermonde_inverse()
+        self._inverse_float = None
+
+    def _vandermonde_inverse(self):
+        """(rows, den): the inverse of the element's own DOF matrix, as int
+        rows over one denominator.  The basis is the component-major
+        monomial basis of P_k^d, so that matrix is the DOF rows at degree
+        k."""
+        n = len(self._monomials)
         vandermonde = []
         for dof in self.dofs:
-            rows, den = dof.rows(self, order)
+            rows, den = dof.rows(self, self.order)
             vandermonde.append([quotient(x, den) for row in rows for x in row[:n]])
         try:
             inverse = linalg.invert(vandermonde)
         except linalg.SingularMatrixError as exc:
             raise UnisolvenceError("singular DOF system") from exc
-        # the inverse as integers over one common denominator, so that
-        # applying it to DOF values is integer arithmetic
-        nums, self._denominator = linalg.over_common_denominator(
+        nums, den = linalg.over_common_denominator(
             x for row in inverse for x in row)
         size = len(inverse)
-        self._inverse = [nums[i:i + size] for i in range(0, size * size, size)]
-        self._inverse_float = None
+        return [nums[i:i + size] for i in range(0, size * size, size)], den
 
     @property
     def ndofs(self):
@@ -220,6 +246,95 @@ class BDMElement:
 
 def build_element(simplex, k, variant="nedelec") -> BDMElement:
     return BDMElement(simplex, k, variant)
+
+
+@lru_cache(maxsize=None)
+def _reference_element(dim, order):
+    """The `nedelec` element on reference_simplex(dim), built from its own
+    DOF matrix the first time a (dim, order) is asked for: every other
+    `nedelec` element is mapped from it."""
+    return BDMElement(reference_simplex(dim), order)
+
+
+def _mapped_inverse(simplex, ref):
+    """(rows, den): the inverse DOF matrix of the `nedelec` element on
+    `simplex`, mapped from the reference element `ref`.
+
+    F(xh) = B xh + b takes reference vertex i to vertex i of the simplex,
+    J = det B, and the contravariant Piola map P w = J^-1 B (w o F^-1)
+    carries the reference element onto this one:
+
+    * facet charts and scaled normals are affine-covariant (m = |J| B^-T
+      mh), so each facet DOF of P w is sign(J) times that of w;
+    * an interior weight z pulls back to B^T (z o F), and N_{k-1} is
+      invariant under this map.
+
+    Hence V^-1 = sign(J) M Vh^-1 C^-1: M is P on monomial coefficients,
+    and C^-1 is the identity on facet DOFs and holds, on interior DOFs,
+    the basis_nk coordinates of B^-T (zh o F^-1).  A member of basis_nk
+    is 1 at its last nonzero entry and 0 at that of every other member
+    (the monomials of P_{k-2}^d, and S_{k-1}'s nullspace vectors at their
+    free columns), so those coordinates are read off, not solved for.
+    Everything is ints over one denominator, divided by their gcd at the
+    end, so the rows are those the element's own DOF matrix would give.
+    """
+    d, k = simplex.dim, ref.order
+    *vertices, origin = simplex.vertices
+    amap = AffineMap(tuple(tuple(v[r] - origin[r] for v in vertices)
+                           for r in range(d)), origin)
+    inv = amap.inverse()
+    composed, D = composed_monomials((inv.matrix, inv.offset), k)
+    # Q[g][j] = D^k times the coefficient of x^g in xh^a o F^-1, a the
+    # j-th monomial
+    n = len(composed)
+    Q = [[0] * n for _ in range(n)]
+    for j, (a, P) in enumerate(composed.items()):
+        scale = D ** (k - sum(a))
+        for g, x in enumerate(P):
+            Q[g][j] = x * scale
+
+    def push(comps, mix):
+        """Component r of sum_c mix[r][c] (Q comps[c]): a field's int
+        coefficients composed with F^-1 (times D^k), then mixed."""
+        composed_comps = [[sum(map(mul, row, comp)) for row in Q]
+                          for comp in comps]
+        return [[sum(map(mul, mix_row, column))
+                 for column in zip(*composed_comps)] for mix_row in mix]
+
+    # C^-1 on interior DOFs, times Dc: B^-T is (D B^-1)^T / D, so the
+    # pushed weight zh is over zh.denominator D^(k+1)
+    nf = (d + 1) * len(monomial_indices(d - 1, k))
+    weights = [scaled_field(dof.weight) for dof in ref.dofs[nf:]]
+    pivots = [max((c, j) for c, comp in enumerate(z.comps)
+                  for j, x in enumerate(comp) if x) for z in weights]
+    inverse_transposed = [[int(row[r] * D) for row in inv.matrix]
+                          for r in range(d)]
+    lcm_den = lcm(*(z.denominator for z in weights))
+    coords = []
+    for z in weights:
+        pushed = push(z.comps, inverse_transposed)
+        coords.append([pushed[c][j] * (lcm_den // z.denominator)
+                       for c, j in pivots])
+    Dc = lcm_den * D ** (k + 1)
+    # Vh^-1 C^-1, its facet columns still to be multiplied by Dc: they go
+    # through M as the reference's small ints
+    product = [row[:nf] + [sum(map(mul, row[nf:], column))
+                           for column in zip(*coords)]
+               for row in ref._inverse]
+    # M applied to each column: B (as ints over B_den) on the components
+    nums, B_den = linalg.over_common_denominator(
+        x for row in amap.matrix for x in row)
+    B = [nums[r * d:(r + 1) * d] for r in range(d)]
+    columns = [[x for comp in push([column[c * n:(c + 1) * n]
+                                    for c in range(d)], B) for x in comp]
+               for column in zip(*product)]
+    # sign(J) / J == 1 / |J|
+    J = amap.det()
+    den = abs(J.numerator) * B_den * D ** k * ref._denominator * Dc
+    scales = [J.denominator * Dc] * nf + [J.denominator] * len(coords)
+    rows = [list(map(mul, row, scales)) for row in zip(*columns)]
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
 
 
 @dataclass(frozen=True)

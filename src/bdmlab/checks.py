@@ -116,7 +116,7 @@ def check_counterexample_3d() -> CheckResult:
         lhs_sq = l2_norm_sq(err, tet)
         # the display chain is normalized by ||x3||^2 = h1 h2 h3 h3^2 / 20,
         # pinned by the brute-force integral oracle
-        normalizer = integrate_poly(X[2] * X[2], tet)
+        normalizer = integrate_poly(X[2], tet, X[2])
         res.record(normalizer == h1 * h2 * h3 * h3 ** 2 / 20,
                    f"normalizer = {normalizer} = h1 h2 h3 h3^2/20")
         res.record(

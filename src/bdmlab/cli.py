@@ -33,8 +33,11 @@ from .stokes import convergence_study, holds_contracts, study_to_csv
 # the size of the coefficients.
 MAX_FIELD_DEGREE = 12
 MAX_COEFF_BITS = 1024
-# Bound on --k: one d = 3 `nedelec` build took 0.8 s at k = 4, 10 s at
-# k = 6 and 189 s at k = 8 (one core of a shared 2-core VM, Python 3.11).
+# Bound on --k: the first d = 3 `nedelec` build of an order builds the
+# reference element from its own DOF matrix, 0.5 s at k = 4, 8.9 s at
+# k = 6 and 152 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
+# 11 s on a rational one (one core of a shared 2-core VM, Python 3.11).
+# A `bdm_original` build inverts its own DOF matrix: 26 s at k = 4 there.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
 # per element, and `stokes` doubles q on layer elements for eps <= 1e-3;
@@ -45,9 +48,9 @@ MAX_QUAD_DEGREE = 30
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
 MAX_POW = 40
-# Bound on --N: one `stokes` solve at N = 256 (eps = 0.1, Shishkin mesh)
-# peaks at 2.4 GiB, and the fill of its factorization grows about 6x per
-# doubling of N (same machine).
+# Bound on --N: the whole study `stokes --eps 0.1 --N 8 --N 16 ... --N 256`
+# (Shishkin meshes) peaks at 1.68 GiB and takes 27 s, and the fill of the
+# factorization grows about 6x per doubling of N (same machine).
 MAX_MESH_N = 256
 
 

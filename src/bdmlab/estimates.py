@@ -29,10 +29,9 @@ MAC_RATIO_CAP = 100.0    # absolute cap used by the 100-random-element check
 # norms and derivative aggregates
 
 def l2_norm_sq(f, simplex):
-    """Exact squared L2 norm of a Polynomial or VectorPoly."""
-    if isinstance(f, VectorPoly):
-        return integrate_poly(f.dot(f), simplex)
-    return integrate_poly(f * f, simplex)
+    """Exact squared L2 norm of a Polynomial or VectorPoly, as the quadratic
+    form of `integrate_poly` with f as both factors."""
+    return integrate_poly(f, simplex, f)
 
 
 def l2_norm(f, simplex):
@@ -144,10 +143,10 @@ def poly_project(v, simplex, m):
     """L2-orthogonal projection onto P_m (componentwise for vector fields),
     solved exactly from the Gram system."""
     scalars = basis_pk(simplex.dim, m)
-    gram = [[integrate_poly(a * b, simplex) for b in scalars] for a in scalars]
+    gram = [[integrate_poly(a, simplex, b) for b in scalars] for a in scalars]
 
     def project(p):
-        rhs = [integrate_poly(p * b, simplex) for b in scalars]
+        rhs = [integrate_poly(p, simplex, b) for b in scalars]
         w = Polynomial.zero(simplex.dim)
         for c, b in zip(linalg.solve(gram, rhs), scalars):
             w = w + b * c

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import invert
 from .polynomials import Polynomial, VectorPoly
 
 DEFAULT_RVP_THRESHOLD = 0.1
@@ -48,6 +47,14 @@ def _det(m):
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     raise ValueError("only dimensions 1-3 supported")
+
+
+def _adjugate(m):
+    """adj(m), with m adj(m) == det(m) I: cofactor (j, i) at (i, j)."""
+    n = len(m)
+    return [[(-1) ** (i + j) * _det([[m[r][c] for c in range(n) if c != i]
+                                     for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
 
 
 def _dot(a, b):
@@ -188,7 +195,8 @@ class AffineMap:
         )
 
     def inverse(self):
-        inv = invert([list(r) for r in self.matrix])
+        det = self.det()
+        inv = [[x / det for x in row] for row in _adjugate(self.matrix)]
         ioff = [-sum(inv[i][j] * self.offset[j] for j in range(self.dim))
                 for i in range(self.dim)]
         return AffineMap(tuple(tuple(r) for r in inv), tuple(ioff))

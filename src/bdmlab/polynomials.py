@@ -315,14 +315,6 @@ class VectorPoly:
     def __hash__(self):
         return hash(self.comps)
 
-    def dot(self, other):
-        """Dot with a constant vector or another VectorPoly -> Polynomial."""
-        out = Polynomial(self.dim)
-        for i, p in enumerate(self.comps):
-            w = other[i] if not isinstance(other, VectorPoly) else other.comps[i]
-            out = out + p * w
-        return out
-
     def divergence(self):
         out = Polynomial(self.dim)
         for i, p in enumerate(self.comps):

@@ -11,7 +11,9 @@ ones below degree k already lie in P_{k-1}^d.
 Exact integrals are integer arithmetic: a moment table holds its entries
 as ints over one denominator, and a polynomial or field is scaled once to
 ints over the lcm of its coefficients' denominators, so each integral is
-one integer dot product and one Fraction.
+one integer dot product and one Fraction.  The integral of a product,
+an L2 norm squared included, is a quadratic form in the two factors'
+coefficients: the product is never formed.
 """
 
 from dataclasses import dataclass
@@ -102,8 +104,8 @@ class MomentTable:
     functional on monomial coefficients, so it reduces to an integer dot
     product against two kinds of moment:
 
-    * `volume(n)`: int_T x^a dx for |a| <= n, behind ``integrate(p)`` and
-      `weighted_rows`;
+    * `volume(n)`: int_T x^a dx for |a| <= n, behind `weighted_rows` and
+      ``integrate(f, g)``;
     * `facet(i, n, m)`: int_ref (x^a o chart_i) t^alpha dt on facet i, in
       the chart of `Simplex.facet_chart`, for |a| <= n and |alpha| <= m.
 
@@ -178,13 +180,14 @@ class MomentTable:
                          for a in monomial_positions(self.dim, degree)])
         return rows, wden * den
 
-    def integrate(self, p: Polynomial):
-        """Exact int_T p dx."""
-        V, den = self.volume(p.degree)
-        positions = monomial_positions(self.dim, p.degree)
-        nums, pden = over_common_denominator(p.terms.values())
-        total = sum(map(mul, nums, [V[positions[a]] for a in p.terms]))
-        return quotient(total, pden * den)
+    def integrate(self, f: VectorPoly, g: VectorPoly):
+        """Exact int_T f . g dx, never forming the product: sum_c sum_{a,b}
+        f_c,a g_c,b V[a + b], with g's `weighted_rows` against f scaled
+        once to ints."""
+        fs = scaled_field(f)
+        rows, den = self.weighted_rows(g, fs.degree)
+        total = sum(sum(map(mul, comp, row)) for comp, row in zip(fs.comps, rows))
+        return quotient(total, den * fs.denominator)
 
 
 @lru_cache(maxsize=8)
@@ -196,9 +199,13 @@ def moment_table(simplex):
     return MomentTable(simplex)
 
 
-def integrate_poly(p: Polynomial, simplex):
-    """Exact integral of a polynomial over a simplex."""
-    return moment_table(simplex).integrate(p)
+def integrate_poly(f, simplex, g=None):
+    """Exact int_T f g dx over a simplex (f . g for fields); g defaults to
+    1.  The product is never formed (`MomentTable.integrate`)."""
+    if not isinstance(f, VectorPoly):
+        f = VectorPoly([f])
+        g = VectorPoly([Polynomial.constant(f.dim, 1) if g is None else g])
+    return moment_table(simplex).integrate(f, g)
 
 
 def basis_pk(dim, k):

@@ -14,6 +14,8 @@ from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              t_bar_simplex)
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 
+from test_moments import dot
+
 F = Fraction
 
 
@@ -298,9 +300,9 @@ def test_piola_preserves_facet_fluxes():
     pushed = piola_push(amap, v)
     for i in range(3):
         flux_ref = integrate_reference(
-            v.compose_affine(*ref.facet_chart(i)).dot(ref.scaled_facet_normal(i)))
+            dot(v.compose_affine(*ref.facet_chart(i)), ref.scaled_facet_normal(i)))
         flux_phys = integrate_reference(
-            pushed.compose_affine(*phys.facet_chart(i)).dot(
+            dot(pushed.compose_affine(*phys.facet_chart(i)),
                 phys.scaled_facet_normal(i)))
         assert flux_ref * (1 if amap.det() > 0 else -1) == flux_phys
 

@@ -1,7 +1,9 @@
 """Polynomial.compose_affine, the DOF functionals and integrate_poly against
 a substitute-then-integrate oracle that shares no code with the moment
-tables, and the invariants of the interpolant (projection, Piola commuting,
-vertex relabelling), on random rational triangles and tetrahedra."""
+tables, the mapped `nedelec` elements against the inverse of their own DOF
+matrix, and the invariants of the interpolant (projection, Piola
+commuting, vertex relabelling), on random rational triangles and
+tetrahedra."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bdmlab import bdm, linalg
 from bdmlab.bdm import (FacetMoment, InteriorMoment, build_element,
                         commutes_with_piola)
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
-                             reference_simplex)
+                             reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
 from bdmlab.spaces import MomentTable, integrate_poly
@@ -53,6 +56,12 @@ def charts(draw, dim, nvars):
 
 # -- the oracle: substitute the chart into the whole integrand, then integrate
 
+def dot(v, w):
+    """sum_c v_c w_c as one Polynomial, with Polynomial products: w is a
+    VectorPoly or a constant vector."""
+    return sum((p * w_c for p, w_c in zip(v.comps, w)), Polynomial.zero(v.dim))
+
+
 def substitute(p, matrix, offset):
     """p(A t + b) by plain substitution, sum_a c_a prod_i (A_i t + b_i)^a_i,
     with Polynomial products and powers only."""
@@ -82,9 +91,9 @@ def facet_moment_oracle(simplex, facet, v):
     """alpha -> the moment of v's normal trace against t^alpha on the
     facet, with the trace substituted once."""
     matrix, origin = simplex.facet_chart(facet)
-    normal_trace = VectorPoly([substitute(p, matrix, origin)
-                               for p in v.comps]).dot(
-        simplex.scaled_facet_normal(facet))
+    normal_trace = dot(VectorPoly([substitute(p, matrix, origin)
+                                   for p in v.comps]),
+                       simplex.scaled_facet_normal(facet))
     return lambda alpha: integrate_reference(
         normal_trace * Polynomial.monomial(simplex.dim - 1, alpha))
 
@@ -110,7 +119,37 @@ def test_compose_affine_matches_substitution(case):
 def test_integrate_poly_matches_oracle(case):
     simplex, p = case
     assert integrate_poly(p, simplex) == integrate_oracle(p, simplex)
-    assert MomentTable(simplex).integrate(p) == integrate_oracle(p, simplex)
+    one = VectorPoly([Polynomial.constant(simplex.dim, 1)])
+    assert MomentTable(simplex).integrate(VectorPoly([p]), one) == \
+        integrate_oracle(p, simplex)
+
+
+@st.composite
+def factor_pairs(draw):
+    """A simplex and two fields of degree <= 5, both scalar (one
+    component) or both with d components; either may be the zero field."""
+    dim = draw(st.integers(2, 3))
+    ncomp = draw(st.sampled_from([1, dim]))
+
+    def factor():
+        degree = draw(st.integers(0, 5))
+        return draw(st.one_of(
+            st.just(VectorPoly.zero(ncomp, dim)),
+            st.lists(polynomials(dim, degree), min_size=ncomp,
+                     max_size=ncomp).map(VectorPoly)))
+
+    return draw(simplices(dim)), factor(), factor()
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_pairs())
+def test_integrate_poly_two_factors_matches_product(case):
+    # the quadratic form against the integral of the formed product
+    simplex, f, g = case
+    expected = integrate_poly(dot(f, g), simplex)
+    assert integrate_poly(f, simplex, g) == expected
+    if f.ncomp == 1:
+        assert integrate_poly(f.comps[0], simplex, g.comps[0]) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,7 +173,7 @@ def test_interior_moments_match_oracle(case):
     simplex, weight, v = case
     dof = InteriorMoment(weight, "test")
     assert dof.apply(element_stub(simplex, 1), v) == integrate_oracle(
-        v.dot(weight), simplex)
+        dot(v, weight), simplex)
 
 
 @pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
@@ -189,3 +228,70 @@ def test_interpolant_invariant_under_vertex_relabelling(dim, k, variant):
                 == build_element(simplex, k, variant).interpolate(v))
 
     check()
+
+
+# -- mapped nedelec elements against the direct build
+
+
+def direct_inverse(el):
+    """The inverse of the element's own DOF matrix (its DOF rows at degree
+    k), by exact inversion, as ints over one denominator: the direct build
+    a mapped element must reproduce exactly."""
+    n = len(monomial_indices(el.simplex.dim, el.order))
+    vandermonde = []
+    for dof in el.dofs:
+        rows, den = dof.rows(el, el.order)
+        vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
+    inverse = linalg.invert(vandermonde)
+    return linalg.over_common_denominator(x for row in inverse for x in row)
+
+
+def assert_matches_direct_build(simplex, k):
+    el = build_element(simplex, k)
+    assert ([x for row in el._inverse for x in row],
+            el._denominator) == direct_inverse(el)
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                   (3, 3)])
+def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
+    @settings(max_examples=2 if (dim, k) == (3, 3) else 6, deadline=None)
+    @given(simplices(dim))
+    def check(simplex):
+        # the simplex and its mirror image: both orientations of F
+        v = simplex.vertices
+        mirrored = Simplex((v[1], v[0]) + v[2:])
+        assert simplex.orientation != mirrored.orientation
+        for s in (simplex, mirrored):
+            assert_matches_direct_build(s, k)
+
+    check()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("simplex", [reference_simplex(2), reference_simplex(3),
+                                     t_bar_simplex()])
+def test_reference_elements_match_direct_build(simplex, k):
+    assert_matches_direct_build(simplex, k)
+
+
+def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
+    sizes = []
+    invert = linalg.invert
+
+    def counting_invert(matrix):
+        sizes.append(len(matrix))
+        return invert(matrix)
+
+    monkeypatch.setattr(linalg, "invert", counting_invert)
+    bdm._reference_element.cache_clear()
+    tets = [Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
+                     (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
+                     (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5)))),
+            Simplex(((1, 0, 2), (0, 3, 1), (2, 2, 0), (1, 1, 1))),
+            t_bar_simplex()]
+    build_element(tets[0], 2)
+    assert sizes == [30]      # the reference element, built on first use
+    for tet in tets[1:]:
+        build_element(tet, 2)
+    assert sizes == [30]

@@ -6,6 +6,8 @@ import pytest
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
 
+from test_moments import dot
+
 F = Fraction
 x1 = Polynomial.variable(2, 0)
 x2 = Polynomial.variable(2, 1)
@@ -90,8 +92,8 @@ def test_integrate_reference_monomials():
 
 def test_vectorpoly_dot_and_eval():
     v = VectorPoly([x1, x2])
-    assert v.dot((F(2), F(3))) == 2 * x1 + 3 * x2
-    assert v.dot(v) == x1 ** 2 + x2 ** 2
+    assert dot(v, (F(2), F(3))) == 2 * x1 + 3 * x2
+    assert dot(v, v) == x1 ** 2 + x2 ** 2
     assert v.eval((F(1), F(2))) == (1, 2)
 
 
