@@ -187,20 +187,18 @@ class BDMElement:
         """(rows, den): the inverse of the element's own DOF matrix, as int
         rows over one denominator.  The basis is the component-major
         monomial basis of P_k^d, so that matrix is the DOF rows at degree
-        k."""
+        k, each passed as ints over its own denominator."""
         n = len(self._monomials)
         vandermonde = []
         for dof in self.dofs:
             rows, den = dof.rows(self, self.order)
-            vandermonde.append([quotient(x, den) for row in rows for x in row[:n]])
+            vandermonde.append(linalg.Scaled(
+                [x for row in rows for x in row[:n]], den))
         try:
             inverse = linalg.invert(vandermonde)
         except linalg.SingularMatrixError as exc:
             raise UnisolvenceError("singular DOF system") from exc
-        nums, den = linalg.over_common_denominator(
-            x for row in inverse for x in row)
-        size = len(inverse)
-        return [nums[i:i + size] for i in range(0, size * size, size)], den
+        return inverse, inverse.denominator
 
     @property
     def ndofs(self):

@@ -34,10 +34,11 @@ from .stokes import convergence_study, holds_contracts, study_to_csv
 MAX_FIELD_DEGREE = 12
 MAX_COEFF_BITS = 1024
 # Bound on --k: the first d = 3 `nedelec` build of an order builds the
-# reference element from its own DOF matrix, 0.5 s at k = 4, 8.9 s at
-# k = 6 and 152 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
+# reference element from its own DOF matrix, 0.09 s at k = 4, 1.35 s at
+# k = 6 and 9.1 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
 # 11 s on a rational one (one core of a shared 2-core VM, Python 3.11).
-# A `bdm_original` build inverts its own DOF matrix: 26 s at k = 4 there.
+# A `bdm_original` build inverts its own DOF matrix: 1.0 s at k = 4 and
+# 36 s at k = 6 there.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
 # per element, and `stokes` doubles q on layer elements for eps <= 1e-3;

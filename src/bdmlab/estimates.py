@@ -14,12 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .bdm import build_element
 from .geometry import Simplex
 from .polynomials import Polynomial, VectorPoly, monomial_indices
 from .quadrature import map_rule
-from .spaces import basis_pk, integrate_poly
+from .spaces import integrate_poly
 
 RATIO_SPREAD_CAP = 10.0  # bounded/diverging decision threshold
 MAC_RATIO_CAP = 100.0    # absolute cap used by the 100-random-element check
@@ -134,27 +133,6 @@ def stability_rhs_mac(v, simplex):
     for j in range(simplex.dim):
         terms.append((f"hT*dx{j + 1}", h_t * l2_norm(v.diff(j), simplex)))
     return terms
-
-
-# ---------------------------------------------------------------------------
-# polynomial projection (the concrete Bramble-Hilbert companion)
-
-def poly_project(v, simplex, m):
-    """L2-orthogonal projection onto P_m (componentwise for vector fields),
-    solved exactly from the Gram system."""
-    scalars = basis_pk(simplex.dim, m)
-    gram = [[integrate_poly(a, simplex, b) for b in scalars] for a in scalars]
-
-    def project(p):
-        rhs = [integrate_poly(p, simplex, b) for b in scalars]
-        w = Polynomial.zero(simplex.dim)
-        for c, b in zip(linalg.solve(gram, rhs), scalars):
-            w = w + b * c
-        return w
-
-    if isinstance(v, VectorPoly):
-        return VectorPoly([project(p) for p in v.comps])
-    return project(v)
 
 
 # ---------------------------------------------------------------------------

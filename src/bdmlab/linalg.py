@@ -1,17 +1,43 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra in integers.
 
-All routines work on lists of lists of Fractions (or ints).  Elimination is
-fraction-free in the forward pass: rows are scaled to integers and reduced
-with Bareiss updates, so intermediate entries stay integral and exact.
-Pivoting is deterministic: first nonzero column, lowest row.
+Every routine runs one fraction-free elimination on int rows.  A row may
+hold ints and Fractions, or be a `Scaled` row of ints over its own
+denominator; it is scaled to ints once and divided by its content.  An
+update touches only the live columns right of the pivot, since the
+entries to its left are already zero, and leaves a row alone where it is
+zero under the pivot.  An updated row is divided by its content, so it is
+the primitive part of the row that Bareiss elimination (Math. Comp. 22,
+1968) holds at that step: no entry exceeds the minor Bareiss would hold,
+and on DOF matrices, whose Bareiss rows share most of their bits, the
+entries stay far smaller.  Pivoting is deterministic: first nonzero
+column, then the first row, in input order, that is not a pivot yet.
+
+Back-substitution runs in integers against every right-hand side in one
+pass, each unknown as ints over its own denominator in lowest terms.
+`solve` and `invert` return ints over one positive denominator in lowest
+terms, as a `Scaled`.  `invert` is `solve` against the identity, which is
+never built: its columns are carried in the order the rows become
+pivots, and a row that is not a pivot yet holds only the columns of the
+pivots so far and its own, so only those are stored.  `nullspace`
+returns Fractions.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
     """Raised when a solve/inversion hits a rank-deficient matrix."""
+
+
+class Scaled(list):
+    """Ints, or rows of ints, over one positive `denominator`."""
+
+    __slots__ = ("denominator",)
+
+    def __init__(self, items, denominator):
+        super().__init__(items)
+        self.denominator = denominator
 
 
 def over_common_denominator(values):
@@ -34,127 +60,163 @@ def quotient(num, den):
 
 
 def _integer_rows(matrix):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    return [over_common_denominator([Fraction(x) for x in row])[0]
-            for row in matrix]
+    """(rows, scales): each row as ints divided by their content, so that
+    matrix[i] == rows[i] / scales[i] with scales[i] > 0."""
+    rows, scales = [], []
+    for row in matrix:
+        nums, den = over_common_denominator(row)
+        den *= getattr(row, "denominator", 1)
+        g = gcd(den, *nums)
+        rows.append([x // g for x in nums])
+        scales.append(den // g)
+    return rows, scales
 
 
-def _bareiss_echelon(rows, ncols):
-    """In-place fraction-free forward elimination.
+def _echelon(rows, ncols, identity=False):
+    """Fraction-free forward elimination of the int `rows` over their first
+    `ncols` columns, keeping every row primitive.
 
-    Returns the pivot list [(row, col), ...].  Entries below each pivot are
-    zeroed; rows keep integer entries throughout.
+    Returns the pivots in elimination order as (col, row, index): `row`
+    holds the pivot, then the columns right of it, then the right-hand
+    side; `index` is the row's position in `rows`.  A row that is not a
+    pivot yet is kept from the current column on.  With `identity`, the
+    rows carry the identity on their right, pivot-ordered: the t-th pivot
+    row's own column becomes right-hand side column t.  Until then that
+    column is zero in every other row, so each row keeps its own entry
+    there aside, as `own`.
     """
+    rows = [(row, 1) for row in rows]
+    order = list(range(len(rows)))
     pivots = []
-    prev = 1
-    r = 0
-    nrows = len(rows)
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+        i = next((i for i, (row, _) in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [(row[1:], own) for row, own in rows]
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            rows[i] = [(piv * rows[i][j] - ric * rows[r][j]) // prev
-                       for j in range(len(rows[i]))]
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == nrows:
+        pivot, pivot_own = rows.pop(i)
+        piv, tail = pivot[0], pivot[1:]
+        updated = []
+        for row, own in rows:
+            ric = row[0]
+            new = row[1:]
+            if ric:
+                new = [piv * a - ric * b for a, b in zip(new, tail)]
+                if identity:
+                    new.append(-ric * pivot_own)
+                own *= piv
+                g = gcd(own, *new)
+                if g != 1:
+                    new = [a // g for a in new]
+                    own //= g
+            elif identity:
+                new.append(0)
+            updated.append((new, own))
+        if identity:
+            pivot.append(pivot_own)
+        pivots.append((c, pivot, order.pop(i)))
+        rows = updated
+        if not rows:
             break
     return pivots
 
 
-def _last_pivot(rows, pivots):
-    """The last Bareiss pivot: up to sign, the determinant of the pivot rows
-    and columns of the integer system, so det * x is integral for every
-    solution x of that square system (Cramer's rule)."""
-    if not pivots:
-        return 1
-    r, c = pivots[-1]
-    return rows[r][c]
+def _lowest_terms(nums, den):
+    """(nums, den) divided by their gcd."""
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
 
 
-def _back_substitute(rows, pivots, scaled, ncols):
-    """Integer back-substitution on the echelon rows, in place.
+def _back_substitute(pivots, ncols, width, x):
+    """Back-substitution in integers against `width` right-hand sides at
+    once.
 
-    On entry `scaled` holds det times the right-hand side at each pivot
-    column and det times the fixed free unknowns; on exit it holds det
-    times the solution.  Every division is exact because det * x is
-    integral.
+    x[j] is (nums, den): unknown j is nums[k] / den in right-hand side k.
+    Free unknowns are set on entry; each pivot unknown is filled in, over
+    the lcm of the denominators it depends on times its pivot, in lowest
+    terms.
     """
-    for r, c in reversed(pivots):
-        row = rows[r]
-        s = scaled[c] - sum(row[j] * scaled[j] for j in range(c + 1, ncols))
-        scaled[c] = s // row[c]
+    for c, row, _ in reversed(pivots):
+        terms = [(a, x[j]) for j, a in enumerate(row[1:ncols - c], c + 1) if a]
+        common = lcm(*(den for _, (_, den) in terms))
+        rhs = row[ncols - c:]
+        acc = [common * b for b in rhs] + [0] * (width - len(rhs))
+        for a, (nums, den) in terms:
+            f = a * (common // den)
+            acc = [s - f * v for s, v in zip(acc, nums)]
+        x[c] = _lowest_terms(acc, row[0] * common)
 
 
-def nullspace(matrix, ncols=None):
+def solve(matrix, rhs=None):
+    """Solve M X = rhs exactly for a square nonsingular M; with no `rhs`,
+    X = M^-1.
+
+    `rhs` may be a vector or a list of rows (n rows).  Returns X as a
+    `Scaled` in lowest terms: ints for a vector, else int rows, over one
+    positive denominator.
+    """
+    n = len(matrix)
+    if not n or any(len(row) != n for row in matrix):
+        raise ValueError("solve needs a nonempty square matrix")
+    if rhs is not None and len(rhs) != n:
+        raise ValueError(f"{len(rhs)} right-hand side rows for {n} equations")
+    vector = rhs is not None and not isinstance(rhs[0], (list, tuple))
+    if rhs is None:
+        width, aug = n, matrix
+    else:
+        cols = [[b] for b in rhs] if vector else rhs
+        width = len(cols[0])
+        aug = []
+        for row, b in zip(matrix, cols):
+            # a `Scaled` row's denominator divides its right-hand side too
+            den = getattr(row, "denominator", 1)
+            aug.append(Scaled([*row, *(v * den for v in b)], den))
+    rows, scales = _integer_rows(aug)
+    pivots = _echelon(rows, n, identity=rhs is None)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    x = [None] * n
+    _back_substitute(pivots, n, width, x)
+    den = lcm(*(d for _, d in x))
+    if rhs is None:
+        # M = rows / scales, so M^-1 is rows^-1 with column i times
+        # scales[i]; rows^-1 came with its columns in pivot order
+        position = [0] * n
+        for t, (_, _, i) in enumerate(pivots):
+            position[i] = t
+        x = [([xc[t] * s for t, s in zip(position, scales)], d) for xc, d in x]
+    flat, den = _lowest_terms([v * (den // d) for xc, d in x for v in xc], den)
+    if vector:
+        return Scaled(flat, den)
+    return Scaled([flat[i:i + width] for i in range(0, n * width, width)], den)
+
+
+def invert(matrix):
+    """M^-1 for a square nonsingular M, as int rows over one positive
+    denominator in lowest terms (a `Scaled`)."""
+    return solve(matrix)
+
+
+def nullspace(matrix):
     """Basis of {x : M x = 0} as lists of Fractions.
 
     Deterministic: one basis vector per free column, in column order, scaled
     so its free-column entry is 1.
     """
     if not matrix:
-        raise ValueError("empty constraint matrix; pass ncols for no-op")
-    if ncols is None:
-        ncols = len(matrix[0])
-    rows = _integer_rows(matrix)
-    pivots = _bareiss_echelon(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    det = _last_pivot(rows, pivots)
-    basis = []
-    for f in free_cols:
-        scaled = [0] * ncols
-        scaled[f] = det
-        _back_substitute(rows, pivots, scaled, ncols)
-        basis.append([Fraction(x, det) for x in scaled])
-    return basis
+        raise ValueError("empty constraint matrix")
+    ncols = len(matrix[0])
+    pivots = _echelon(_integer_rows(matrix)[0], ncols)
+    pivot_cols = {c for c, _, _ in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    x = [None] * ncols
+    for k, f in enumerate(free):
+        x[f] = ([int(j == k) for j in range(len(free))], 1)
+    _back_substitute(pivots, ncols, len(free), x)
+    return [[Fraction(nums[k], den) for nums, den in x]
+            for k in range(len(free))]
 
 
-def solve(matrix, rhs):
-    """Solve M x = b exactly for square nonsingular M.
-
-    `rhs` may be a vector or a list of columns (matrix with n rows); returns
-    the solution in the same shape.
-    """
-    n = len(matrix)
-    vector_rhs = rhs and not isinstance(rhs[0], (list, tuple))
-    cols = [[x] for x in rhs] if vector_rhs else [list(r) for r in rhs]
-    nrhs = len(cols[0])
-    aug = [list(matrix[i]) + list(cols[i]) for i in range(n)]
-    rows = _integer_rows(aug)
-    pivots = _bareiss_echelon(rows, n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    det = _last_pivot(rows, pivots)
-    sol_cols = []
-    for k in range(nrhs):
-        scaled = [0] * n
-        for r, c in pivots:
-            scaled[c] = det * rows[r][n + k]
-        _back_substitute(rows, pivots, scaled, n)
-        sol_cols.append([Fraction(x, det) for x in scaled])
-    if vector_rhs:
-        return sol_cols[0]
-    return [list(row) for row in zip(*sol_cols)]
-
-
-def invert(matrix):
-    """Exact inverse of a square rational matrix."""
-    n = len(matrix)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return solve(matrix, eye)
-
-
-def rank(matrix, ncols=None):
+def rank(matrix):
     if not matrix:
         return 0
-    if ncols is None:
-        ncols = len(matrix[0])
-    rows = _integer_rows(matrix)
-    return len(_bareiss_echelon(rows, ncols))
+    return len(_echelon(_integer_rows(matrix)[0], len(matrix[0])))

@@ -244,11 +244,11 @@ def basis_sk(dim, k):
         return SpaceBasis("Sk", k, ())
     unknowns = _vector_unknowns(dim, k)
     rows_index = monomial_positions(dim, k + 1)
-    matrix = [[Fraction(0)] * len(unknowns) for _ in rows_index]
+    matrix = [[0] * len(unknowns) for _ in rows_index]
     for col, (comp, a) in enumerate(unknowns):
         target = a[:comp] + (a[comp] + 1,) + a[comp + 1:]
-        matrix[rows_index[target]][col] = Fraction(1)
-    null = linalg.nullspace(matrix, ncols=len(unknowns))
+        matrix[rows_index[target]][col] = 1
+    null = linalg.nullspace(matrix)
     return SpaceBasis("Sk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
 
@@ -292,7 +292,7 @@ def basis_qk(simplex, k):
             for ta, tc in composed_cache[a].terms.items():
                 facet_rows[facet_index[ta]][col] += tc * m[comp]
         rows.extend(facet_rows)
-    null = linalg.nullspace(rows, ncols=len(unknowns))
+    null = linalg.nullspace(rows)
     return SpaceBasis("Qk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
 

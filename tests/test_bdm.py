@@ -12,6 +12,7 @@ from bdmlab.geometry import (AffineMap, Simplex, reference_simplex,
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 from bdmlab.spaces import basis_pk
 
+from test_estimates import poly_project
 from test_moments import dot
 
 F = Fraction
@@ -139,7 +140,6 @@ def test_facet_flux_preservation_exact():
 
 def test_divergence_compatibility():
     # div(I v) equals the L2 projection of div v onto P_{k-1}
-    from bdmlab.estimates import poly_project
     rng = random.Random(21)
     for dim, k in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         s = random_mac_simplex(dim, rng)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,82 @@ def matmul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
+# -- the oracle: Fraction Bareiss over [M | B], as linalg did it before it
+# -- took int rows and carried the identity implicitly
+
+def fraction_solve(matrix, rhs):
+    """M X = B for a list of right-hand-side rows B, as lists of Fractions:
+    each row of [M | B] scaled to ints, Bareiss over all its columns, then
+    one integer back-substitution per column of B."""
+    n = len(matrix)
+    rows = []
+    for row, b in zip(matrix, rhs):
+        row = [Fraction(x) for x in list(row) + list(b)]
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    prev, pivots = 1, []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pr is None:
+            raise linalg.SingularMatrixError("matrix is singular")
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, n):
+            ric = rows[i][c]
+            rows[i] = [(piv * rows[i][j] - ric * rows[r][j]) // prev
+                       for j in range(len(rows[i]))]
+        pivots.append((r, c))
+        prev = piv
+    det = prev
+    cols = []
+    for k in range(len(rhs[0])):
+        scaled = [0] * n
+        for r, c in pivots:
+            scaled[c] = det * rows[r][n + k]
+        for r, c in reversed(pivots):
+            s = scaled[c] - sum(rows[r][j] * scaled[j] for j in range(c + 1, n))
+            scaled[c] = s // rows[r][c]
+        cols.append([Fraction(x, det) for x in scaled])
+    return [list(row) for row in zip(*cols)]
+
+
+def fraction_invert(matrix):
+    n = len(matrix)
+    return fraction_solve(matrix, [[int(i == j) for j in range(n)]
+                                   for i in range(n)])
+
+
+def as_fractions(scaled):
+    """A `Scaled` vector or matrix as Fractions."""
+    den = scaled.denominator
+    if scaled and isinstance(scaled[0], list):
+        return [[Fraction(x, den) for x in row] for row in scaled]
+    return [Fraction(x, den) for x in scaled]
+
+
+def assert_reduced(scaled):
+    """Ints over a positive denominator that shares no factor with all of
+    them."""
+    entries = [x for row in scaled for x in row] if isinstance(
+        scaled[0], list) else list(scaled)
+    assert all(type(x) is int for x in entries)
+    assert type(scaled.denominator) is int and scaled.denominator > 0
+    assert gcd(scaled.denominator, *entries) == 1
+
+
 def test_solve_exact():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = linalg.solve(A, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
+    assert x == [1, 3] and x.denominator == 1
 
 
 def test_solve_matrix_rhs():
     A = [[2, 0], [0, 4]]
     X = linalg.solve(A, [[1, 2], [4, 8]])
-    assert X == [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]]
+    assert X == [[1, 2], [2, 4]] and X.denominator == 2
 
 
 def test_invert_roundtrip():
@@ -30,12 +97,42 @@ def test_invert_roundtrip():
          [Fraction(0), Fraction(1), Fraction(4)],
          [Fraction(5), Fraction(6), Fraction(0)]]
     inv = linalg.invert(A)
-    assert matmul(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert matmul(A, as_fractions(inv)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert inv == [[-24, 18, 5], [20, -15, -4], [-5, 4, 1]]
+    assert inv.denominator == 1
+
+
+def test_invert_scaled_rows():
+    # a row may be ints over its own denominator: M = [[1/2, 1/2], [0, 1/3]]
+    rows = [linalg.Scaled([1, 1], 2), linalg.Scaled([0, 1], 3)]
+    inv = linalg.invert(rows)
+    assert inv == [[2, -3], [0, 3]] and inv.denominator == 1
+    assert inv == linalg.invert([[Fraction(1, 2), Fraction(1, 2)],
+                                 [0, Fraction(1, 3)]])
+    x = linalg.solve(rows, [1, Fraction(1, 2)])
+    assert as_fractions(x) == [Fraction(1, 2), Fraction(3, 2)]
 
 
 def test_singular_raises():
     with pytest.raises(linalg.SingularMatrixError):
         linalg.solve([[1, 2], [2, 4]], [1, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.invert([[1, 2, 3], [4, 5, 6]]),
+    lambda: linalg.invert([[1, 2], [3, 4], [5, 6]]),
+    lambda: linalg.solve([[1, 2, 3], [4, 5, 6]], [1, 2]),
+    lambda: linalg.solve([[1, 2], [3, 4], [5, 6]], [1, 2, 3]),
+    lambda: linalg.solve([[1, 2], [3, 4]], [1, 2, 3]),
+    lambda: linalg.invert([]),
+], ids=["invert-2x3", "invert-3x2", "solve-2x3", "solve-3x2", "solve-3-rhs",
+        "invert-empty"])
+def test_non_square_raises(call):
+    # a 2 x 3 matrix used to give the inverse of its first two columns,
+    # and a 3 x 2 one an IndexError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, linalg.SingularMatrixError)
 
 
 def test_nullspace_simple():
@@ -106,7 +203,85 @@ def test_solve_property(M, data):
             linalg.solve(M, rhs)
         return
     X = linalg.solve(M, rhs)
-    assert matmul(M, X) == rhs
+    assert matmul(M, as_fractions(X)) == rhs
     x = linalg.solve(M, [r[0] for r in rhs])
-    assert x == [r[0] for r in X]
-    assert all(isinstance(v, Fraction) for v in x)
+    assert as_fractions(x) == [r[0] for r in as_fractions(X)]
+    assert isinstance(x, linalg.Scaled)
+    assert_reduced(x)
+
+
+# -- solve and invert against the Fraction oracle --------------------------------
+
+integers = st.integers(-9, 9)
+
+
+@st.composite
+def square_matrices(draw, entries):
+    """Square matrices with the cases the integer core must handle: zero
+    leading pivots (rows must be swapped), rows with a common content, a
+    negated row (both signs of the determinant) and dependent rows."""
+    n = draw(st.integers(1, 6))
+    M = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        M[0][0] = 0
+        if n > 2 and draw(st.booleans()):
+            M[1][0] = 0
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        k = draw(st.integers(2, 12))
+        M[i] = [k * x for x in M[i]]
+    if draw(st.booleans()):
+        M[0] = [-x for x in M[0]]
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        M[-1] = [a + 2 * b for a, b in zip(M[0], M[1])]
+    return M
+
+
+def check_against_oracle(M, B):
+    n = len(M)
+    try:
+        want = fraction_invert(M)
+    except linalg.SingularMatrixError:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(M)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(M, B)
+        return
+    inv = linalg.invert(M)
+    assert isinstance(inv, linalg.Scaled)
+    assert_reduced(inv)
+    assert as_fractions(inv) == want
+    den = inv.denominator
+    assert matmul(M, inv) == [[den * (i == j) for j in range(n)]
+                              for i in range(n)]
+    X = linalg.solve(M, B)
+    assert_reduced(X)
+    assert as_fractions(X) == fraction_solve(M, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_matrices_match_oracle(data):
+    M = data.draw(square_matrices(integers))
+    B = [data.draw(st.lists(integers, min_size=2, max_size=2)) for _ in M]
+    check_against_oracle(M, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_matrices_match_oracle(data):
+    M = data.draw(square_matrices(rationals))
+    B = [data.draw(st.lists(rationals, min_size=3, max_size=3)) for _ in M]
+    check_against_oracle(M, B)
+
+
+@pytest.mark.parametrize("M", [
+    [[5]], [[-3]], [[Fraction(-2, 3)]], [[0]],
+    [[0, 1], [1, 0]],                       # zero leading pivot, det -1
+    [[2, 4], [6, 8]],                       # rows with content 2 and 2
+    [[0, 0, 1], [0, 2, 0], [3, 0, 0]],      # two swaps, det -6
+    [[0, 0, 1], [0, 0, 2], [1, 1, 1]],      # singular after a swap
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(-1, 5)]],
+])
+def test_edge_cases_match_oracle(M):
+    check_against_oracle(M, [[1] for _ in M])

@@ -21,6 +21,8 @@ from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
 from bdmlab.spaces import MomentTable, integrate_poly
 
+from test_linalg import fraction_invert
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -242,8 +244,8 @@ def direct_inverse(el):
     for dof in el.dofs:
         rows, den = dof.rows(el, el.order)
         vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
-    inverse = linalg.invert(vandermonde)
-    return linalg.over_common_denominator(x for row in inverse for x in row)
+    return linalg.over_common_denominator(
+        x for row in fraction_invert(vandermonde) for x in row)
 
 
 def assert_matches_direct_build(simplex, k):
@@ -273,6 +275,53 @@ def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
                                      t_bar_simplex()])
 def test_reference_elements_match_direct_build(simplex, k):
     assert_matches_direct_build(simplex, k)
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_inverted_elements_match_oracle(dim, k):
+    # the elements that invert their own DOF matrix: the reference nedelec
+    # element, and bdm_original on any simplex
+    ref = bdm._reference_element(dim, k)
+    assert ([x for row in ref._inverse for x in row],
+            ref._denominator) == direct_inverse(ref)
+
+    @settings(max_examples=4 if dim == 2 else 2, deadline=None)
+    @given(simplices(dim))
+    def check(simplex):
+        el = build_element(simplex, k, "bdm_original")
+        assert ([x for row in el._inverse for x in row],
+                el._denominator) == direct_inverse(el)
+
+    check()
+
+
+def test_bdm_original_build_inverts_without_fractions(monkeypatch):
+    made = []
+    inside = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            made.append(args)
+        return new(cls, *args, **kwargs)
+
+    invert = linalg.invert
+
+    def watched_invert(matrix):
+        inside.append(True)
+        try:
+            return invert(matrix)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(linalg, "invert", watched_invert)
+    tet = Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
+                   (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
+                   (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5))))
+    build_element(tet, 2, "bdm_original")
+    monkeypatch.undo()
+    assert made == []
 
 
 def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
