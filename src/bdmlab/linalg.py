@@ -14,16 +14,17 @@ column, then the first row, in input order, that is not a pivot yet.
 
 Back-substitution runs in integers against every right-hand side in one
 pass, each unknown as ints over its own denominator in lowest terms.
-`solve` and `invert` return ints over one positive denominator in lowest
-terms, as a `Scaled`.  `invert` is `solve` against the identity, which is
-never built: its columns are carried in the order the rows become
-pivots, and a row that is not a pivot yet holds only the columns of the
-pivots so far and its own, so only those are stored.  `nullspace`
-returns Fractions.
+`solve` eliminates M against the identity, which gives M^-1, and
+multiplies a right-hand side by that inverse; `invert` is `solve` with no
+right-hand side.  Both return ints over one positive denominator in
+lowest terms, as a `Scaled`.  The identity is never built: of its
+columns, a row stores only those it can be nonzero in (see `_echelon`).
+`nullspace` returns Fractions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -79,41 +80,36 @@ def _echelon(rows, ncols, identity=False):
     Returns the pivots in elimination order as (col, row, index): `row`
     holds the pivot, then the columns right of it, then the right-hand
     side; `index` is the row's position in `rows`.  A row that is not a
-    pivot yet is kept from the current column on.  With `identity`, the
-    rows carry the identity on their right, pivot-ordered: the t-th pivot
-    row's own column becomes right-hand side column t.  Until then that
-    column is zero in every other row, so each row keeps its own entry
-    there aside, as `own`.
+    pivot yet is kept from the current column on.
+
+    With `identity`, the rows carry the identity as their right-hand side,
+    its columns in the order the rows become pivots.  Only the columns
+    that can be nonzero are stored: a row holds those of the pivots so far,
+    then its own, so the t-th pivot row ends in right-hand-side columns
+    0..t.  An update puts in the zeros the two rows hold in each other's
+    own column.
     """
-    rows = [(row, 1) for row in rows]
-    order = list(range(len(rows)))
+    rows = [(i, [*row, 1] if identity else row) for i, row in enumerate(rows)]
     pivots = []
     for c in range(ncols):
-        i = next((i for i, (row, _) in enumerate(rows) if row[0]), None)
-        if i is None:
-            rows = [(row[1:], own) for row, own in rows]
+        k = next((k for k, (_, row) in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [(i, row[1:]) for i, row in rows]
             continue
-        pivot, pivot_own = rows.pop(i)
-        piv, tail = pivot[0], pivot[1:]
+        index, pivot = rows.pop(k)
+        piv = pivot[0]
+        tail = [*pivot[1:], 0] if identity else pivot[1:]
         updated = []
-        for row, own in rows:
+        for i, row in rows:
             ric = row[0]
-            new = row[1:]
+            new = [*row[1:-1], 0, row[-1]] if identity else row[1:]
             if ric:
                 new = [piv * a - ric * b for a, b in zip(new, tail)]
-                if identity:
-                    new.append(-ric * pivot_own)
-                own *= piv
-                g = gcd(own, *new)
-                if g != 1:
+                g = gcd(*new)
+                if g > 1:
                     new = [a // g for a in new]
-                    own //= g
-            elif identity:
-                new.append(0)
-            updated.append((new, own))
-        if identity:
-            pivot.append(pivot_own)
-        pivots.append((c, pivot, order.pop(i)))
+            updated.append((i, new))
+        pivots.append((c, pivot, index))
         rows = updated
         if not rows:
             break
@@ -150,41 +146,40 @@ def solve(matrix, rhs=None):
     """Solve M X = rhs exactly for a square nonsingular M; with no `rhs`,
     X = M^-1.
 
-    `rhs` may be a vector or a list of rows (n rows).  Returns X as a
-    `Scaled` in lowest terms: ints for a vector, else int rows, over one
-    positive denominator.
+    `rhs` may be a vector or a list of rows (n rows) of ints and
+    Fractions.  Returns X as a `Scaled` in lowest terms: ints for a vector,
+    else int rows, over one positive denominator.
     """
     n = len(matrix)
     if not n or any(len(row) != n for row in matrix):
         raise ValueError("solve needs a nonempty square matrix")
     if rhs is not None and len(rhs) != n:
         raise ValueError(f"{len(rhs)} right-hand side rows for {n} equations")
-    vector = rhs is not None and not isinstance(rhs[0], (list, tuple))
-    if rhs is None:
-        width, aug = n, matrix
-    else:
-        cols = [[b] for b in rhs] if vector else rhs
-        width = len(cols[0])
-        aug = []
-        for row, b in zip(matrix, cols):
-            # a `Scaled` row's denominator divides its right-hand side too
-            den = getattr(row, "denominator", 1)
-            aug.append(Scaled([*row, *(v * den for v in b)], den))
-    rows, scales = _integer_rows(aug)
-    pivots = _echelon(rows, n, identity=rhs is None)
+    rows, scales = _integer_rows(matrix)
+    pivots = _echelon(rows, n, identity=True)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     x = [None] * n
-    _back_substitute(pivots, n, width, x)
+    _back_substitute(pivots, n, n, x)
+    # M = rows / scales, so M^-1 is rows^-1 with column i times scales[i];
+    # rows^-1 came with its columns in pivot order
+    position = [0] * n
+    for t, (_, _, i) in enumerate(pivots):
+        position[i] = t
+    x = [([xc[t] * s for t, s in zip(position, scales)], d) for xc, d in x]
     den = lcm(*(d for _, d in x))
-    if rhs is None:
-        # M = rows / scales, so M^-1 is rows^-1 with column i times
-        # scales[i]; rows^-1 came with its columns in pivot order
-        position = [0] * n
-        for t, (_, _, i) in enumerate(pivots):
-            position[i] = t
-        x = [([xc[t] * s for t, s in zip(position, scales)], d) for xc, d in x]
     flat, den = _lowest_terms([v * (den // d) for xc, d in x for v in xc], den)
+    inverse = [flat[i:i + n] for i in range(0, n * n, n)]
+    if rhs is None:
+        return Scaled(inverse, den)
+    vector = not isinstance(rhs[0], (list, tuple))
+    rhs = [[b] for b in rhs] if vector else rhs
+    width = len(rhs[0])
+    nums, rhs_den = over_common_denominator(b for row in rhs for b in row)
+    columns = list(zip(*(nums[i:i + width] for i in range(0, n * width, width))))
+    flat, den = _lowest_terms(
+        [sum(map(mul, row, col)) for row in inverse for col in columns],
+        den * rhs_den)
     if vector:
         return Scaled(flat, den)
     return Scaled([flat[i:i + width] for i in range(0, n * width, width)], den)
