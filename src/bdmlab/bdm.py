@@ -18,25 +18,31 @@ rational.  `dof_values` scales a field of any degree once to ints over
 one denominator and applies each DOF as an integer dot product.
 
 The interpolant's coefficients are the inverse DOF (Vandermonde) matrix
-applied to the DOF values, held as int rows over one denominator.  The
-two variants get it differently:
+applied to the DOF values, held as int rows over one denominator.  One
+reference element per (d, k, variant), built from its own DOF matrix on
+`reference_simplex(d)` the first time it is needed and then cached, is
+mapped onto every other simplex with the contravariant Piola map in
+integer arithmetic (`_mapped_inverse`); an element on the reference
+simplex is that element.  The variants differ only in their interior
+DOFs:
 
-* ``nedelec`` commutes with the contravariant Piola map, so one reference
-  element per (d, k), built from its own DOF matrix on
-  `reference_simplex(d)` the first time it is needed and then cached, is
-  mapped onto each simplex in integer arithmetic (`_mapped_inverse`);
-* ``bdm_original`` does not (its Q_k moments do not map), so each element
-  inverts its own DOF matrix, the DOF rows at degree k.
+* ``nedelec`` commutes with Piola, so the mapped inverse needs no
+  elimination at all;
+* ``bdm_original`` does not, but only its r = dim Q_k moments fail to
+  map: the mapped inverse is the reference inverse times an exact rank-r
+  correction, and the element's Q_k basis comes out of the map, so only
+  r x r systems are eliminated on the physical simplex.
 
 Simplex vertices are Fractions, so the element and every interpolant of a
-rational field are exact, and both ways give the same Fractions.
+rational field are exact, and the mapped inverse is the one the element's
+own DOF matrix gives, Fraction for Fraction.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -159,7 +165,11 @@ def _dof_functionals(simplex, k, variant):
 class BDMElement:
     """Assembled, invertible DOF system for P_k^d on one simplex."""
 
-    def __init__(self, simplex: Simplex, order: int, variant: str = "nedelec"):
+    def __init__(self, simplex: Simplex, order: int, variant: str = "nedelec",
+                 *, direct=False):
+        """`direct` builds the element from its own DOF matrix, as the
+        cached reference elements are; by default it is mapped from the
+        reference element of its (dim, order, variant)."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if variant not in VARIANTS:
@@ -167,21 +177,33 @@ class BDMElement:
         self.simplex = simplex
         self.order = order
         self.variant = variant
-        self.moments = moment_table(simplex)
         self._monomials = monomial_indices(simplex.dim, order)
-        n = len(self._monomials)
-        self.dofs = _dof_functionals(simplex, order, variant)
-        if len(self.dofs) != simplex.dim * n:
-            raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
-                                   f"{simplex.dim * n}-dim space")
+        self._inverse_float = None
         # the inverse DOF matrix as int rows over one common denominator, so
         # that applying it to DOF values is integer arithmetic
-        if variant == "nedelec" and simplex != reference_simplex(simplex.dim):
-            self._inverse, self._denominator = _mapped_inverse(
-                simplex, _reference_element(simplex.dim, order))
-        else:
+        if direct:
+            self.moments = moment_table(simplex)
+            self.dofs = _dof_functionals(simplex, order, variant)
+            n = len(self._monomials)
+            if len(self.dofs) != simplex.dim * n:
+                raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
+                                       f"{simplex.dim * n}-dim space")
             self._inverse, self._denominator = self._vandermonde_inverse()
-        self._inverse_float = None
+            return
+        ref = _reference_element(simplex.dim, order, variant)
+        if simplex == ref.simplex:
+            # the table too, so the shared interior DOFs cache their rows once
+            self.moments, self.dofs = ref.moments, ref.dofs
+            self._inverse, self._denominator = ref._inverse, ref._denominator
+            return
+        self.moments = moment_table(simplex)
+        self.dofs, self._inverse, self._denominator = _mapped_inverse(simplex,
+                                                                      ref)
+        if variant == "bdm_original":
+            # the rows every DOF application reads, as a direct build reads
+            # them, so that the first interpolation does not pay for them
+            for dof in self.dofs:
+                dof.rows(self, order)
 
     def _vandermonde_inverse(self):
         """(rows, den): the inverse of the element's own DOF matrix, as int
@@ -247,92 +269,224 @@ def build_element(simplex, k, variant="nedelec") -> BDMElement:
 
 
 @lru_cache(maxsize=None)
-def _reference_element(dim, order):
-    """The `nedelec` element on reference_simplex(dim), built from its own
-    DOF matrix the first time a (dim, order) is asked for: every other
-    `nedelec` element is mapped from it."""
-    return BDMElement(reference_simplex(dim), order)
+def _reference_element(dim, order, variant):
+    """The element on reference_simplex(dim), built from its own DOF matrix
+    the first time a (dim, order, variant) is asked for: every other
+    element of that kind is mapped from it."""
+    return BDMElement(reference_simplex(dim), order, variant, direct=True)
 
 
-def _mapped_inverse(simplex, ref):
-    """(rows, den): the inverse DOF matrix of the `nedelec` element on
-    `simplex`, mapped from the reference element `ref`.
+class _Piola:
+    """The affine map F(xh) = B xh + b taking reference vertex i to vertex
+    i of `simplex`, in integers up to degree k.
 
-    F(xh) = B xh + b takes reference vertex i to vertex i of the simplex,
-    J = det B, and the contravariant Piola map P w = J^-1 B (w o F^-1)
-    carries the reference element onto this one:
+    Q[g][j] is D^k times the coefficient of x^g in xh^a o F^-1, a the j-th
+    monomial (D the common denominator of F^-1); B is held as int rows
+    over B_den, and J = det B."""
 
-    * facet charts and scaled normals are affine-covariant (m = |J| B^-T
-      mh), so each facet DOF of P w is sign(J) times that of w;
-    * an interior weight z pulls back to B^T (z o F), and N_{k-1} is
-      invariant under this map.
+    def __init__(self, simplex, k):
+        d = simplex.dim
+        *vertices, origin = simplex.vertices
+        amap = AffineMap(tuple(tuple(v[r] - origin[r] for v in vertices)
+                               for r in range(d)), origin)
+        self.inverse = amap.inverse()
+        composed, self.D = composed_monomials(
+            (self.inverse.matrix, self.inverse.offset), k)
+        n = len(composed)
+        self.Q = [[0] * n for _ in range(n)]
+        for j, (a, P) in enumerate(composed.items()):
+            scale = self.D ** (k - sum(a))
+            for g, x in enumerate(P):
+                self.Q[g][j] = x * scale
+        nums, self.B_den = linalg.over_common_denominator(
+            x for row in amap.matrix for x in row)
+        self.B = [nums[r * d:(r + 1) * d] for r in range(d)]
+        self.J = amap.det()
 
-    Hence V^-1 = sign(J) M Vh^-1 C^-1: M is P on monomial coefficients,
-    and C^-1 is the identity on facet DOFs and holds, on interior DOFs,
-    the basis_nk coordinates of B^-T (zh o F^-1).  A member of basis_nk
-    is 1 at its last nonzero entry and 0 at that of every other member
-    (the monomials of P_{k-2}^d, and S_{k-1}'s nullspace vectors at their
-    free columns), so those coordinates are read off, not solved for.
-    Everything is ints over one denominator, divided by their gcd at the
-    end, so the rows are those the element's own DOF matrix would give.
-    """
-    d, k = simplex.dim, ref.order
-    *vertices, origin = simplex.vertices
-    amap = AffineMap(tuple(tuple(v[r] - origin[r] for v in vertices)
-                           for r in range(d)), origin)
-    inv = amap.inverse()
-    composed, D = composed_monomials((inv.matrix, inv.offset), k)
-    # Q[g][j] = D^k times the coefficient of x^g in xh^a o F^-1, a the
-    # j-th monomial
-    n = len(composed)
-    Q = [[0] * n for _ in range(n)]
-    for j, (a, P) in enumerate(composed.items()):
-        scale = D ** (k - sum(a))
-        for g, x in enumerate(P):
-            Q[g][j] = x * scale
-
-    def push(comps, mix):
+    def push(self, comps, mix):
         """Component r of sum_c mix[r][c] (Q comps[c]): a field's int
         coefficients composed with F^-1 (times D^k), then mixed."""
-        composed_comps = [[sum(map(mul, row, comp)) for row in Q]
+        composed_comps = [[sum(map(mul, row, comp)) for row in self.Q]
                           for comp in comps]
         return [[sum(map(mul, mix_row, column))
                  for column in zip(*composed_comps)] for mix_row in mix]
 
-    # C^-1 on interior DOFs, times Dc: B^-T is (D B^-1)^T / D, so the
-    # pushed weight zh is over zh.denominator D^(k+1)
+
+def _mapped_inverse(simplex, ref):
+    """(dofs, rows, den): the DOFs of the element on `simplex` and its
+    inverse DOF matrix, mapped from the reference element `ref` of the same
+    order and variant.
+
+    The contravariant Piola map P w = J^-1 B (w o F^-1) (see `_Piola`)
+    carries P_k^d onto itself; M is P on monomial coefficients.  Facet
+    charts and scaled normals are affine-covariant (m = |J| B^-T mh), so
+    each facet DOF of P w is sign(J) times that of w.  Then V^-1 = sign(J)
+    M Vh^-1 L, where L is the identity on facet DOFs and the interior
+    variant's block (`_nedelec_block`, `_bdm_original_block`) below them.
+    Everything is ints over one denominator, divided by their gcd at the
+    end, so the rows are those the element's own DOF matrix would give.
+    """
+    d, k = simplex.dim, ref.order
+    piola = _Piola(simplex, k)
     nf = (d + 1) * len(monomial_indices(d - 1, k))
-    weights = [scaled_field(dof.weight) for dof in ref.dofs[nf:]]
-    pivots = [max((c, j) for c, comp in enumerate(z.comps)
-                  for j, x in enumerate(comp) if x) for z in weights]
-    inverse_transposed = [[int(row[r] * D) for row in inv.matrix]
-                          for r in range(d)]
-    lcm_den = lcm(*(z.denominator for z in weights))
-    coords = []
-    for z in weights:
-        pushed = push(z.comps, inverse_transposed)
-        coords.append([pushed[c][j] * (lcm_den // z.denominator)
-                       for c, j in pivots])
-    Dc = lcm_den * D ** (k + 1)
-    # Vh^-1 C^-1, its facet columns still to be multiplied by Dc: they go
-    # through M as the reference's small ints
-    product = [row[:nf] + [sum(map(mul, row[nf:], column))
-                           for column in zip(*coords)]
+    N = len(ref._inverse)
+    if nf == N:     # k = 1: facet DOFs only
+        weights, block, Dc = [], [], 1
+    elif ref.variant == "nedelec":
+        weights, block, Dc = _nedelec_block(piola, ref, nf)
+    else:
+        weights, block, Dc = _bdm_original_block(piola, ref, nf)
+    # Vh^-1 L; a facet column of L with no entry below the facet rows keeps
+    # the reference's small ints through M, and Dc is applied at the end
+    columns = list(zip(*block)) or [()] * N
+    plain = [j < nf and not any(col) for j, col in enumerate(columns)]
+    product = [[row[j] if plain[j] else
+                (Dc * row[j] if j < nf else 0) + sum(map(mul, row[nf:], col))
+                for j, col in enumerate(columns)]
                for row in ref._inverse]
     # M applied to each column: B (as ints over B_den) on the components
-    nums, B_den = linalg.over_common_denominator(
-        x for row in amap.matrix for x in row)
-    B = [nums[r * d:(r + 1) * d] for r in range(d)]
-    columns = [[x for comp in push([column[c * n:(c + 1) * n]
-                                    for c in range(d)], B) for x in comp]
+    n = len(piola.Q)
+    columns = [[x for comp in piola.push([column[c * n:(c + 1) * n]
+                                          for c in range(d)], piola.B)
+                for x in comp]
                for column in zip(*product)]
     # sign(J) / J == 1 / |J|
-    J = amap.det()
-    den = abs(J.numerator) * B_den * D ** k * ref._denominator * Dc
-    scales = [J.denominator * Dc] * nf + [J.denominator] * len(coords)
+    J = piola.J
+    den = (abs(J.numerator) * piola.B_den * piola.D ** k * ref._denominator
+           * Dc)
+    scales = [J.denominator * Dc if p else J.denominator for p in plain]
     rows = [list(map(mul, row, scales)) for row in zip(*columns)]
     g = gcd(den, *(x for row in rows for x in row))
-    return [[x // g for x in row] for row in rows], den // g
+    # facet DOFs hold no state; an interior DOF caches its rows per table,
+    # so every element gets its own
+    dofs = ref.dofs[:nf] + tuple(
+        InteriorMoment(w, dof.label)
+        for w, dof in zip(weights, ref.dofs[nf:], strict=True))
+    return dofs, [[x // g for x in row] for row in rows], den // g
+
+
+def _nedelec_block(piola, ref, nf):
+    """(weights, block, Dc) for `nedelec`: an interior weight z pulls back
+    to B^T (z o F), and N_{k-1} is invariant under this map, so L holds, on
+    interior DOFs, the basis_nk coordinates of B^-T (zh o F^-1) (times
+    Dc).  A member of basis_nk is 1 at its last nonzero entry and 0 at
+    that of every other member (the monomials of P_{k-2}^d, and S_{k-1}'s
+    nullspace vectors at their free columns), so those coordinates are
+    read off, not solved for.  The weights are the reference's."""
+    d, k, D = ref.simplex.dim, ref.order, piola.D
+    weights = [dof.weight for dof in ref.dofs[nf:]]
+    scaled = [scaled_field(z) for z in weights]
+    pivots = [max((c, j) for c, comp in enumerate(z.comps)
+                  for j, x in enumerate(comp) if x) for z in scaled]
+    # B^-T is (D B^-1)^T / D, so the pushed weight zh is over
+    # zh.denominator D^(k+1)
+    inverse_transposed = [[int(row[r] * D) for row in piola.inverse.matrix]
+                          for r in range(d)]
+    lcm_den = lcm(*(z.denominator for z in scaled))
+    block = []
+    for z in scaled:
+        pushed = piola.push(z.comps, inverse_transposed)
+        block.append([0] * nf + [pushed[c][j] * (lcm_den // z.denominator)
+                                 for c, j in pivots])
+    return weights, block, lcm_den * D ** (k + 1)
+
+
+@lru_cache(maxsize=None)
+def _qk_tables(dim, order):
+    """(zh, U, Tden) for the `bdm_original` reference element of (dim,
+    order): its Q_k weights zh_l as ScaledFields, and the tables that give
+    Yh Vh^-1 for any map: for a symmetric G, row l of the functional
+    wh -> int_T^ wh . (G zh_l) times Vh^-1 is sum_{c <= c'} G[c][c']
+    U[c, c'][l] / Tden.
+
+    With H_l the weighted rows of zh_l and T[c, c'][l][j] = sum_a
+    H_l[c'][a] Vh^-1[c n + a][j], U[c, c] = T[c, c] and U[c, c'] =
+    T[c, c'] + T[c', c]."""
+    ref = _reference_element(dim, order, "bdm_original")
+    n = len(ref._monomials)
+    qk = [dof for dof in ref.dofs if getattr(dof, "label", "") == "qk"]
+    H = [dof.rows(ref, order) for dof in qk]
+    hden = lcm(*(den for _, den in H))
+    H = [[[x * (hden // den) for x in row[:n]] for row in rows]
+         for rows, den in H]
+    blocks = [ref._inverse[c * n:(c + 1) * n] for c in range(dim)]
+    T = {(c, c2): [[sum(map(mul, h[c2], column))
+                    for column in zip(*blocks[c])] for h in H]
+         for c in range(dim) for c2 in range(dim)}
+    U = {(c, c2): T[c, c2] if c == c2 else
+         [list(map(add, a, b)) for a, b in zip(T[c, c2], T[c2, c])]
+         for c in range(dim) for c2 in range(c, dim)}
+    return [scaled_field(dof.weight) for dof in qk], U, hden * ref._denominator
+
+
+def _bdm_original_block(piola, ref, nf):
+    """(weights, block, Dc) for `bdm_original`, whose Q_k moments do not
+    commute with P (Kirby, SMAI J. Comput. Math. 4, 2018, for this view of
+    a non-affine-equivalent element).
+
+    * Gradient DOFs: the moment of P w against grad x^b is sign(J) times
+      that of w against grad (x^b o F), so V_g M = sign(J) C_g Vh_g, and
+      C_g^-1[g][b] is the coefficient of x^b in xh^g o F^-1 (constants
+      dropped), read off Q.
+    * Q_k: P maps Qh_k onto Q_k(T), so the pushed reference basis Z spans
+      it; basis_qk(T) is R Z with R^-1 = Z[:, F], F the free columns of
+      basis_qk, that is, the pivot columns of a right-to-left echelon of Z
+      (each canonical member's last nonzero entry).  The moment of P w
+      against P zh is |J|^-1 int_T^ w . (B^T B zh) =: Yh(w), and
+      Yh Vh^-1 = [Kh | Sh] with Sh r x r, r = dim Q_k (from `_qk_tables`).
+
+    V M Vh^-1 = diag(sign(J) I, sign(J) C_g, R) [[I, 0], [Kh, Sh]], so in
+    V^-1 = sign(J) M Vh^-1 L the rows of L below the facet DOFs are
+    [0, C_g^-1, 0] and [-Sh^-1 Kh_f, -Sh^-1 Kh_g C_g^-1, sign(J) Sh^-1
+    R^-1], and only the r x r systems Sh and Z[:, F] are eliminated.
+    """
+    d, k = ref.simplex.dim, ref.order
+    zh, U, Tden = _qk_tables(d, k)
+    r, N = len(zh), len(ref._inverse)
+    n = len(piola.Q)
+    ng = N - nf - r
+    m = nf + ng
+    Dk = piola.D ** k
+    # C_g^-1 times D^k
+    grad = range(1, ng + 1)
+    Cg = [[piola.Q[b][g] for b in grad] for g in grad]
+    # J Z (P zh_l without its 1/J) times B_den D^k zlcm
+    zlcm = lcm(*(z.denominator for z in zh))
+    Z = [[x * (zlcm // z.denominator)
+          for comp in piola.push(z.comps, piola.B) for x in comp]
+         for z in zh]
+    free = sorted(N - 1 - c for c, _, _ in
+                  linalg._echelon([row[::-1] for row in Z], N))
+    canonical = linalg.solve([[row[c] for c in free] for row in Z], Z)
+    monomials = monomial_indices(d, k)
+    qk = [VectorPoly([Polynomial(d, {
+        a: Fraction(x, canonical.denominator)
+        for a, x in zip(monomials, row[c * n:(c + 1) * n]) if x})
+        for c in range(d)]) for row in canonical]
+    # [Kh | Sh] times |J| B_den^2 Tden, with G = B^T B times B_den^2
+    B = piola.B
+    G = [[sum(B[a][c] * B[a][c2] for a in range(d)) for c2 in range(d)]
+         for c in range(d)]
+    terms = [(G[c][c2], rows) for (c, c2), rows in U.items()]
+    S = [[sum(g * rows[l][j] for g, rows in terms) for j in range(N)]
+         for l in range(r)]
+    # Sh_int = S[:, m:] is Sh times |J| B_den^2 Tden, and Z[:, F] is J R^-1
+    # times B_den D^k zlcm, so X = [A | E] / sden with A / sden = Sh^-1 Kh
+    # and E / sden = Sh_int^-1 Z[:, F]
+    X = linalg.solve([row[m:] for row in S],
+                     [row[:m] + [z[c] for c in free] for row, z in zip(S, Z)])
+    # L below the facet rows, over Dc = sden D^k zlcm; sign(J) Sh^-1 R^-1
+    # is B_den Tden E / (sden D^k zlcm)
+    sden = X.denominator
+    block = [[0] * nf + [x * sden * zlcm for x in row] + [0] * r
+             for row in Cg]
+    for row in X:
+        block.append([-x * Dk * zlcm for x in row[:nf]]
+                     + [-sum(map(mul, row[nf:m], column)) * zlcm
+                        for column in zip(*Cg)]
+                     + [x * piola.B_den * Tden for x in row[m:]])
+    weights = [dof.weight for dof in ref.dofs[nf:m]] + qk
+    return weights, block, sden * Dk * zlcm
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,11 @@ MAX_COEFF_BITS = 1024
 # reference element from its own DOF matrix, 0.09 s at k = 4, 1.35 s at
 # k = 6 and 9.1 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
 # 11 s on a rational one (one core of a shared 2-core VM, Python 3.11).
-# A `bdm_original` build inverts its own DOF matrix: 1.0 s at k = 4 and
-# 36 s at k = 6 there.
+# A `bdm_original` element is mapped from its reference element as well
+# (3.3 s once at k = 6), with an exact r x r correction for its Q_k
+# moments: 0.2 s at k = 4 and 8.7 s at k = 6 there, and 2.4 s at k = 4,
+# 20 s at k = 5 and 3 min at k = 6 on a tetrahedron with 15-digit
+# decimal vertices.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
 # per element, and `stokes` doubles q on layer elements for eps <= 1e-3;

@@ -11,6 +11,7 @@ lengths and directions that are not rational fall back to floats.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -152,16 +153,20 @@ class Simplex:
         return m
 
 
+@lru_cache(maxsize=None)
 def reference_simplex(dim):
     """The unit right simplex with the slant facet opposite the origin
-    vertex (origin listed last, matching e_i-opposite-p_i numbering)."""
+    vertex (origin listed last, matching e_i-opposite-p_i numbering).  A
+    Simplex is frozen, so one instance per dim is shared."""
     if dim == 2:
         return Simplex(((1, 0), (0, 1), (0, 0)))
     return Simplex(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)))
 
 
+@lru_cache(maxsize=None)
 def t_bar_simplex():
-    """The sheared reference tetrahedron of the second family (h = 1)."""
+    """The sheared reference tetrahedron of the second family (h = 1),
+    shared as `reference_simplex` is."""
     return Simplex(((0, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)))
 
 

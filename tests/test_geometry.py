@@ -57,6 +57,12 @@ def test_reference_triangle_normals():
     assert got == {(-1.0, 0.0), (0.0, -1.0), (round(s, 12), round(s, 12))}
 
 
+def test_reference_simplices_are_built_once():
+    assert reference_simplex(3) is reference_simplex(3)
+    assert reference_simplex(2) is reference_simplex(2)
+    assert t_bar_simplex() is t_bar_simplex()
+
+
 @pytest.mark.parametrize("s", [
     reference_simplex(2), reference_simplex(3), t_bar_simplex(),
     Simplex(((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5))),

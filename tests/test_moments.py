@@ -1,7 +1,7 @@
 """Polynomial.compose_affine, the DOF functionals and integrate_poly against
 a substitute-then-integrate oracle that shares no code with the moment
-tables, the mapped `nedelec` elements against the inverse of their own DOF
-matrix, and the invariants of the interpolant (projection, Piola
+tables, the mapped elements of both variants against the inverse of their
+own DOF matrix, and the invariants of the interpolant (projection, Piola
 commuting, vertex relabelling), on random rational triangles and
 tetrahedra."""
 
@@ -19,7 +19,7 @@ from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
-from bdmlab.spaces import MomentTable, integrate_poly
+from bdmlab.spaces import MomentTable, basis_qk, integrate_poly
 
 from test_linalg import fraction_invert
 
@@ -232,7 +232,7 @@ def test_interpolant_invariant_under_vertex_relabelling(dim, k, variant):
     check()
 
 
-# -- mapped nedelec elements against the direct build
+# -- mapped elements against the direct build
 
 
 def direct_inverse(el):
@@ -248,16 +248,24 @@ def direct_inverse(el):
         x for row in fraction_invert(vandermonde) for x in row)
 
 
-def assert_matches_direct_build(simplex, k):
-    el = build_element(simplex, k)
+def assert_matches_direct_build(simplex, k, variant="nedelec"):
+    el = build_element(simplex, k, variant)
+    if variant == "bdm_original":
+        # the mapped Q_k weights are the simplex's own canonical basis
+        assert ([dof.weight for dof in el.dofs if dof.__class__.__name__
+                 == "InteriorMoment" and dof.label == "qk"]
+                == list(basis_qk(simplex, k).members))
     assert ([x for row in el._inverse for x in row],
             el._denominator) == direct_inverse(el)
 
 
-@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                   (3, 3)])
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                   (3, 2), (3, 3)])
 def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
-    @settings(max_examples=2 if (dim, k) == (3, 3) else 6, deadline=None)
+    # both variants are mapped from their reference element
+    examples = {(2, 4): 1, (3, 3): 2}.get((dim, k), 6)
+
+    @settings(max_examples=examples, deadline=None)
     @given(simplices(dim))
     def check(simplex):
         # the simplex and its mirror image: both orientations of F
@@ -265,7 +273,8 @@ def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
         mirrored = Simplex((v[1], v[0]) + v[2:])
         assert simplex.orientation != mirrored.orientation
         for s in (simplex, mirrored):
-            assert_matches_direct_build(s, k)
+            for variant in bdm.VARIANTS:
+                assert_matches_direct_build(s, k, variant)
 
     check()
 
@@ -279,11 +288,12 @@ def test_reference_elements_match_direct_build(simplex, k):
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_inverted_elements_match_oracle(dim, k):
-    # the elements that invert their own DOF matrix: the reference nedelec
-    # element, and bdm_original on any simplex
-    ref = bdm._reference_element(dim, k)
-    assert ([x for row in ref._inverse for x in row],
-            ref._denominator) == direct_inverse(ref)
+    # the elements that invert their own DOF matrix are the reference
+    # elements of both variants; every other element is mapped from one
+    for variant in bdm.VARIANTS:
+        ref = bdm._reference_element(dim, k, variant)
+        assert ([x for row in ref._inverse for x in row],
+                ref._denominator) == direct_inverse(ref)
 
     @settings(max_examples=4 if dim == 2 else 2, deadline=None)
     @given(simplices(dim))
@@ -319,12 +329,47 @@ def test_bdm_original_build_inverts_without_fractions(monkeypatch):
     tet = Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
                    (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
                    (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5))))
-    build_element(tet, 2, "bdm_original")
+    # the direct build, as every reference element is built
+    bdm.BDMElement(tet, 2, "bdm_original", direct=True)
     monkeypatch.undo()
     assert made == []
 
 
 def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
+    # linalg.invert is linalg.solve with no right-hand side, so an inversion
+    # shows in both lists
+    sizes = {"invert": [], "solve": []}
+    for name in sizes:
+        def counting(matrix, *args, _name=name, _fn=getattr(linalg, name)):
+            sizes[_name].append(len(matrix))
+            return _fn(matrix, *args)
+        monkeypatch.setattr(linalg, name, counting)
+    bdm._reference_element.cache_clear()
+    bdm._qk_tables.cache_clear()
+    tets = [Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
+                     (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
+                     (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5)))),
+            Simplex(((1, 0, 2), (0, 3, 1), (2, 2, 0), (1, 1, 1))),
+            t_bar_simplex()]
+    build_element(tets[0], 2)
+    # the reference element, built on first use
+    assert sizes == {"invert": [30], "solve": [30]}
+    for tet in tets[1:]:
+        build_element(tet, 2)
+    assert sizes == {"invert": [30], "solve": [30]}
+    # bdm_original: its reference element, then per mapped element only
+    # the r x r systems, r = dim Q_2 = 3: Z[:, F] for the canonical Q_k
+    # basis and Sh for the correction
+    for name in sizes:
+        sizes[name].clear()
+    for tet in tets:
+        build_element(tet, 2, "bdm_original")
+    assert sizes == {"invert": [30], "solve": [30] + [3, 3] * len(tets)}
+
+
+def test_repeated_reference_builds_invert_nothing(monkeypatch):
+    for variant in bdm.VARIANTS:
+        build_element(reference_simplex(3), 2, variant)
     sizes = []
     invert = linalg.invert
 
@@ -333,14 +378,23 @@ def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
         return invert(matrix)
 
     monkeypatch.setattr(linalg, "invert", counting_invert)
-    bdm._reference_element.cache_clear()
-    tets = [Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
-                     (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
-                     (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5)))),
-            Simplex(((1, 0, 2), (0, 3, 1), (2, 2, 0), (1, 1, 1))),
-            t_bar_simplex()]
-    build_element(tets[0], 2)
-    assert sizes == [30]      # the reference element, built on first use
-    for tet in tets[1:]:
-        build_element(tet, 2)
-    assert sizes == [30]
+    for simplex in (reference_simplex(3), Simplex(((1, 0, 0), (0, 1, 0),
+                                                   (0, 0, 1), (0, 0, 0)))):
+        for variant in bdm.VARIANTS:
+            el = build_element(simplex, 2, variant)
+            ref = bdm._reference_element(3, 2, variant)
+            assert el.dofs is ref.dofs and el._inverse is ref._inverse
+    assert sizes == []
+
+
+@pytest.mark.parametrize("variant", bdm.VARIANTS)
+def test_mapped_elements_own_their_interior_dofs(variant):
+    # an interior DOF caches its rows per moment table: one shared with the
+    # reference element would keep a table alive per mapped element
+    ref = bdm._reference_element(2, 3, variant)
+    els = [build_element(Simplex(((0, 0), (i + 1, 1), (Fraction(1, 3), 2))),
+                         3, variant) for i in range(3)]
+    shared = {id(dof) for dof in ref.dofs if isinstance(dof, InteriorMoment)}
+    assert all(id(dof) not in shared for el in els for dof in el.dofs)
+    assert all(set(dof._rows) <= {ref.moments} for dof in ref.dofs
+               if isinstance(dof, InteriorMoment))
