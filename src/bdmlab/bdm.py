@@ -11,34 +11,33 @@ Two degree-of-freedom conventions are supported:
 The basis of P_k^d is monomial, so every DOF is a fixed linear functional
 on monomial coefficients: one row of ints per component over one
 denominator, read off the element's `MomentTable` (a facet table row times
-the scaled normal, or an interior row cached per table).  Facet moments
-are taken in a facet chart against the scaled outward normal, which makes
-them equal to the physical surface moments while keeping every number
-rational.  `dof_values` scales a field of any degree once to ints over
-one denominator and applies each DOF as an integer dot product.
+the scaled normal, or an interior row the element caches).  DOFs hold no
+state, so elements share them.  Facet moments are taken in a facet chart
+against the scaled outward normal, which makes them equal to the physical
+surface moments while keeping every number rational.  `dof_values` scales
+a field of any degree once to ints over one denominator and applies each
+DOF as an integer dot product.
 
 The interpolant's coefficients are the inverse DOF (Vandermonde) matrix
-applied to the DOF values, held as int rows over one denominator.  One
-reference element per (d, k, variant), built from its own DOF matrix on
-`reference_simplex(d)` the first time it is needed and then cached, is
-mapped onto every other simplex with the contravariant Piola map in
-integer arithmetic (`_mapped_inverse`); an element on the reference
-simplex is that element.  The variants differ only in their interior
-DOFs:
+applied to the DOF values, held as int rows over one denominator.  An
+element on `reference_simplex(d)` inverts its own DOF matrix; one per
+(d, k, variant) is cached (`_reference_element`) and mapped onto every
+other simplex with the contravariant Piola map in integer arithmetic
+(`_mapped_inverse`).  The variants differ only in their interior DOFs:
 
 * ``nedelec`` commutes with Piola, so the mapped inverse needs no
   elimination at all;
 * ``bdm_original`` does not, but only its r = dim Q_k moments fail to
-  map: the mapped inverse is the reference inverse times an exact rank-r
-  correction, and the element's Q_k basis comes out of the map, so only
-  r x r systems are eliminated on the physical simplex.
+  map.  Its Q_k weights are the pushed reference basis, which spans
+  Q_k(T), and the mapped inverse is the reference inverse times an exact
+  rank-r correction: one r x r system is eliminated per element.
 
 Simplex vertices are Fractions, so the element and every interpolant of a
 rational field are exact, and the mapped inverse is the one the element's
 own DOF matrix gives, Fraction for Fraction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -106,21 +105,21 @@ class FacetMoment:
         return float(np.dot(wts, (vals @ m) * mono))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteriorMoment:
-    """v -> int_T v . weight dx: rows[c][a] = sum_b weight_c,b int_T x^(a+b)."""
+    """v -> int_T v . weight dx: rows[c][a] = sum_b weight_c,b int_T x^(a+b).
+    Hashed by identity: it keys the element's row cache."""
 
     weight: VectorPoly
     label: str
-    _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rows(self, el, degree):
-        """(rows, den) as for `FacetMoment.rows`; cached per moment table at
+        """(rows, den) as for `FacetMoment.rows`; cached on the element at
         the highest field degree asked for, since graded order makes the
         rows for a lower degree a prefix."""
-        cached = self._rows.get(el.moments)
+        cached = el._rows.get(self)
         if cached is None or cached[0] < degree:
-            cached = self._rows[el.moments] = (
+            cached = el._rows[self] = (
                 degree, *el.moments.weighted_rows(self.weight, degree))
         return cached[1:]
 
@@ -165,11 +164,10 @@ def _dof_functionals(simplex, k, variant):
 class BDMElement:
     """Assembled, invertible DOF system for P_k^d on one simplex."""
 
-    def __init__(self, simplex: Simplex, order: int, variant: str = "nedelec",
-                 *, direct=False):
-        """`direct` builds the element from its own DOF matrix, as the
-        cached reference elements are; by default it is mapped from the
-        reference element of its (dim, order, variant)."""
+    def __init__(self, simplex: Simplex, order: int, variant: str = "nedelec"):
+        """An element on `reference_simplex(dim)` inverts its own DOF
+        matrix; any other is mapped from the reference element of its
+        (dim, order, variant)."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if variant not in VARIANTS:
@@ -177,33 +175,22 @@ class BDMElement:
         self.simplex = simplex
         self.order = order
         self.variant = variant
+        self.moments = moment_table(simplex)
         self._monomials = monomial_indices(simplex.dim, order)
         self._inverse_float = None
+        self._rows = {}     # InteriorMoment -> (degree, rows, den)
         # the inverse DOF matrix as int rows over one common denominator, so
         # that applying it to DOF values is integer arithmetic
-        if direct:
-            self.moments = moment_table(simplex)
+        if simplex == reference_simplex(simplex.dim):
             self.dofs = _dof_functionals(simplex, order, variant)
             n = len(self._monomials)
             if len(self.dofs) != simplex.dim * n:
                 raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
                                        f"{simplex.dim * n}-dim space")
             self._inverse, self._denominator = self._vandermonde_inverse()
-            return
-        ref = _reference_element(simplex.dim, order, variant)
-        if simplex == ref.simplex:
-            # the table too, so the shared interior DOFs cache their rows once
-            self.moments, self.dofs = ref.moments, ref.dofs
-            self._inverse, self._denominator = ref._inverse, ref._denominator
-            return
-        self.moments = moment_table(simplex)
-        self.dofs, self._inverse, self._denominator = _mapped_inverse(simplex,
-                                                                      ref)
-        if variant == "bdm_original":
-            # the rows every DOF application reads, as a direct build reads
-            # them, so that the first interpolation does not pay for them
-            for dof in self.dofs:
-                dof.rows(self, order)
+        else:
+            self.dofs, self._inverse, self._denominator = _mapped_inverse(
+                simplex, _reference_element(simplex.dim, order, variant))
 
     def _vandermonde_inverse(self):
         """(rows, den): the inverse of the element's own DOF matrix, as int
@@ -265,15 +252,19 @@ class BDMElement:
 
 
 def build_element(simplex, k, variant="nedelec") -> BDMElement:
+    """The element of order k on `simplex`; on the reference simplex, the
+    cached reference element itself."""
+    if simplex == reference_simplex(simplex.dim):
+        return _reference_element(simplex.dim, k, variant)
     return BDMElement(simplex, k, variant)
 
 
 @lru_cache(maxsize=None)
 def _reference_element(dim, order, variant):
-    """The element on reference_simplex(dim), built from its own DOF matrix
-    the first time a (dim, order, variant) is asked for: every other
-    element of that kind is mapped from it."""
-    return BDMElement(reference_simplex(dim), order, variant, direct=True)
+    """The element on reference_simplex(dim), built the first time a (dim,
+    order, variant) is asked for: every other element of that kind is
+    mapped from it."""
+    return BDMElement(reference_simplex(dim), order, variant)
 
 
 class _Piola:
@@ -325,17 +316,21 @@ def _mapped_inverse(simplex, ref):
     variant's block (`_nedelec_block`, `_bdm_original_block`) below them.
     Everything is ints over one denominator, divided by their gcd at the
     end, so the rows are those the element's own DOF matrix would give.
+    The DOFs are the reference's, except for the `bdm_original` Q_k
+    moments, whose weights are pushed onto `simplex`.
     """
     d, k = simplex.dim, ref.order
     piola = _Piola(simplex, k)
     nf = (d + 1) * len(monomial_indices(d - 1, k))
     N = len(ref._inverse)
+    dofs = ref.dofs
     if nf == N:     # k = 1: facet DOFs only
-        weights, block, Dc = [], [], 1
+        block, Dc = [], 1
     elif ref.variant == "nedelec":
-        weights, block, Dc = _nedelec_block(piola, ref, nf)
+        block, Dc = _nedelec_block(piola, ref, nf)
     else:
-        weights, block, Dc = _bdm_original_block(piola, ref, nf)
+        block, Dc, qk = _bdm_original_block(piola, ref, nf)
+        dofs = dofs[:N - len(qk)] + qk
     # Vh^-1 L; a facet column of L with no entry below the facet rows keeps
     # the reference's small ints through M, and Dc is applied at the end
     columns = list(zip(*block)) or [()] * N
@@ -357,25 +352,19 @@ def _mapped_inverse(simplex, ref):
     scales = [J.denominator * Dc if p else J.denominator for p in plain]
     rows = [list(map(mul, row, scales)) for row in zip(*columns)]
     g = gcd(den, *(x for row in rows for x in row))
-    # facet DOFs hold no state; an interior DOF caches its rows per table,
-    # so every element gets its own
-    dofs = ref.dofs[:nf] + tuple(
-        InteriorMoment(w, dof.label)
-        for w, dof in zip(weights, ref.dofs[nf:], strict=True))
     return dofs, [[x // g for x in row] for row in rows], den // g
 
 
 def _nedelec_block(piola, ref, nf):
-    """(weights, block, Dc) for `nedelec`: an interior weight z pulls back
-    to B^T (z o F), and N_{k-1} is invariant under this map, so L holds, on
-    interior DOFs, the basis_nk coordinates of B^-T (zh o F^-1) (times
-    Dc).  A member of basis_nk is 1 at its last nonzero entry and 0 at
-    that of every other member (the monomials of P_{k-2}^d, and S_{k-1}'s
-    nullspace vectors at their free columns), so those coordinates are
-    read off, not solved for.  The weights are the reference's."""
+    """(block, Dc) for `nedelec`: an interior weight z pulls back to B^T (z
+    o F), and N_{k-1} is invariant under this map, so L holds, on interior
+    DOFs, the basis_nk coordinates of B^-T (zh o F^-1) (times Dc).  A
+    member of basis_nk is 1 at its last nonzero entry and 0 at that of
+    every other member (the monomials of P_{k-2}^d, and S_{k-1}'s nullspace
+    vectors at their free columns), so those coordinates are read off, not
+    solved for."""
     d, k, D = ref.simplex.dim, ref.order, piola.D
-    weights = [dof.weight for dof in ref.dofs[nf:]]
-    scaled = [scaled_field(z) for z in weights]
+    scaled = [scaled_field(dof.weight) for dof in ref.dofs[nf:]]
     pivots = [max((c, j) for c, comp in enumerate(z.comps)
                   for j, x in enumerate(comp) if x) for z in scaled]
     # B^-T is (D B^-1)^T / D, so the pushed weight zh is over
@@ -388,7 +377,7 @@ def _nedelec_block(piola, ref, nf):
         pushed = piola.push(z.comps, inverse_transposed)
         block.append([0] * nf + [pushed[c][j] * (lcm_den // z.denominator)
                                  for c, j in pivots])
-    return weights, block, lcm_den * D ** (k + 1)
+    return block, lcm_den * D ** (k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -420,49 +409,34 @@ def _qk_tables(dim, order):
 
 
 def _bdm_original_block(piola, ref, nf):
-    """(weights, block, Dc) for `bdm_original`, whose Q_k moments do not
-    commute with P (Kirby, SMAI J. Comput. Math. 4, 2018, for this view of
-    a non-affine-equivalent element).
+    """(block, Dc, qk) for `bdm_original`, whose Q_k moments do not commute
+    with P (Kirby, SMAI J. Comput. Math. 4, 2018, for this view of a
+    non-affine-equivalent element); qk are the element's Q_k DOFs.
 
     * Gradient DOFs: the moment of P w against grad x^b is sign(J) times
       that of w against grad (x^b o F), so V_g M = sign(J) C_g Vh_g, and
       C_g^-1[g][b] is the coefficient of x^b in xh^g o F^-1 (constants
       dropped), read off Q.
-    * Q_k: P maps Qh_k onto Q_k(T), so the pushed reference basis Z spans
-      it; basis_qk(T) is R Z with R^-1 = Z[:, F], F the free columns of
-      basis_qk, that is, the pivot columns of a right-to-left echelon of Z
-      (each canonical member's last nonzero entry).  The moment of P w
-      against P zh is |J|^-1 int_T^ w . (B^T B zh) =: Yh(w), and
-      Yh Vh^-1 = [Kh | Sh] with Sh r x r, r = dim Q_k (from `_qk_tables`).
+    * Q_k: P maps Qh_k onto Q_k(T), and the interpolant depends on that
+      space, not on a basis of it, so the Q_k weights are the pushed
+      reference basis J P zh_l = B (zh_l o F^-1).  The moment of P w
+      against it is sign(J) int_T^ w . (B^T B zh_l) = J Yh(w), with Yh(w)
+      := |J|^-1 int_T^ w . (B^T B zh), and Yh Vh^-1 = [Kh | Sh] with Sh
+      r x r, r = dim Q_k (from `_qk_tables`).
 
-    V M Vh^-1 = diag(sign(J) I, sign(J) C_g, R) [[I, 0], [Kh, Sh]], so in
+    V M Vh^-1 = diag(sign(J) I, sign(J) C_g, J I) [[I, 0], [Kh, Sh]], so in
     V^-1 = sign(J) M Vh^-1 L the rows of L below the facet DOFs are
-    [0, C_g^-1, 0] and [-Sh^-1 Kh_f, -Sh^-1 Kh_g C_g^-1, sign(J) Sh^-1
-    R^-1], and only the r x r systems Sh and Z[:, F] are eliminated.
+    [0, C_g^-1, 0] and [-Sh^-1 Kh_f, -Sh^-1 Kh_g C_g^-1, Sh^-1 / |J|], and
+    only Sh is eliminated.
     """
     d, k = ref.simplex.dim, ref.order
     zh, U, Tden = _qk_tables(d, k)
     r, N = len(zh), len(ref._inverse)
-    n = len(piola.Q)
-    ng = N - nf - r
-    m = nf + ng
+    m = N - r
     Dk = piola.D ** k
     # C_g^-1 times D^k
-    grad = range(1, ng + 1)
+    grad = range(1, m - nf + 1)
     Cg = [[piola.Q[b][g] for b in grad] for g in grad]
-    # J Z (P zh_l without its 1/J) times B_den D^k zlcm
-    zlcm = lcm(*(z.denominator for z in zh))
-    Z = [[x * (zlcm // z.denominator)
-          for comp in piola.push(z.comps, piola.B) for x in comp]
-         for z in zh]
-    free = sorted(N - 1 - c for c, _, _ in
-                  linalg._echelon([row[::-1] for row in Z], N))
-    canonical = linalg.solve([[row[c] for c in free] for row in Z], Z)
-    monomials = monomial_indices(d, k)
-    qk = [VectorPoly([Polynomial(d, {
-        a: Fraction(x, canonical.denominator)
-        for a, x in zip(monomials, row[c * n:(c + 1) * n]) if x})
-        for c in range(d)]) for row in canonical]
     # [Kh | Sh] times |J| B_den^2 Tden, with G = B^T B times B_den^2
     B = piola.B
     G = [[sum(B[a][c] * B[a][c2] for a in range(d)) for c2 in range(d)]
@@ -470,23 +444,27 @@ def _bdm_original_block(piola, ref, nf):
     terms = [(G[c][c2], rows) for (c, c2), rows in U.items()]
     S = [[sum(g * rows[l][j] for g, rows in terms) for j in range(N)]
          for l in range(r)]
-    # Sh_int = S[:, m:] is Sh times |J| B_den^2 Tden, and Z[:, F] is J R^-1
-    # times B_den D^k zlcm, so X = [A | E] / sden with A / sden = Sh^-1 Kh
-    # and E / sden = Sh_int^-1 Z[:, F]
+    # Sh_int = S[:, m:] is Sh times |J| B_den^2 Tden, so X = [A | E] / sden
+    # with A / sden = Sh^-1 Kh and E / sden = Sh_int^-1
     X = linalg.solve([row[m:] for row in S],
-                     [row[:m] + [z[c] for c in free] for row, z in zip(S, Z)])
-    # L below the facet rows, over Dc = sden D^k zlcm; sign(J) Sh^-1 R^-1
-    # is B_den Tden E / (sden D^k zlcm)
+                     [row[:m] + [int(i == l) for i in range(r)]
+                      for l, row in enumerate(S)])
+    # L below the facet rows, over Dc = sden D^k; Sh^-1 / |J| is B_den^2
+    # Tden E / sden
     sden = X.denominator
-    block = [[0] * nf + [x * sden * zlcm for x in row] + [0] * r
-             for row in Cg]
+    block = [[0] * nf + [x * sden for x in row] + [0] * r for row in Cg]
     for row in X:
-        block.append([-x * Dk * zlcm for x in row[:nf]]
-                     + [-sum(map(mul, row[nf:m], column)) * zlcm
+        block.append([-x * Dk for x in row[:nf]]
+                     + [-sum(map(mul, row[nf:m], column))
                         for column in zip(*Cg)]
-                     + [x * piola.B_den * Tden for x in row[m:]])
-    weights = [dof.weight for dof in ref.dofs[nf:m]] + qk
-    return weights, block, sden * Dk * zlcm
+                     + [x * piola.B_den ** 2 * Tden * Dk for x in row[m:]])
+    # J P zh_l: `push` gives it times B_den D^k zh_l.denominator
+    monomials = monomial_indices(d, k)
+    qk = tuple(InteriorMoment(VectorPoly([Polynomial(d, {
+        a: Fraction(x, piola.B_den * Dk * z.denominator)
+        for a, x in zip(monomials, comp) if x})
+        for comp in piola.push(z.comps, B)]), "qk") for z in zh)
+    return block, sden * Dk, qk
 
 
 @dataclass(frozen=True)

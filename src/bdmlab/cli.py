@@ -38,9 +38,10 @@ MAX_COEFF_BITS = 1024
 # k = 6 and 9.1 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
 # 11 s on a rational one (one core of a shared 2-core VM, Python 3.11).
 # A `bdm_original` element is mapped from its reference element as well
-# (3.3 s once at k = 6), with an exact r x r correction for its Q_k
-# moments: 0.2 s at k = 4 and 8.7 s at k = 6 there, and 2.4 s at k = 4,
-# 20 s at k = 5 and 3 min at k = 6 on a tetrahedron with 15-digit
+# (3.3 s once at k = 6): its Q_k moments are taken against the pushed
+# reference basis, with an exact r x r correction.  Build and first
+# interpolation take 0.2 s at k = 4 and 9 s at k = 6 there, and 1 s at
+# k = 4, 11 s at k = 5 and 99 s at k = 6 on a tetrahedron with 15-digit
 # decimal vertices.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
@@ -236,6 +237,9 @@ def cmd_interpolate(args):
         simplex = t_bar_simplex()
     else:
         simplex = reference_simplex(2 if args.ref == "tri" else 3)
+    if args.mode == "exact" and args.quad_degree is not None:
+        raise UsageError("--quad-degree sets the quadrature of --mode float; "
+                         "exact mode integrates exactly")
     field = parse_field(args.field, simplex.dim)
     el = build_element(simplex, args.k, args.variant)
     if args.mode == "float":
@@ -349,7 +353,8 @@ def build_parser():
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
                    default=None,
-                   help="quadrature degree for float mode (default 2k + 4)")
+                   help="quadrature degree, --mode float only (default "
+                        "2k + 4)")
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("verify", help="run a named exact verification suite")

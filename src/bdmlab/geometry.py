@@ -80,11 +80,13 @@ class Simplex:
     def __post_init__(self):
         verts = tuple(tuple(_as_number(x) for x in v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        d = len(verts[0])
+        d = len(verts[0]) if verts else 0
         if d not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         if len(verts) != d + 1:
             raise ValueError(f"need {d + 1} vertices for dim {d}")
+        if any(len(v) != d for v in verts):
+            raise ValueError(f"every vertex needs {d} coordinates")
         if self.edge_det() == 0:
             raise DegenerateSimplexError("simplex has zero volume")
 
@@ -447,9 +449,12 @@ def coord_to_token(x):
 
 
 def coord_from_token(tok):
-    """Rationals (`p/q`) and integers are exact; anything else is a float."""
+    """Rationals (`p/q`) and integers are exact; anything else is a float.
+    A zero denominator raises ValueError."""
     if "/" in tok:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {tok!r}")
         return Fraction(int(num), int(den))
     try:
         return Fraction(int(tok))

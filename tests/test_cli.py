@@ -97,6 +97,10 @@ def test_order_above_cap_exit_2(argv, capsys):
     "0 0\n1 0\n0 nan\n",      # not a finite number
     "0 0\n1 inf\n0 1\n",
     "0 0\n1 0\n0 1e400\n",    # overflows to inf as a float
+    "",                         # no vertices
+    "0 0 0\n1 0\n0 1 0\n0 0 1\n",   # a vertex short of a coordinate
+    "0 0\n1 0 5\n0 1\n",      # a vertex with an extra coordinate
+    "0 0\n1/0 0\n0 1\n",      # zero denominator
     None,                       # missing file
 ])
 def test_interpolate_bad_simplex_file_exit_2(text, tmp_path, capsys):
@@ -225,6 +229,9 @@ def test_parse_accepts_fields_at_the_caps():
      "--pow-max"),
     (["sweep", "--name", "counterexample-3d", "--pow-min", str(MAX_POW + 1),
       "--pow-max", str(MAX_POW + 1)], "--pow-min"),
+    # exact mode integrates exactly: the degree would be echoed, not used
+    (["interpolate", "--field", "x1, 0", "--quad-degree", "4"],
+     "--quad-degree"),
 ])
 def test_quad_degree_and_powers_out_of_range_exit_2(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """Polynomial.compose_affine, the DOF functionals and integrate_poly against
 a substitute-then-integrate oracle that shares no code with the moment
 tables, the mapped elements of both variants against the inverse of their
-own DOF matrix, and the invariants of the interpolant (projection, Piola
-commuting, vertex relabelling), on random rational triangles and
-tetrahedra."""
+own DOF matrix, mapped `bdm_original` interpolants against Q_k moments
+taken against basis_qk(T), and the invariants of the interpolant
+(projection, Piola commuting, vertex relabelling), on random rational
+triangles and tetrahedra."""
 
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -101,9 +103,10 @@ def facet_moment_oracle(simplex, facet, v):
 
 
 def element_stub(simplex, order):
-    """What the functionals read from an element: a fresh table and k."""
+    """What the functionals read from an element: a fresh table, k and an
+    empty row cache."""
     return SimpleNamespace(simplex=simplex, order=order,
-                           moments=MomentTable(simplex))
+                           moments=MomentTable(simplex), _rows={})
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,13 +251,24 @@ def direct_inverse(el):
         x for row in fraction_invert(vandermonde) for x in row)
 
 
+def coefficients(v, degree):
+    """The coefficients of a field of degree <= `degree`, component-major
+    in graded order: its coordinates in the element's basis."""
+    return [p.coeff(a) for p in v.comps
+            for a in monomial_indices(v.dim, degree)]
+
+
 def assert_matches_direct_build(simplex, k, variant="nedelec"):
     el = build_element(simplex, k, variant)
     if variant == "bdm_original":
-        # the mapped Q_k weights are the simplex's own canonical basis
-        assert ([dof.weight for dof in el.dofs if dof.__class__.__name__
-                 == "InteriorMoment" and dof.label == "qk"]
-                == list(basis_qk(simplex, k).members))
+        # the mapped Q_k weights are a basis of the simplex's Q_k: they add
+        # nothing to the span of basis_qk, and there are as many
+        qk = basis_qk(simplex, k).members
+        weights = [dof.weight for dof in el.dofs
+                   if getattr(dof, "label", "") == "qk"]
+        assert len(weights) == len(qk)
+        assert linalg.rank([coefficients(z, k) for z in [*weights, *qk]]) \
+            == len(qk)
     assert ([x for row in el._inverse for x in row],
             el._denominator) == direct_inverse(el)
 
@@ -275,6 +289,42 @@ def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
         for s in (simplex, mirrored):
             for variant in bdm.VARIANTS:
                 assert_matches_direct_build(s, k, variant)
+
+    check()
+
+
+def canonical_interpolant(el, v):
+    """The interpolant of `v` in the old `bdm_original` convention: Q_k
+    moments against basis_qk(T), the DOF matrix inverted in Fractions.  It
+    shares only the facet and gradient functionals with `el`."""
+    simplex, k = el.simplex, el.order
+    stub = element_stub(simplex, k)
+    dofs = [dof for dof in el.dofs if getattr(dof, "label", "") != "qk"]
+    dofs += [InteriorMoment(z, "qk") for z in basis_qk(simplex, k)]
+    n = len(monomial_indices(simplex.dim, k))
+    vandermonde = []
+    for dof in dofs:
+        rows, den = dof.rows(stub, k)
+        vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
+    values = [dof.apply(stub, v) for dof in dofs]
+    coeffs = [sum(map(mul, row, values)) for row in fraction_invert(vandermonde)]
+    return VectorPoly([Polynomial(simplex.dim, dict(zip(
+        monomial_indices(simplex.dim, k), coeffs[c * n:(c + 1) * n])))
+        for c in range(simplex.dim)])
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                   (3, 3)])
+def test_mapped_bdm_original_matches_canonical_convention(dim, k):
+    # the interpolant depends on Q_k(T), not on its basis: weights pushed
+    # from the reference element give what basis_qk(T) gives
+    @settings(max_examples=1 if (dim, k) == (3, 3) else 3, deadline=None)
+    @given(simplices(dim), fields(dim, k + 1))
+    def check(simplex, v):
+        w = simplex.vertices
+        for s in (simplex, Simplex((w[1], w[0]) + w[2:])):
+            el = build_element(s, k, "bdm_original")
+            assert el.interpolate(v) == canonical_interpolant(el, v)
 
     check()
 
@@ -315,24 +365,29 @@ def test_bdm_original_build_inverts_without_fractions(monkeypatch):
             made.append(args)
         return new(cls, *args, **kwargs)
 
-    invert = linalg.invert
+    solve = linalg.solve
+    sizes = []
 
-    def watched_invert(matrix):
+    def watched_solve(matrix, *args):
+        sizes.append(len(matrix))
         inside.append(True)
         try:
-            return invert(matrix)
+            return solve(matrix, *args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    monkeypatch.setattr(linalg, "invert", watched_invert)
     tet = Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
                    (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
                    (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5))))
-    # the direct build, as every reference element is built
-    bdm.BDMElement(tet, 2, "bdm_original", direct=True)
+    # `invert` is `solve`: this watches the reference element's inverse,
+    # built on first use, and the mapped element's r x r system
+    bdm._reference_element.cache_clear()
+    bdm._qk_tables.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(linalg, "solve", watched_solve)
+    bdm.BDMElement(tet, 2, "bdm_original")
     monkeypatch.undo()
-    assert made == []
+    assert sizes == [30, 3] and made == []
 
 
 def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
@@ -358,13 +413,12 @@ def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
         build_element(tet, 2)
     assert sizes == {"invert": [30], "solve": [30]}
     # bdm_original: its reference element, then per mapped element only
-    # the r x r systems, r = dim Q_2 = 3: Z[:, F] for the canonical Q_k
-    # basis and Sh for the correction
+    # the r x r system Sh of the correction, r = dim Q_2 = 3
     for name in sizes:
         sizes[name].clear()
     for tet in tets:
         build_element(tet, 2, "bdm_original")
-    assert sizes == {"invert": [30], "solve": [30] + [3, 3] * len(tets)}
+    assert sizes == {"invert": [30], "solve": [30] + [3] * len(tets)}
 
 
 def test_repeated_reference_builds_invert_nothing(monkeypatch):
@@ -388,13 +442,19 @@ def test_repeated_reference_builds_invert_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", bdm.VARIANTS)
-def test_mapped_elements_own_their_interior_dofs(variant):
-    # an interior DOF caches its rows per moment table: one shared with the
-    # reference element would keep a table alive per mapped element
+def test_reference_row_cache_holds_only_its_own_rows(variant):
+    # mapped elements share the reference's interior DOFs, but each caches
+    # the rows it reads itself: the reference's cache must not grow, or it
+    # would keep rows alive per mapped element
     ref = bdm._reference_element(2, 3, variant)
-    els = [build_element(Simplex(((0, 0), (i + 1, 1), (Fraction(1, 3), 2))),
-                         3, variant) for i in range(3)]
-    shared = {id(dof) for dof in ref.dofs if isinstance(dof, InteriorMoment)}
-    assert all(id(dof) not in shared for el in els for dof in el.dofs)
-    assert all(set(dof._rows) <= {ref.moments} for dof in ref.dofs
-               if isinstance(dof, InteriorMoment))
+    ref.interpolate(VectorPoly([Polynomial.variable(2, 0) ** 4,
+                                Polynomial.variable(2, 1)]))
+    before = dict(ref._rows)
+    v = VectorPoly([Polynomial.variable(2, 1) ** 5, Polynomial.constant(2, 1)])
+    for i in range(3):
+        el = build_element(Simplex(((0, 0), (i + 1, 1), (Fraction(1, 3), 2))),
+                           3, variant)
+        el.interpolate(v)
+        assert set(el._rows) <= set(el.dofs)
+    assert ref._rows == before
+    assert set(before) <= set(ref.dofs)
