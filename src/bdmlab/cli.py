@@ -9,7 +9,6 @@ contracts, 2 usage error.
 import argparse
 import ast
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -18,8 +17,7 @@ import numpy as np
 from . import __version__
 from .bdm import build_element
 from .checks import ALL_CHECKS, run_checks
-from .estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
-                        random_divfree_field, sweep, sweep_to_csv)
+from .estimates import SWEEP_PRESETS, sweep_to_csv
 from .geometry import read_simplex, reference_simplex, t_bar_simplex
 from .polynomials import Polynomial, VectorPoly
 from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
@@ -57,6 +55,10 @@ MAX_POW = 40
 # (Shishkin meshes) peaks at 1.68 GiB and takes 27 s, and the fill of the
 # factorization grows about 6x per doubling of N (same machine).
 MAX_MESH_N = 256
+# Bound on `stokes --eps`: the manufactured solution reads eps as the
+# nearest fraction with denominator <= 10^12, which is 0 for eps <= 5e-13
+# and 1/10^12 just above: below 1e-12 a study crashes or solves another eps.
+MIN_STOKES_EPS = 1e-12
 
 
 class UsageError(ValueError):
@@ -139,10 +141,13 @@ def parse_polynomial(expr, dim):
         raise FieldSyntaxError(f"unsupported syntax {ast.dump(node)}")
 
     try:
-        tree = ast.parse(expr, mode="eval")
+        value = ev(ast.parse(expr, mode="eval"))
     except SyntaxError as exc:
         raise FieldSyntaxError(str(exc)) from exc
-    value = ev(tree)
+    except (RecursionError, MemoryError) as exc:
+        # the parser and `ev` recurse once per nesting level: a long sum or
+        # a long run of signs exhausts the stack before any bound applies
+        raise FieldSyntaxError("field expression nests too deeply") from exc
     if not isinstance(value, Polynomial):
         value = Polynomial.constant(dim, value)
     return value
@@ -267,38 +272,15 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-SWEEP_PRESETS = {
-    "counterexample-2d": dict(
-        family=TSTAR_FAMILY, estimate="stability_mac", k=1, m=None,
-        pow_min=1,
-        grid=lambda a: [(Fraction(1, 2 ** j),) for j in range(a.pow_min, a.pow_max + 1)],
-        field=lambda rng: VectorPoly([Polynomial.zero(2),
-                                      Polynomial.variable(2, 0) ** 2])),
-    "counterexample-3d": dict(
-        family=WEAKER_FAMILY, estimate="interpolation_rvp", k=1, m=0,
-        pow_min=1,
-        grid=lambda a: [(1, 1, 2 ** j) for j in range(a.pow_min, a.pow_max + 1)],
-        field=lambda rng: VectorPoly([
-            Polynomial.variable(3, 0) * Polynomial.variable(3, 2),
-            -Polynomial.variable(3, 1) * Polynomial.variable(3, 2),
-            Polynomial.zero(3)])),
-    "rvp-bounded": dict(
-        family=T1_FAMILY, estimate="interpolation_rvp", k=1, m=1, pow_min=0,
-        grid=lambda a: [(1, 1, 10 ** j) for j in range(a.pow_min, a.pow_max + 1)],
-        field=lambda rng: random_divfree_field(3, 3, rng)),
-}
-
-
 def cmd_sweep(args):
     preset = SWEEP_PRESETS[args.name]
     if args.pow_min is None:
-        args.pow_min = preset["pow_min"]
+        args.pow_min = preset.pow_min
     if args.pow_min > args.pow_max:
         raise UsageError(f"--pow-min {args.pow_min} is above --pow-max "
                          f"{args.pow_max}")
-    result = sweep(preset["family"], preset["field"](random.Random(args.seed)),
-                   preset["estimate"], preset["grid"](args),
-                   k=args.k or preset["k"], m=preset["m"])
+    result = preset.run(range(args.pow_min, args.pow_max + 1), k=args.k,
+                        seed=args.seed)
     if args.out:
         sweep_to_csv(result, args.out)
     _manifest("sweep", vars(args), verdict=result.verdict,
@@ -307,6 +289,9 @@ def cmd_sweep(args):
 
 
 def cmd_stokes(args):
+    if min(args.eps) < MIN_STOKES_EPS:
+        raise UsageError(f"--eps must be at least {MIN_STOKES_EPS}, got "
+                         f"{min(args.eps)!r}")
     rows = convergence_study(args.eps, args.N, args.kind,
                              log_convention=args.log,
                              gamma_override=args.gamma,

@@ -1,7 +1,7 @@
 """Numerical verification of the stability and interpolation estimates:
 norm evaluators, the two right-hand-side forms (directional/regular-vertex
-and diameter/maximum-angle), parametrized element families, and ratio
-sweeps with a boundedness verdict.
+and diameter/maximum-angle), parametrized element families and the named
+sweeps over them, and ratio sweeps with a boundedness verdict.
 
 Counterexample identities run in exact rational arithmetic; the derivative
 aggregates that involve absolute values go through quadrature.
@@ -9,6 +9,7 @@ aggregates that involve absolute values go through quadrature.
 
 import csv
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from .quadrature import map_rule
 from .spaces import integrate_poly
 
 RATIO_SPREAD_CAP = 10.0  # bounded/diverging decision threshold
-MAC_RATIO_CAP = 100.0    # absolute cap used by the 100-random-element check
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +98,6 @@ def rvp_terms(v, simplex, directions, sizes, m):
     return terms
 
 
-def rhs_rvp(v, report, m):
-    """Regular-vertex form of the error bound; needs a first-family report."""
-    if report.family != "T1":
-        raise ValueError("regular-vertex right-hand side needs family T1")
-    return rvp_terms(v, report.simplex, report.directions, report.size_params, m)
-
-
 def rhs_mac(v, simplex, m):
     """Maximum-angle form: h_T^{m+1} ||D^{m+1} v|| with the absolute-sum
     derivative convention."""
@@ -170,6 +163,43 @@ T1_FAMILY = ElementFamily(lambda p: t1_simplex(*p),
                           frame=lambda p: (_axes(len(p)), tuple(p)))
 WEAKER_FAMILY = ElementFamily(lambda p: weaker_example_tet(*p),
                               frame=lambda p: (_axes(3), tuple(p)))
+
+
+@dataclass(frozen=True)
+class SweepPreset:
+    """A named sweep: one estimate of one field over a family, at the grid
+    point `point(j)` for each exponent j."""
+    family: ElementFamily
+    estimate: str
+    k: int
+    m: int
+    pow_min: int            # first exponent of the CLI's default grid
+    point: callable         # exponent -> element parameters
+    field: callable         # seed -> field
+
+    def run(self, pows, k=None, seed=0):
+        return sweep(self.family, self.field(seed), self.estimate,
+                     [self.point(j) for j in pows], k=k or self.k, m=self.m)
+
+
+SWEEP_PRESETS = {
+    "counterexample-2d": SweepPreset(
+        TSTAR_FAMILY, "stability_mac", k=1, m=None, pow_min=1,
+        point=lambda j: (Fraction(1, 2 ** j),),
+        field=lambda seed: VectorPoly([Polynomial.zero(2),
+                                       Polynomial.variable(2, 0) ** 2])),
+    "counterexample-3d": SweepPreset(
+        WEAKER_FAMILY, "interpolation_rvp", k=1, m=0, pow_min=1,
+        point=lambda j: (1, 1, 2 ** j),
+        field=lambda seed: VectorPoly([
+            Polynomial.variable(3, 0) * Polynomial.variable(3, 2),
+            -Polynomial.variable(3, 1) * Polynomial.variable(3, 2),
+            Polynomial.zero(3)])),
+    "rvp-bounded": SweepPreset(
+        T1_FAMILY, "interpolation_rvp", k=1, m=1, pow_min=0,
+        point=lambda j: (1, 1, 10 ** j),
+        field=lambda seed: random_divfree_field(3, random.Random(seed))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +328,9 @@ def random_polynomial(dim, degree, rng):
     return Polynomial(dim, terms)
 
 
-def random_field(dim, degree, rng):
-    return VectorPoly([random_polynomial(dim, degree, rng) for _ in range(dim)])
-
-
-def random_divfree_field(dim, degree, rng):
-    """Curl of a random potential: exactly divergence-free by construction."""
-    if dim == 2:
-        psi = random_polynomial(2, degree + 1, rng)
-        return VectorPoly([psi.diff(1), -psi.diff(0)])
+def random_divfree_field(degree, rng):
+    """Curl of three random potentials in 3D: exactly divergence-free by
+    construction."""
     phi = [random_polynomial(3, degree + 1, rng) for _ in range(3)]
     return VectorPoly([
         phi[2].diff(1) - phi[1].diff(2),
@@ -314,20 +338,3 @@ def random_divfree_field(dim, degree, rng):
         phi[1].diff(0) - phi[0].diff(1),
     ])
 
-
-def random_mac_simplex(dim, rng):
-    """Random simplex with integer coordinates in [-3, 3] and every angle
-    at most 2.6 (the maximum angle condition)."""
-    from .geometry import DegenerateSimplexError, max_angle
-
-    while True:
-        verts = tuple(tuple(rng.randint(-3, 3)
-                            for _ in range(dim)) for _ in range(dim + 1))
-        try:
-            s = Simplex(verts)
-        except DegenerateSimplexError:
-            continue
-        if abs(s.edge_det()) < 1:
-            continue
-        if max_angle(s) <= 2.6:
-            return s

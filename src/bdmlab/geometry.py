@@ -20,7 +20,7 @@ import numpy as np
 from .polynomials import Polynomial, VectorPoly
 
 DEFAULT_RVP_THRESHOLD = 0.1
-DEFAULT_COND_CAP = 100.0
+COND_CAP = 100.0
 
 
 class DegenerateSimplexError(ValueError):
@@ -107,9 +107,6 @@ class Simplex:
     def orientation(self):
         det = self.edge_det()
         return 1 if det > 0 else -1
-
-    def volume(self):
-        return abs(self.edge_det()) / math.factorial(self.dim)
 
     def chart(self):
         """Affine map (A, b) with reference simplex -> self, x = A t + b."""
@@ -210,9 +207,6 @@ class AffineMap:
 
     def norm_inf(self):
         return _norm_inf_matrix(self.matrix)
-
-    def map_simplex(self, s):
-        return Simplex(tuple(self.apply(v) for v in s.vertices))
 
 
 @dataclass
@@ -367,7 +361,6 @@ def _t2_candidate(s, perm):
 def classify_to_reference_family(
     s: Simplex,
     rvp_threshold: float = DEFAULT_RVP_THRESHOLD,
-    cond_cap: float = DEFAULT_COND_CAP,
 ) -> RegularityReport:
     """Pick a reference-family element and an affine map onto s.
 
@@ -375,7 +368,7 @@ def classify_to_reference_family(
     regular-vertex edge lengths as size parameters.  Otherwise every vertex
     ordering of the second family (d=3) or first family (d=2) is tried and
     the ordering with the smallest ||J||_inf ||J^-1||_inf wins; above
-    `cond_cap` the element is declared unclassifiable (family None).
+    COND_CAP the element is declared unclassifiable (family None).
     """
     report = rvp_report(s)
     if report.rvp_best >= rvp_threshold:
@@ -397,7 +390,7 @@ def classify_to_reference_family(
     report.cond_product = cond
     report.reference_vertices = ref
     report.role_of_vertex = roles
-    report.family = fam if cond <= cond_cap else None
+    report.family = fam if cond <= COND_CAP else None
     return report
 
 
@@ -416,13 +409,6 @@ def piola_push(amap: AffineMap, v: VectorPoly) -> VectorPoly:
                 acc = acc + pulled[j] * amap.matrix[i][j]
         comps.append(acc / det)
     return VectorPoly(comps)
-
-
-def simplex_to_text(s: Simplex):
-    lines = []
-    for v in s.vertices:
-        lines.append(" ".join(coord_to_token(x) for x in v))
-    return "\n".join(lines) + "\n"
 
 
 def read_simplex(path) -> Simplex:

@@ -146,9 +146,8 @@ def solve(matrix, rhs=None):
     """Solve M X = rhs exactly for a square nonsingular M; with no `rhs`,
     X = M^-1.
 
-    `rhs` may be a vector or a list of rows (n rows) of ints and
-    Fractions.  Returns X as a `Scaled` in lowest terms: ints for a vector,
-    else int rows, over one positive denominator.
+    `rhs` is a list of n rows of ints and Fractions.  Returns X as a
+    `Scaled` in lowest terms: int rows over one positive denominator.
     """
     n = len(matrix)
     if not n or any(len(row) != n for row in matrix):
@@ -172,16 +171,12 @@ def solve(matrix, rhs=None):
     inverse = [flat[i:i + n] for i in range(0, n * n, n)]
     if rhs is None:
         return Scaled(inverse, den)
-    vector = not isinstance(rhs[0], (list, tuple))
-    rhs = [[b] for b in rhs] if vector else rhs
     width = len(rhs[0])
     nums, rhs_den = over_common_denominator(b for row in rhs for b in row)
     columns = list(zip(*(nums[i:i + width] for i in range(0, n * width, width))))
     flat, den = _lowest_terms(
         [sum(map(mul, row, col)) for row in inverse for col in columns],
         den * rhs_den)
-    if vector:
-        return Scaled(flat, den)
     return Scaled([flat[i:i + width] for i in range(0, n * width, width)], den)
 
 
@@ -209,9 +204,3 @@ def nullspace(matrix):
     _back_substitute(pivots, ncols, len(free), x)
     return [[Fraction(nums[k], den) for nums, den in x]
             for k in range(len(free))]
-
-
-def rank(matrix):
-    if not matrix:
-        return 0
-    return len(_echelon(_integer_rows(matrix)[0], len(matrix[0])))

@@ -9,8 +9,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import monomial_indices
-
 
 @lru_cache(maxsize=None)
 def gauss_01(n):
@@ -66,28 +64,3 @@ def map_rule(simplex, degree):
     phys = pts @ A.T + b
     return phys, wts * abs(float(np.linalg.det(A)))
 
-
-def integrate_field(f, simplex, degree):
-    """Integrate a scalar callable over a simplex.
-
-    `f` receives an (m, d) array of points and must return (m,) values.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    phys, wts = map_rule(simplex, degree)
-    vals = np.asarray(f(phys), dtype=float)
-    return float(np.dot(wts, vals))
-
-
-def rule_monomial_check(dim, degree):
-    """Max abs error of the rule against the exact monomial integrals,
-    over all monomials up to `degree` (used by tests and as a self-check)."""
-    from .polynomials import Polynomial, integrate_reference
-
-    pts, wts = simplex_rule(dim, degree)
-    worst = 0.0
-    for alpha in monomial_indices(dim, degree):
-        approx = float(np.dot(wts, np.prod(pts ** np.array(alpha), axis=1)))
-        exact = float(integrate_reference(Polynomial.monomial(dim, alpha)))
-        worst = max(worst, abs(approx - exact))
-    return worst

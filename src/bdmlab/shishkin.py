@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import coord_from_token, coord_to_token
+from .geometry import coord_to_token
 from .linalg import over_common_denominator
 
 
@@ -82,13 +82,6 @@ class Mesh2D:
     @property
     def n_triangles(self):
         return len(self.triangles)
-
-    def triangle_points(self, t):
-        return [self.vertices[i] for i in self.triangles[t]]
-
-    def triangle_area(self, t):
-        (x0, y0), (x1, y1), (x2, y2) = self.triangle_points(t)
-        return ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
 
     def build_facets(self):
         """Unique edges, sorted by vertex key, with their incident
@@ -170,11 +163,6 @@ def build_shishkin(params: ShishkinParams) -> Mesh2D:
 
 def build_uniform(N: int) -> Mesh2D:
     """Uniform grid: the layer construction with the transition at 1/2."""
-    if N == 1:
-        mesh = Mesh2D([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                       (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))],
-                      [(0, 1, 3), (0, 3, 2)])
-        return mesh.build_facets()
     return build_shishkin(ShishkinParams(N=N, epsilon=0.5, tau=Fraction(1, 2)))
 
 
@@ -208,20 +196,4 @@ def mesh_to_text(mesh: Mesh2D):
     for a, b, c in mesh.triangles:
         lines.append(f"{a} {b} {c}")
     return "\n".join(lines) + "\n"
-
-
-def mesh_from_text(text) -> Mesh2D:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, nv, nt = (int(x) for x in lines[0].split())
-    if dim != 2:
-        raise ValueError("only 2D meshes supported")
-    vertices = []
-    for ln in lines[1:1 + nv]:
-        a, b = ln.split()
-        vertices.append((coord_from_token(a), coord_from_token(b)))
-    triangles = []
-    for ln in lines[1 + nv:1 + nv + nt]:
-        a, b, c = (int(x) for x in ln.split())
-        triangles.append((a, b, c))
-    return Mesh2D(vertices, triangles).build_facets()
 

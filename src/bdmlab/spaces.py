@@ -295,7 +295,3 @@ def basis_qk(simplex, k):
     null = linalg.nullspace(rows)
     return SpaceBasis("Qk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
 
-
-def facet_polynomial_count(dim, k):
-    """dim P_k on a (d-1)-simplex facet."""
-    return len(monomial_indices(dim - 1, k))

@@ -596,19 +596,6 @@ def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
     return math.sqrt(err_grad_sq), math.sqrt(err_p_sq)
 
 
-def interpolate_exact_solution(space: DGSpace, case: StokesCase):
-    """Baseline: velocity from edge moments of the exact solution, pressure
-    from elementwise means; useful as an interpolation-error yardstick."""
-    vel = space.edge_moments(case.boundary_g, np.arange(space.n_facets), 6)
-    coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
-                       vel[space.tri_dof_ids])
-    phys, wts = space.triangle_quad(8)
-    pvals = case.p.eval(phys.reshape(-1, 2)).reshape(space.n_tri, -1)
-    pressure = (np.sum(wts * (pvals - case.pressure_mean), axis=1)
-                / np.sum(wts, axis=1))
-    return StokesSolution(space, vel, coeffs, pressure, {"kind": "interpolant"})
-
-
 # ---------------------------------------------------------------------------
 # convergence study
 

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from bdmlab.checks import check_counterexample_2d
 from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
-                        MAX_QUAD_DEGREE, FieldSyntaxError, build_parser, main,
-                        parse_field, parse_polynomial)
+                        MAX_QUAD_DEGREE, MIN_STOKES_EPS, FieldSyntaxError,
+                        build_parser, main, parse_field, parse_polynomial)
 from fractions import Fraction
 
 F = Fraction
@@ -173,6 +174,12 @@ def test_interpolate_decimal_simplex_file_bdm_original(tmp_path, capsys):
     (["mesh", "--N", str(MAX_MESH_N + 2)], "--N"),
     (["stokes", "--eps", "0.1", "--N", "4", "--N", str(MAX_MESH_N + 2)],
      "--N"),
+    # eps read as a fraction with denominator <= 10^12: 0 at and below
+    # 5e-13 (a ZeroDivisionError), 1e-12 just above (another eps solved)
+    (["stokes", "--eps", "4e-13", "--N", "2"], "--eps"),
+    (["stokes", "--eps", "1e-300", "--N", "2"], "--eps"),
+    (["stokes", "--eps", "6e-13", "--N", "2"], "--eps"),
+    (["stokes", "--eps", "0.1", "--eps", "6e-13", "--N", "2"], "--eps"),
 ])
 def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -198,6 +205,10 @@ def test_mesh_uniform_rejects_tau(kind, capsys):
     "((10**12)**12)**12, 0",    # coefficient size past the cap
     "x1**-1, 0",
     "1/0, x1",
+    # nesting deeper than the parser's or the evaluator's stack
+    pytest.param("+".join(["x1"] * 2000) + ", 0", id="long-sum"),
+    pytest.param("-" * 3000 + "x1, 0", id="3000-signs"),
+    pytest.param("-" * 100000 + "x1, 0", id="100000-signs"),
 ])
 def test_interpolate_unbounded_field_exit_2(field, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -313,6 +324,19 @@ def test_sweep_counterexamples(capsys, tmp_path):
     assert code == 0 and manifest["verdict"] == "diverging"
     code, _, manifest = run(capsys, ["sweep", "--name", "counterexample-3d"])
     assert code == 0 and manifest["verdict"] == "diverging"
+
+
+def test_verify_and_sweep_report_the_same_counterexample_2d_ratios(capsys):
+    code, _, manifest = run(capsys, ["sweep", "--name", "counterexample-2d"])
+    assert code == 0
+    assert manifest["ratios"] == check_counterexample_2d().data["ratios"]
+
+
+def test_stokes_accepts_the_smallest_eps(capsys):
+    code, _, manifest = run(capsys, [
+        "stokes", "--eps", str(MIN_STOKES_EPS), "--N", "2"])
+    assert code == 0
+    assert manifest["rows"][0]["epsilon"] == MIN_STOKES_EPS
 
 
 def test_stokes_subcommand(tmp_path, capsys):

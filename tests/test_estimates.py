@@ -6,24 +6,55 @@ import pytest
 
 from bdmlab import linalg
 from bdmlab.bdm import build_element
-from bdmlab.estimates import (MAC_RATIO_CAP, T1_FAMILY, TSTAR_FAMILY,
-                              WEAKER_FAMILY, abs_derivative_sum_norm,
-                              evaluate_estimate, l2_norm, l2_norm_sq,
-                              random_divfree_field,
-                              random_field, random_mac_simplex, ratio_verdict,
-                              rhs_mac, rhs_rvp, rvp_terms, stability_lhs,
-                              stability_rhs_mac, stability_rhs_rvp, sweep,
-                              sweep_to_csv, t1_simplex, tstar_simplex,
-                              weaker_example_tet)
-from bdmlab.geometry import classify_to_reference_family, rvp_report
+from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
+                              abs_derivative_sum_norm, evaluate_estimate,
+                              l2_norm, l2_norm_sq, random_divfree_field,
+                              random_polynomial, ratio_verdict, rhs_mac,
+                              rvp_terms, stability_lhs, stability_rhs_mac,
+                              stability_rhs_rvp, sweep, sweep_to_csv,
+                              t1_simplex, tstar_simplex, weaker_example_tet)
+from bdmlab.geometry import (DegenerateSimplexError, Simplex,
+                             classify_to_reference_family, max_angle,
+                             rvp_report)
 from bdmlab.polynomials import Polynomial, VectorPoly
 from bdmlab.spaces import basis_pk, integrate_poly
 
 F = Fraction
 
+# absolute cap on the maximum-angle interpolation ratio over random
+# angle-capped simplices
+MAC_RATIO_CAP = 100.0
+
 
 def x(dim, i):
     return Polynomial.variable(dim, i)
+
+
+def random_field(dim, degree, rng):
+    return VectorPoly([random_polynomial(dim, degree, rng) for _ in range(dim)])
+
+
+def random_mac_simplex(dim, rng):
+    """Random simplex with integer coordinates in [-3, 3] and every angle
+    at most 2.6 (the maximum angle condition)."""
+    while True:
+        verts = tuple(tuple(rng.randint(-3, 3)
+                            for _ in range(dim)) for _ in range(dim + 1))
+        try:
+            s = Simplex(verts)
+        except DegenerateSimplexError:
+            continue
+        if abs(s.edge_det()) < 1:
+            continue
+        if max_angle(s) <= 2.6:
+            return s
+
+
+def rhs_rvp(v, report, m):
+    """Regular-vertex form of the error bound; needs a first-family report."""
+    if report.family != "T1":
+        raise ValueError("regular-vertex right-hand side needs family T1")
+    return rvp_terms(v, report.simplex, report.directions, report.size_params, m)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -61,7 +92,7 @@ def test_rhs_rvp_requires_t1():
 
 def test_rhs_rvp_divergence_term_vanishes_for_curl():
     rng = random.Random(2)
-    v = random_divfree_field(3, 2, rng)
+    v = random_divfree_field(2, rng)
     s = t1_simplex(F(1), F(2), F(3))
     rep = classify_to_reference_family(s)
     terms = rhs_rvp(v, rep, 0)
@@ -144,9 +175,9 @@ def poly_project(v, simplex, m):
 
     def project(p):
         rhs = [integrate_poly(p, simplex, b) for b in scalars]
-        coeffs = linalg.solve(gram, rhs)
+        coeffs = linalg.solve(gram, [[b] for b in rhs])
         w = Polynomial.zero(simplex.dim)
-        for c, b in zip(coeffs, scalars):
+        for (c,), b in zip(coeffs, scalars):
             w = w + b * Fraction(c, coeffs.denominator)
         return w
 
@@ -215,7 +246,7 @@ def test_sweep_counterexample_3d_diverges():
 
 def test_sweep_t1_bounded_for_divfree_fields():
     rng = random.Random(7)
-    v = random_divfree_field(3, 3, rng)
+    v = random_divfree_field(3, rng)
     grid = [(1, 1, 10 ** j) for j in range(0, 7)]
     result = sweep(T1_FAMILY, v, "interpolation_rvp",
                    grid, k=1, m=1)
@@ -232,7 +263,7 @@ def test_projection_gives_zero_lhs():
 
 def test_rvp_ratio_invariance_scaling_and_relabeling():
     rng = random.Random(13)
-    v = random_divfree_field(3, 2, rng)
+    v = random_divfree_field(2, rng)
     s = t1_simplex(F(1), F(2), F(5))
     axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     sizes = (1, 2, 5)

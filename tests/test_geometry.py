@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              classify_to_reference_family, facet_normals,
-                             max_angle, piola_push, reference_simplex,
-                             rvp_report, simplex_from_text, simplex_to_text,
+                             coord_to_token, max_angle, piola_push,
+                             reference_simplex, rvp_report, simplex_from_text,
                              t_bar_simplex)
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 
-from test_moments import dot
+from test_estimates import random_field
+from test_moments import dot, map_simplex
 
 F = Fraction
 
@@ -286,7 +287,6 @@ def test_piola_diagonal_component_scaling():
 def test_piola_divergence_relation():
     import random
     rng = random.Random(5)
-    from bdmlab.estimates import random_field
     v = random_field(3, 3, rng)
     amap = AffineMap(((2, 1, 0), (0, 3, 1), (1, 0, 5)), (1, -1, 2))
     pushed = piola_push(amap, v)
@@ -300,7 +300,7 @@ def test_piola_divergence_relation():
 def test_piola_preserves_facet_fluxes():
     ref = reference_simplex(2)
     amap = AffineMap(((2, 1), (0, 3)), (1, 1))
-    phys = amap.map_simplex(ref)
+    phys = map_simplex(amap, ref)
     v = VectorPoly([Polynomial.variable(2, 0) ** 2,
                     Polynomial.variable(2, 0) * Polynomial.variable(2, 1)])
     pushed = piola_push(amap, v)
@@ -314,6 +314,12 @@ def test_piola_preserves_facet_fluxes():
 
 
 # -- text I/O -----------------------------------------------------------------
+
+def simplex_to_text(s):
+    """The format `simplex_from_text` reads: one vertex per line."""
+    return "".join(" ".join(coord_to_token(x) for x in v) + "\n"
+                   for v in s.vertices)
+
 
 def test_simplex_text_roundtrip_exact():
     s = Simplex(((F(1, 3), F(2, 7)), (1, 0), (0, 1)))
