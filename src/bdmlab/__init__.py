@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 
 from .geometry import (AffineMap, DegenerateSimplexError, RegularityReport,
                        Simplex, classify_to_reference_family, facet_normals,
-                       max_angle, piola_push, reference_simplex, rvp_report,
-                       t_bar_simplex)
+                       max_angle, reference_simplex, rvp_report, t_bar_simplex)
 from .polynomials import Polynomial, VectorPoly
 from .bdm import (BDMElement, UnisolvenceError, build_element,
-                  commutes_with_piola, structural_lemma_check)
+                  structural_lemma_check)
 from .spaces import (SpaceBasis, basis_nk, basis_pk, basis_pk_vector,
                      basis_qk, basis_sk, integrate_poly)
 
@@ -20,7 +19,6 @@ __all__ = [
     "RegularityReport", "Simplex", "SpaceBasis", "UnisolvenceError",
     "VectorPoly", "basis_nk", "basis_pk", "basis_pk_vector", "basis_qk",
     "basis_sk", "build_element", "classify_to_reference_family",
-    "commutes_with_piola", "facet_normals", "integrate_poly", "max_angle",
-    "piola_push", "reference_simplex", "rvp_report",
-    "structural_lemma_check", "t_bar_simplex",
+    "facet_normals", "integrate_poly", "max_angle", "reference_simplex",
+    "rvp_report", "structural_lemma_check", "t_bar_simplex",
 ]

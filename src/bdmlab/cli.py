@@ -33,14 +33,15 @@ MAX_FIELD_DEGREE = 12
 MAX_COEFF_BITS = 1024
 # Bound on --k: the first d = 3 `nedelec` build of an order builds the
 # reference element from its own DOF matrix, 0.09 s at k = 4, 1.35 s at
-# k = 6 and 9.1 s at k = 8, and maps it onto the tetrahedron, 0.1, 1.3 and
-# 11 s on a rational one (one core of a shared 2-core VM, Python 3.11).
-# A `bdm_original` element is mapped from its reference element as well
-# (3.3 s once at k = 6): its Q_k moments are taken against the pushed
-# reference basis, with an exact r x r correction.  Build and first
-# interpolation take 0.2 s at k = 4 and 9 s at k = 6 there, and 1 s at
-# k = 4, 11 s at k = 5 and 99 s at k = 6 on a tetrahedron with 15-digit
-# decimal vertices.
+# k = 6 and 9.1 s at k = 8 (one core of a shared 2-core VM, Python 3.11).
+# Mapping it onto a tetrahedron and interpolating once takes 0.02 and
+# 0.13 s at k = 4, 6 on a rational one, and 0.03 and 0.23 s on one with
+# 15-digit decimal vertices.  A `bdm_original` element is mapped from its
+# reference element as well (3.3 s once at k = 6): its Q_k moments are
+# taken against the pushed reference basis, with an exact r x r
+# correction.  Build and first interpolation take 0.1 s at k = 4 and
+# 3.7 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 3.9 s
+# at k = 5 and 42 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
 # per element, and `stokes` doubles q on layer elements for eps <= 1e-3;
@@ -55,10 +56,13 @@ MAX_POW = 40
 # (Shishkin meshes) peaks at 1.68 GiB and takes 27 s, and the fill of the
 # factorization grows about 6x per doubling of N (same machine).
 MAX_MESH_N = 256
-# Bound on `stokes --eps`: the manufactured solution reads eps as the
-# nearest fraction with denominator <= 10^12, which is 0 for eps <= 5e-13
-# and 1/10^12 just above: below 1e-12 a study crashes or solves another eps.
-MIN_STOKES_EPS = 1e-12
+# Floor on `--eps` (`mesh`, `stokes`) and `mesh --tau`.  The manufactured
+# solution and `mesh --tau` read the value as the nearest fraction with
+# denominator <= 10^12, which is 0 for values <= 5e-13 and 1/10^12 just
+# above: below 1e-12 a study crashes or solves another eps, and a --tau
+# mesh does not conform.  At the floor, the two aspect ratios `mesh`
+# prints (about 6e9) agree to 1e-13, relative, for every N.
+MIN_EPS_TAU = 1e-12
 
 
 class UsageError(ValueError):
@@ -211,15 +215,17 @@ def mesh_size(text):
     return value
 
 
-def in_unit_interval(convert):
-    """An argparse type: `convert`, then a check for 0 < value < 1."""
+def eps_or_tau(convert):
+    """An argparse type: `convert`, then a check for MIN_EPS_TAU <= value
+    < 1."""
     def parse(text):
         try:
             value = convert(text)
         except ZeroDivisionError as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
-        if not 0 < value < 1:
-            raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+        if not MIN_EPS_TAU <= value < 1:
+            raise argparse.ArgumentTypeError(
+                f"must lie in [{MIN_EPS_TAU}, 1), got {text}")
         return value
     parse.__name__ = convert.__name__   # argparse's "invalid ... value"
     return parse
@@ -248,9 +254,12 @@ def cmd_interpolate(args):
     field = parse_field(args.field, simplex.dim)
     el = build_element(simplex, args.k, args.variant)
     if args.mode == "float":
-        result = el.interpolate(
-            lambda pts: np.column_stack([p.eval(pts) for p in field.comps]),
-            quad_degree=args.quad_degree)
+        def values(pts):
+            return np.column_stack([p.eval(pts) for p in field.comps])
+        try:
+            result = el.interpolate(values, quad_degree=args.quad_degree)
+        except ValueError as exc:   # a moment overflows floats
+            raise UsageError(f"--field in --mode float: {exc}") from exc
     else:
         result = el.interpolate(field)
     print(f"interpolant: {result}")
@@ -289,9 +298,6 @@ def cmd_sweep(args):
 
 
 def cmd_stokes(args):
-    if min(args.eps) < MIN_STOKES_EPS:
-        raise UsageError(f"--eps must be at least {MIN_STOKES_EPS}, got "
-                         f"{min(args.eps)!r}")
     rows = convergence_study(args.eps, args.N, args.kind,
                              log_convention=args.log,
                              gamma_override=args.gamma,
@@ -314,8 +320,8 @@ def build_parser():
 
     p = sub.add_parser("mesh", help="generate layer-adapted or uniform meshes")
     p.add_argument("--N", type=mesh_size, required=True)
-    p.add_argument("--eps", type=in_unit_interval(float), default=0.01)
-    p.add_argument("--tau", type=in_unit_interval(Fraction), default=None,
+    p.add_argument("--eps", type=eps_or_tau(float), default=0.01)
+    p.add_argument("--tau", type=eps_or_tau(Fraction), default=None,
                    help="override the transition point (rational, e.g. 3/50)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
     p.add_argument("--shishkin", dest="kind", action="store_const",
@@ -359,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("stokes", help="convergence study of the Stokes "
                                       "discretization")
-    p.add_argument("--eps", type=in_unit_interval(float), action="append",
+    p.add_argument("--eps", type=eps_or_tau(float), action="append",
                    required=True)
     p.add_argument("--N", type=mesh_size, action="append", required=True)
     p.add_argument("--kind", choices=["shishkin", "uniform"],

@@ -1,11 +1,11 @@
-"""Simplices, facet normals, angle/regular-vertex diagnostics, affine maps
-and Piola transforms, plus the constructive classification onto the two
-axis-aligned reference families of anisotropic elements.
+"""Simplices, facet normals, angle/regular-vertex diagnostics and affine
+maps, plus the constructive classification onto the two axis-aligned
+reference families of anisotropic elements.
 
 Coordinates are Fractions: a float becomes the shortest decimal that
-rounds to it, the one its `repr` prints.  Scaled facet normals, charts,
-volumes and the Piola transform of polynomial fields are exact; only edge
-lengths and directions that are not rational fall back to floats.
+rounds to it, the one its `repr` prints.  Scaled facet normals, charts
+and volumes are exact; only edge lengths and directions that are not
+rational fall back to floats.
 """
 
 import math
@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .polynomials import Polynomial, VectorPoly
 
 DEFAULT_RVP_THRESHOLD = 0.1
 COND_CAP = 100.0
@@ -392,23 +391,6 @@ def classify_to_reference_family(
     report.role_of_vertex = roles
     report.family = fam if cond <= COND_CAP else None
     return report
-
-
-def piola_push(amap: AffineMap, v: VectorPoly) -> VectorPoly:
-    """Contra-variant Piola transform of a polynomial field:
-    v(F(xt)) = (det J)^-1 J vt(xt), returned as a polynomial in x."""
-    inv = amap.inverse()
-    pulled = [p.compose_affine(inv.matrix, inv.offset) for p in v.comps]
-    det = amap.det()
-    d = amap.dim
-    comps = []
-    for i in range(d):
-        acc = Polynomial(d)
-        for j in range(d):
-            if amap.matrix[i][j] != 0:
-                acc = acc + pulled[j] * amap.matrix[i][j]
-        comps.append(acc / det)
-    return VectorPoly(comps)
 
 
 def read_simplex(path) -> Simplex:

@@ -32,7 +32,8 @@ class SingularMatrixError(ValueError):
 
 
 class Scaled(list):
-    """Ints, or rows of ints, over one positive `denominator`."""
+    """Ints, or rows of ints, over one positive `denominator`.  It compares
+    as a list: equality ignores the denominator."""
 
     __slots__ = ("denominator",)
 
@@ -116,7 +117,7 @@ def _echelon(rows, ncols, identity=False):
     return pivots
 
 
-def _lowest_terms(nums, den):
+def lowest_terms(nums, den):
     """(nums, den) divided by their gcd."""
     g = gcd(den, *nums)
     return [x // g for x in nums], den // g
@@ -139,7 +140,7 @@ def _back_substitute(pivots, ncols, width, x):
         for a, (nums, den) in terms:
             f = a * (common // den)
             acc = [s - f * v for s, v in zip(acc, nums)]
-        x[c] = _lowest_terms(acc, row[0] * common)
+        x[c] = lowest_terms(acc, row[0] * common)
 
 
 def solve(matrix, rhs=None):
@@ -167,14 +168,14 @@ def solve(matrix, rhs=None):
         position[i] = t
     x = [([xc[t] * s for t, s in zip(position, scales)], d) for xc, d in x]
     den = lcm(*(d for _, d in x))
-    flat, den = _lowest_terms([v * (den // d) for xc, d in x for v in xc], den)
+    flat, den = lowest_terms([v * (den // d) for xc, d in x for v in xc], den)
     inverse = [flat[i:i + n] for i in range(0, n * n, n)]
     if rhs is None:
         return Scaled(inverse, den)
     width = len(rhs[0])
     nums, rhs_den = over_common_denominator(b for row in rhs for b in row)
     columns = list(zip(*(nums[i:i + width] for i in range(0, n * width, width))))
-    flat, den = _lowest_terms(
+    flat, den = lowest_terms(
         [sum(map(mul, row, col)) for row in inverse for col in columns],
         den * rhs_den)
     return Scaled([flat[i:i + width] for i in range(0, n * width, width)], den)

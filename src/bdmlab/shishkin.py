@@ -46,12 +46,14 @@ def _is_power_of_ten(n):
 
 def aspect_ratio(tau):
     """Closed-form aspect ratio of the layer-column right triangles:
-    sqrt(1 + 4 tau^2) / (1 + 2 tau - sqrt(1 + 4 tau^2))."""
+    sqrt(1 + 4 tau^2) / (1 + 2 tau - sqrt(1 + 4 tau^2)), with the
+    denominator as 2 tau - 4 tau^2 / (1 + sqrt(1 + 4 tau^2)), which does
+    not cancel for small tau."""
     t = float(tau)
     if not 0 < t < 1:
         raise ValueError("tau must lie in (0, 1)")
     root = math.sqrt(1.0 + 4.0 * t * t)
-    return root / (1.0 + 2.0 * t - root)
+    return root / (2.0 * t - 4.0 * t * t / (1.0 + root))
 
 
 @dataclass(frozen=True)
@@ -168,16 +170,18 @@ def build_uniform(N: int) -> Mesh2D:
 
 def mesh_aspect_ratio(mesh: Mesh2D):
     """Max elementwise longest-edge / (2 inradius), as one array expression
-    over the float vertices (Heron's formula for the area).  The edge
-    lengths come from `math.hypot` as a ufunc: it rounds like the
-    `math.dist` of a per-triangle evaluation, where `np.hypot` can differ
-    in the last place."""
+    over the float vertices.  The area is half the cross product of two
+    edge vectors: Heron's formula cancels on the thin layer triangles
+    (2e-6 relative at eps = 1e-12).  The edge lengths come from
+    `math.hypot` as a ufunc: it rounds like the `math.dist` of a
+    per-triangle evaluation, where `np.hypot` can differ in the last
+    place."""
     pts = np.array(mesh.vertices, dtype=float)[np.array(mesh.triangles)]
     d = pts - np.roll(pts, -1, axis=1)                  # (T, 3, 2) edge vectors
     hypot = np.frompyfunc(math.hypot, 2, 1)
     a, b, c = hypot(d[..., 0], d[..., 1]).astype(float).T
     s = 0.5 * (a + b + c)
-    area = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
+    area = 0.5 * np.abs(d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
     return float(np.max(np.maximum(np.maximum(a, b), c) / (2.0 * (area / s))))
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 
 from bdmlab.checks import check_counterexample_2d
 from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
-                        MAX_QUAD_DEGREE, MIN_STOKES_EPS, FieldSyntaxError,
+                        MAX_QUAD_DEGREE, MIN_EPS_TAU, FieldSyntaxError,
                         build_parser, main, parse_field, parse_polynomial)
 from fractions import Fraction
 
@@ -180,6 +181,12 @@ def test_interpolate_decimal_simplex_file_bdm_original(tmp_path, capsys):
     (["stokes", "--eps", "1e-300", "--N", "2"], "--eps"),
     (["stokes", "--eps", "6e-13", "--N", "2"], "--eps"),
     (["stokes", "--eps", "0.1", "--eps", "6e-13", "--N", "2"], "--eps"),
+    # the same floor on `mesh`: tau = 3 eps |log eps| made the closed-form
+    # aspect ratio divide by zero at 1e-20 and sigma_mesh infinite at
+    # 1e-18, and a --tau of 1e-20 became 0 (a non-conforming mesh)
+    (["mesh", "--N", "4", "--eps", "1e-20"], "--eps"),
+    (["mesh", "--N", "4", "--eps", "1e-18"], "--eps"),
+    (["mesh", "--N", "4", "--tau", "1/100000000000000000000"], "--tau"),
 ])
 def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -334,9 +341,29 @@ def test_verify_and_sweep_report_the_same_counterexample_2d_ratios(capsys):
 
 def test_stokes_accepts_the_smallest_eps(capsys):
     code, _, manifest = run(capsys, [
-        "stokes", "--eps", str(MIN_STOKES_EPS), "--N", "2"])
+        "stokes", "--eps", str(MIN_EPS_TAU), "--N", "2"])
     assert code == 0
-    assert manifest["rows"][0]["epsilon"] == MIN_STOKES_EPS
+    assert manifest["rows"][0]["epsilon"] == MIN_EPS_TAU
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 26, 110, 128, 256])
+def test_mesh_at_the_smallest_eps_is_finite(N, capsys):
+    code, _, manifest = run(capsys, [
+        "mesh", "--N", str(N), "--eps", str(MIN_EPS_TAU)])
+    assert code == 0
+    sigma, sigma_mesh = manifest["sigma"], manifest["sigma_mesh"]
+    assert math.isfinite(sigma) and math.isfinite(sigma_mesh)
+    assert abs(sigma - sigma_mesh) <= 1e-10 * sigma
+
+
+def test_interpolate_float_non_finite_dof_values_exit_2(capsys):
+    # 2^1023 is a float, but its quadrature moments overflow: the
+    # interpolant was printed as nan with exit code 0
+    big = str(2 ** 1023)
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--mode", "float", "--field", f"{big}, {big}"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_stokes_subcommand(tmp_path, capsys):

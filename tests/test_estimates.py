@@ -272,7 +272,8 @@ def test_rvp_ratio_invariance_scaling_and_relabeling():
     ratio = lhs / sum(val for _, val in terms)
     # uniform scaling: same field pulled to the doubled element
     s2 = t1_simplex(F(2), F(4), F(10))
-    from bdmlab.geometry import AffineMap, piola_push
+    from bdmlab.geometry import AffineMap
+    from test_moments import piola_push
     amap = AffineMap(((2, 0, 0), (0, 2, 0), (0, 0, 2)), (0, 0, 0))
     v2 = piola_push(amap, v)
     lhs2, terms2 = evaluate_estimate("interpolation_rvp", s2, v2, k=1, m=1,

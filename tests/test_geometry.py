@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              classify_to_reference_family, facet_normals,
-                             coord_to_token, max_angle, piola_push,
-                             reference_simplex, rvp_report, simplex_from_text,
-                             t_bar_simplex)
+                             coord_to_token, max_angle, reference_simplex,
+                             rvp_report, simplex_from_text, t_bar_simplex)
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 
 from test_estimates import random_field
-from test_moments import dot, map_simplex
+from test_moments import dot, map_simplex, piola_push
 
 F = Fraction
 

@@ -6,6 +6,7 @@ taken against basis_qk(T), and the invariants of the interpolant
 (projection, Piola commuting, vertex relabelling), on random rational
 triangles and tetrahedra."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from types import SimpleNamespace
@@ -15,8 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdmlab import bdm, linalg
-from bdmlab.bdm import (FacetMoment, InteriorMoment, build_element,
-                        commutes_with_piola)
+from bdmlab.bdm import FacetMoment, InteriorMoment, build_element
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
                              reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
@@ -168,7 +168,8 @@ def test_facet_moments_match_oracle(case):
         oracle = facet_moment_oracle(simplex, facet, v)
         # highest degree first, so lower-degree entries come from its fill
         for alpha in reversed(monomial_indices(d - 1, k)):
-            assert FacetMoment(facet, alpha).apply(el, v) == oracle(alpha)
+            assert Fraction(*FacetMoment(facet, alpha).apply(el, v)) == \
+                oracle(alpha)
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,8 +178,8 @@ def test_facet_moments_match_oracle(case):
 def test_interior_moments_match_oracle(case):
     simplex, weight, v = case
     dof = InteriorMoment(weight, "test")
-    assert dof.apply(element_stub(simplex, 1), v) == integrate_oracle(
-        dot(v, weight), simplex)
+    assert Fraction(*dof.apply(element_stub(simplex, 1), v)) == \
+        integrate_oracle(dot(v, weight), simplex)
 
 
 @pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
@@ -202,6 +203,44 @@ def test_projection_property_random_simplices(dim, k, variant):
 def map_simplex(amap, s):
     """The image of the simplex s under the affine map."""
     return Simplex(tuple(amap.apply(v) for v in s.vertices))
+
+
+def piola_push(amap: AffineMap, v: VectorPoly) -> VectorPoly:
+    """Contra-variant Piola transform of a polynomial field:
+    v(F(xt)) = (det J)^-1 J vt(xt), returned as a polynomial in x."""
+    inv = amap.inverse()
+    pulled = [p.compose_affine(inv.matrix, inv.offset) for p in v.comps]
+    det = amap.det()
+    d = amap.dim
+    comps = []
+    for i in range(d):
+        acc = Polynomial(d)
+        for j in range(d):
+            if amap.matrix[i][j] != 0:
+                acc = acc + pulled[j] * amap.matrix[i][j]
+        comps.append(acc / det)
+    return VectorPoly(comps)
+
+
+@dataclass(frozen=True)
+class PiolaReport:
+    commutes: bool
+    max_abs_diff: float
+
+
+def commutes_with_piola(el_ref, el_phys, amap, v_ref) -> PiolaReport:
+    """Compare the Piola push of the reference interpolant with the physical
+    interpolant of the Piola-pushed field, coefficient by coefficient."""
+    if el_ref.order != el_phys.order or el_ref.variant != el_phys.variant:
+        raise ValueError("elements must share order and variant")
+    lhs = piola_push(amap, el_ref.interpolate(v_ref))
+    rhs = el_phys.interpolate(piola_push(amap, v_ref))
+    diff = lhs - rhs
+    worst = 0.0
+    for p in diff.comps:
+        for c in p.terms.values():
+            worst = max(worst, abs(float(c)))
+    return PiolaReport(commutes=(lhs == rhs), max_abs_diff=worst)
 
 
 @st.composite
@@ -245,15 +284,14 @@ def test_interpolant_invariant_under_vertex_relabelling(dim, k, variant):
 
 def direct_inverse(el):
     """The inverse of the element's own DOF matrix (its DOF rows at degree
-    k), by exact inversion, as ints over one denominator: the direct build
-    a mapped element must reproduce exactly."""
+    k), by exact inversion in Fractions: the direct build a mapped element
+    must reproduce exactly."""
     n = len(monomial_indices(el.simplex.dim, el.order))
     vandermonde = []
     for dof in el.dofs:
         rows, den = dof.rows(el, el.order)
         vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
-    return linalg.over_common_denominator(
-        x for row in fraction_invert(vandermonde) for x in row)
+    return fraction_invert(vandermonde)
 
 
 def coefficients(v, degree):
@@ -261,6 +299,16 @@ def coefficients(v, degree):
     in graded order: its coordinates in the element's basis."""
     return [p.coeff(a) for p in v.comps
             for a in monomial_indices(v.dim, degree)]
+
+
+def assert_inverts_its_dof_matrix(el):
+    """field_from_dofs on the j-th unit DOF vector is column j of the
+    direct inverse, for every j: the element's inverse is that matrix."""
+    inverse = direct_inverse(el)
+    for j in range(el.ndofs):
+        unit = [int(i == j) for i in range(el.ndofs)]
+        assert coefficients(el.field_from_dofs(unit), el.order) == \
+            [row[j] for row in inverse]
 
 
 def assert_matches_direct_build(simplex, k, variant="nedelec"):
@@ -273,8 +321,7 @@ def assert_matches_direct_build(simplex, k, variant="nedelec"):
                    if getattr(dof, "label", "") == "qk"]
         assert len(weights) == len(qk)
         assert rank([coefficients(z, k) for z in [*weights, *qk]]) == len(qk)
-    assert ([x for row in el._inverse for x in row],
-            el._denominator) == direct_inverse(el)
+    assert_inverts_its_dof_matrix(el)
 
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
@@ -310,7 +357,7 @@ def canonical_interpolant(el, v):
     for dof in dofs:
         rows, den = dof.rows(stub, k)
         vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
-    values = [dof.apply(stub, v) for dof in dofs]
+    values = [Fraction(*dof.apply(stub, v)) for dof in dofs]
     coeffs = [sum(map(mul, row, values)) for row in fraction_invert(vandermonde)]
     return VectorPoly([Polynomial(simplex.dim, dict(zip(
         monomial_indices(simplex.dim, k), coeffs[c * n:(c + 1) * n])))
@@ -345,16 +392,13 @@ def test_inverted_elements_match_oracle(dim, k):
     # the elements that invert their own DOF matrix are the reference
     # elements of both variants; every other element is mapped from one
     for variant in bdm.VARIANTS:
-        ref = bdm._reference_element(dim, k, variant)
-        assert ([x for row in ref._inverse for x in row],
-                ref._denominator) == direct_inverse(ref)
+        assert_inverts_its_dof_matrix(bdm._reference_element(dim, k, variant))
 
     @settings(max_examples=4 if dim == 2 else 2, deadline=None)
     @given(simplices(dim))
     def check(simplex):
         el = build_element(simplex, k, "bdm_original")
-        assert ([x for row in el._inverse for x in row],
-                el._denominator) == direct_inverse(el)
+        assert_inverts_its_dof_matrix(el)
 
     check()
 
@@ -423,6 +467,21 @@ def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
     for tet in tets:
         build_element(tet, 2, "bdm_original")
     assert sizes == {"invert": [30], "solve": [30] + [3] * len(tets)}
+
+
+@pytest.mark.parametrize("variant", bdm.VARIANTS)
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 3), (3, 1), (3, 2)])
+def test_mapped_elements_share_the_reference_inverse(dim, k, variant):
+    # a mapped element applies its factors to each field: it holds no
+    # inverse DOF matrix of its own
+    ref = bdm._reference_element(dim, k, variant)
+
+    @settings(max_examples=3, deadline=None)
+    @given(simplices(dim))
+    def check(simplex):
+        assert build_element(simplex, k, variant)._inverse is ref._inverse
+
+    check()
 
 
 def test_repeated_reference_builds_invert_nothing(monkeypatch):

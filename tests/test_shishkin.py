@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,8 @@ def triangle_aspect_ratio(pts):
     b = math.dist(pts[1], pts[2])
     c = math.dist(pts[2], pts[0])
     s = 0.5 * (a + b + c)
-    area = math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    area = 0.5 * abs((x0 - x1) * (y1 - y2) - (y0 - y1) * (x1 - x2))
     inradius = area / s
     return max(a, b, c) / (2.0 * inradius)
 
@@ -85,6 +87,26 @@ def test_aspect_ratio_uniform_matches_inradius_oracle():
     oracle = triangle_aspect_ratio([(0, 0), (1, 0), (1, 1)])
     assert abs(oracle - (1 + math.sqrt(2))) < 1e-12
     assert abs(aspect_ratio(0.5) - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [8.289306334778565e-11, 1e-6, 0.06])
+def test_aspect_ratio_matches_high_precision(tau):
+    # c / (a + b - c) for legs a = 2 tau, b = 1, in 50-digit decimals: the
+    # closed form lost 4.5e-7 to cancellation at tau = 8.3e-11 (eps = 1e-12)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = 2 * Decimal(tau)
+        c = (a * a + 1).sqrt()
+        exact = float(c / (a + 1 - c))
+    assert abs(aspect_ratio(tau) - exact) <= 1e-14 * exact
+
+
+def test_mesh_aspect_ratio_of_thin_layer_triangles():
+    # Heron's formula read 6031867804.7 as up to 2e-6 off (N = 26 here)
+    tau = transition_point(1e-12)
+    mesh = build_shishkin(ShishkinParams(N=26, epsilon=1e-12, tau=tau))
+    assert abs(mesh_aspect_ratio(mesh) - aspect_ratio(tau)) <= \
+        1e-12 * aspect_ratio(tau)
 
 
 def test_aspect_ratio_monotone_decreasing():
