@@ -258,7 +258,7 @@ def cmd_interpolate(args):
             return np.column_stack([p.eval(pts) for p in field.comps])
         try:
             result = el.interpolate(values, quad_degree=args.quad_degree)
-        except ValueError as exc:   # a moment overflows floats
+        except (ValueError, OverflowError) as exc:   # past the float range
             raise UsageError(f"--field in --mode float: {exc}") from exc
     else:
         result = el.interpolate(field)

@@ -356,14 +356,18 @@ def test_mesh_at_the_smallest_eps_is_finite(N, capsys):
     assert abs(sigma - sigma_mesh) <= 1e-10 * sigma
 
 
-def test_interpolate_float_non_finite_dof_values_exit_2(capsys):
+@pytest.mark.parametrize("field, message", [
     # 2^1023 is a float, but its quadrature moments overflow: the
     # interpolant was printed as nan with exit code 0
-    big = str(2 ** 1023)
+    (f"{2 ** 1023}, {2 ** 1023}", "finite"),
+    # a 1024-bit coefficient is past the largest float: an OverflowError
+    (f"{2 ** 1024 - 1}, 0", "too large"),
+])
+def test_interpolate_float_overflow_exit_2(field, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["interpolate", "--mode", "float", "--field", f"{big}, {big}"])
+        main(["interpolate", "--mode", "float", "--field", field])
     assert exc.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_stokes_subcommand(tmp_path, capsys):
