@@ -116,12 +116,21 @@ class InteriorMoment:
 
     def rows(self, el, degree):
         """(rows, den) as for `FacetMoment.rows`; cached on the element at
-        the highest field degree asked for, since graded order makes the
-        rows for a lower degree a prefix."""
+        the highest field degree asked for.  Graded order makes the rows for
+        a lower degree a prefix, so a higher degree extends the cached rows
+        (rescaled to the new denominator) by its new monomials only."""
         cached = el._rows.get(self)
-        if cached is None or cached[0] < degree:
+        if cached is None:
             cached = el._rows[self] = (
                 degree, *el.moments.weighted_rows(self.weight, degree))
+        elif cached[0] < degree:
+            _, old, old_den = cached
+            new, den = el.moments.weighted_rows(self.weight, degree,
+                                                len(old[0]))
+            scale = den // old_den
+            cached = el._rows[self] = (degree, [
+                [x * scale for x in head] + tail
+                for head, tail in zip(old, new)], den)
         return cached[1:]
 
     def apply(self, el, v):
@@ -199,8 +208,15 @@ class BDMElement:
         else:
             ref = _reference_element(simplex.dim, order, variant)
             self._inverse = ref._inverse
-            self.dofs, self._piola, self._lower, self._lower_den = _mapping(
+            self.dofs, self._piola, lower, self._lower_den = _mapping(
                 simplex, ref)
+            # each row of L as (first nonzero column, the row from there
+            # to its last nonzero entry): most of a row is zeros
+            self._lower = []
+            for row in lower:
+                nonzero = [j for j, x in enumerate(row) if x] or [0]
+                self._lower.append((nonzero[0],
+                                    row[nonzero[0]:nonzero[-1] + 1]))
 
     @property
     def ndofs(self):
@@ -232,8 +248,8 @@ class BDMElement:
         if piola is not None:
             # L y times Dc: the facet values, then the rows below them
             Dc, nf = self._lower_den, len(y) - len(self._lower)
-            y = [Dc * x for x in y[:nf]] + [sum(map(mul, row, y))
-                                            for row in self._lower]
+            y = [Dc * x for x in y[:nf]] + [sum(map(mul, row, y[start:]))
+                                            for start, row in self._lower]
             den *= piola.den * Dc
         coeffs = [sum(map(mul, row, y)) for row in self._inverse]
         # the basis is component-major: one block of monomial coefficients

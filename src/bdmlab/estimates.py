@@ -12,14 +12,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, perm, prod
+from operator import add
 
 import numpy as np
 
 from .bdm import build_element
 from .geometry import Simplex
-from .polynomials import Polynomial, VectorPoly, monomial_indices
+from .polynomials import (Polynomial, VectorPoly, monomial_indices,
+                          monomial_positions)
 from .quadrature import map_rule
-from .spaces import integrate_poly
+from .spaces import integrate_poly, scaled_field
 
 RATIO_SPREAD_CAP = 10.0  # bounded/diverging decision threshold
 
@@ -41,14 +45,6 @@ def multi_indices_of_order(dim, m):
     return [a for a in monomial_indices(dim, m) if sum(a) == m]
 
 
-def derivative(poly, beta):
-    out = poly
-    for axis, times in enumerate(beta):
-        for _ in range(times):
-            out = out.diff(axis)
-    return out
-
-
 def directional_derivative(field, alpha, directions):
     """D^alpha along the given direction vectors (iterated, they commute)."""
     out = field
@@ -58,19 +54,73 @@ def directional_derivative(field, alpha, directions):
     return out
 
 
+@lru_cache(maxsize=None)
+def _derivative_map(dim, degree, m):
+    """[(sources, factors)] per multi-index beta of order m, in graded
+    order: coefficient j of D^beta p, for p of degree `degree`, is
+    factors[j] times coefficient sources[j] of p (monomials in graded
+    order, |g_j| <= degree - m, and D^beta x^(g + beta) == (g + beta)! /
+    g! x^g)."""
+    positions = monomial_positions(dim, degree)
+    out = []
+    for beta in multi_indices_of_order(dim, m):
+        lifted = [tuple(map(add, g, beta))
+                  for g in monomial_indices(dim, degree - m)]
+        out.append(([positions[a] for a in lifted],
+                    [prod(map(perm, a, beta)) for a in lifted]))
+    return out
+
+
+class _NormRule:
+    """The degree-12 rule on one simplex, and the values at its points of
+    the monomials |g| <= n in graded order (one column each), recomputed
+    when a higher n is asked for."""
+
+    __slots__ = ("points", "weights", "_values")
+
+    def __init__(self, simplex):
+        self.points, self.weights = map_rule(simplex, 12)
+        self._values = np.ones((len(self.weights), 1))
+
+    def monomials(self, n):
+        dim = self.points.shape[1]
+        count = comb(n + dim, dim)
+        if self._values.shape[1] < count:
+            powers = self.points.T[:, None, :] ** np.arange(n + 1)[:, None]
+            values = np.ones((count, len(self.weights)))
+            for axis, column in enumerate(
+                    np.array(monomial_indices(dim, n)).T):
+                values *= powers[axis][column]
+            self._values = values.T
+        return self._values[:, :count]
+
+
+@lru_cache(maxsize=4)
+def _norm_rule(simplex):
+    """The `_NormRule` of a simplex, shared through a small LRU cache."""
+    return _NormRule(simplex)
+
+
 def abs_derivative_sum_norm(f, simplex, m):
     """L2 norm of x -> sum of |all order-m coordinate derivatives| of f,
     summed over components for vector fields (a degree-12 rule; the
-    absolute values make the integrand non-polynomial)."""
-    comps = f.comps if isinstance(f, VectorPoly) else (f,)
-    dim = comps[0].dim
-    derivs = [derivative(p, beta) for p in comps
-              for beta in multi_indices_of_order(dim, m)]
-    pts, wts = map_rule(simplex, 12)
-    total = np.zeros(len(wts))
-    for dp in derivs:
-        total += np.abs(dp.eval(pts))
-    return math.sqrt(float(np.dot(wts, total * total)))
+    absolute values make the integrand non-polynomial).
+
+    f is scaled once to ints; a cached integer map per (dim, degree, m)
+    gives the coefficients of every order-m derivative, each rounded once
+    to a float, and all of them are evaluated at the rule's points in one
+    product with the rule's monomial table."""
+    fs = scaled_field(f if isinstance(f, VectorPoly) else VectorPoly([f]))
+    if m > fs.degree:
+        return 0.0
+    den = fs.denominator
+    derivatives = [[comp[j] * x / den for j, x in zip(sources, factors)]
+                   for comp in fs.comps
+                   for sources, factors in _derivative_map(f.dim, fs.degree, m)]
+    rule = _norm_rule(simplex)
+    values = rule.monomials(fs.degree - m) @ np.array(derivatives).T
+    total = np.abs(values, out=values).sum(axis=1)
+    return math.sqrt(float(np.dot(rule.weights, total * total)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,11 @@ def over_common_denominator(values):
     returned as is, over 1."""
     values = list(values)
     try:
-        den = lcm(*(x.denominator for x in values))
+        dens = [x.denominator for x in values]
     except AttributeError:
         return values, 1
-    return [x.numerator * (den // x.denominator) for x in values], den
+    den = lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
 
 
 def quotient(num, den):

@@ -8,6 +8,7 @@ tuple to its coefficient; zero coefficients are never stored.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 import numpy as np
@@ -53,13 +54,15 @@ def _raised_positions(nvars, degree):
             for k in range(nvars)]
 
 
-def composed_monomials(chart, degree):
+def composed_monomials(chart, degree, composed=None):
     """({a: P_a}, D) with x^a o chart == P_a(t) / D^|a| for |a| <= degree.
 
     `chart` is (A, b), the map t -> A t + b.  D is the common denominator
     of the chart's entries, so each P_a has int coefficients (dense over
     the monomials of t up to |a|, graded order): P_a is one lower-degree P
-    times one scaled chart coordinate."""
+    times one scaled chart coordinate.  P_a does not depend on `degree`,
+    so `composed`, the dict of an earlier call on the same chart, is
+    extended in place by the monomials it lacks."""
     matrix, origin = chart
     dim, nvars = len(matrix), len(matrix[0])
     nums, D = over_common_denominator([x for row in matrix for x in row]
@@ -67,11 +70,10 @@ def composed_monomials(chart, degree):
     linear = [nums[j * nvars:(j + 1) * nvars] for j in range(dim)]
     offset = nums[dim * nvars:]
     raised = _raised_positions(nvars, degree) if degree else []
-    zero = (0,) * dim
-    composed = {zero: [1]}
-    for a in monomial_indices(dim, degree):
-        if a == zero:
-            continue
+    if not composed:
+        composed = {(0,) * dim: [1]}
+    # graded order: the monomials `composed` holds are a prefix
+    for a in islice(monomial_positions(dim, degree), len(composed), None):
         j = next(j for j, aj in enumerate(a) if aj)
         lower = composed[a[:j] + (a[j] - 1,) + a[j + 1:]]
         P = [0] * comb(sum(a) + nvars, nvars)

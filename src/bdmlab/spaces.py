@@ -19,6 +19,7 @@ coefficients: the product is never formed.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from math import factorial
 from operator import add, mul
 
@@ -54,16 +55,17 @@ class ScaledField:
     __slots__ = ("comps", "denominator", "degree")
 
     def __init__(self, v: VectorPoly):
-        self.degree = max(p.degree for p in v.comps)
+        terms = [p.terms for p in v.comps]
+        self.degree = max(map(sum, chain.from_iterable(terms)), default=0)
         positions = monomial_positions(v.dim, self.degree)
         nums, self.denominator = over_common_denominator(
-            c for p in v.comps for c in p.terms.values())
+            chain.from_iterable(t.values() for t in terms))
         nums = iter(nums)
         self.comps = []
-        for p in v.comps:
+        for t in terms:
             dense = [0] * len(positions)
-            for a in p.terms:
-                dense[positions[a]] = next(nums)
+            for j, x in zip(map(positions.__getitem__, t), nums):
+                dense[j] = x
             self.comps.append(dense)
 
 
@@ -86,14 +88,33 @@ def _reference_moments(nvars, degree):
 
 
 @lru_cache(maxsize=None)
+def _shift_positions(nvars, degree, shift_degree):
+    """cols[i][j]: the position of g_j + b_i among the monomials up to
+    degree + shift_degree, g_j the j-th monomial with |g_j| <= degree and
+    b_i the i-th with |b_i| <= shift_degree (graded order)."""
+    positions = monomial_positions(nvars, degree + shift_degree)
+    gammas = monomial_indices(nvars, degree)
+    return [[positions[tuple(map(add, g, b))] for g in gammas]
+            for b in monomial_indices(nvars, shift_degree)]
+
+
+@lru_cache(maxsize=None)
 def _shifted_reference_moments(nvars, degree, shift_degree):
     """(rows, F): rows[b][j] / F == int_ref t^(g_j + b) dt for |g_j| <=
     degree and every |b| <= shift_degree."""
     R, F = _reference_moments(nvars, degree + shift_degree)
-    positions = monomial_positions(nvars, degree + shift_degree)
-    gammas = monomial_indices(nvars, degree)
-    return {b: [R[positions[tuple(map(add, g, b))]] for g in gammas]
-            for b in monomial_indices(nvars, shift_degree)}, F
+    return {b: [R[p] for p in col] for b, col in zip(
+        monomial_indices(nvars, shift_degree),
+        _shift_positions(nvars, degree, shift_degree))}, F
+
+
+@lru_cache(maxsize=None)
+def _lowered_positions(dim, degree):
+    """lowered[j]: (axis, position of a - e_axis) for each axis with
+    a[axis] > 0, a the j-th monomial of graded order, |a| <= degree."""
+    positions = monomial_positions(dim, degree)
+    return [[(axis, positions[a[:axis] + (a[axis] - 1,) + a[axis + 1:]])
+             for axis in range(dim) if a[axis]] for a in positions]
 
 
 class MomentTable:
@@ -109,83 +130,115 @@ class MomentTable:
     * `facet(i, n, m)`: int_ref (x^a o chart_i) t^alpha dt on facet i, in
       the chart of `Simplex.facet_chart`, for |a| <= n and |alpha| <= m.
 
-    Each monomial goes through the chart with int coefficients
-    (`composed_monomials`), and each entry is the dot product of those
-    with a cached table of int reference moments g! F / (|g| + d)!.  A
-    miss refills the whole table up to the missing degree.  Charts, the
-    scaled facet normals (as ints over one denominator, `normals`) and
-    |det| are computed once.
+    Volume moments come from the vertices v_i alone (Baldoni et al., Math.
+    Comp. 80, 2011): int_T x^a dx == |det| a! / (|a| + d)! h_a, with h_a
+    the coefficient of xi^a in prod_i 1 / (1 - <xi, v_i>).  The factors
+    are multiplied in one at a time, in ints (the vertices scaled by their
+    common denominator D), so each h_a is a few products of lower-degree
+    ones.  A facet moment composes x^a with the chart in ints
+    (`composed_monomials`) and dots the result with a cached table of int
+    reference moments g! F / (|g| + d)!.
+
+    A miss grows a table: only the entries of the new degrees are
+    computed.  The volume table keeps the partial products, and the facet
+    tables keep the composed monomials and rescale the entries they hold
+    to the new denominator (F and D^n grow, and every entry by the same
+    integer factor).  The scaled facet normals (as ints over one
+    denominator, `normals`), the charts and |det| are computed once.
     """
 
-    __slots__ = ("dim", "normals", "_chart", "_det", "_facet_charts",
-                 "_volume", "_facet")
+    __slots__ = ("dim", "normals", "_vertices", "_det", "_facet_charts",
+                 "_volume", "_partial_products", "_facet")
 
     def __init__(self, simplex):
         self.dim = simplex.dim
-        self._chart = simplex.chart()
+        nums, D = over_common_denominator(
+            x for v in simplex.vertices for x in v)
+        # the vertices times their common denominator D, as ints
+        self._vertices = [nums[i:i + self.dim]
+                          for i in range(0, len(nums), self.dim)], D
         self._det = over_common_denominator([abs(simplex.edge_det())])
         self._facet_charts = [simplex.facet_chart(i) for i in range(self.dim + 1)]
         self.normals = [over_common_denominator(simplex.scaled_facet_normal(i))
                         for i in range(self.dim + 1)]
         self._volume = (-1, [], 1)
-        self._facet = [(-1, -1, {}, 1)] * (self.dim + 1)
+        # coefficients of prod_{i' <= i} 1 / (1 - <xi, D v_i'>), per i
+        self._partial_products = [[] for _ in range(self.dim + 1)]
+        self._facet = [(-1, -1, {}, 1, None)] * (self.dim + 1)
 
     def volume(self, degree):
         """(V, den): int_T x^a dx == V[j] / den for the j-th monomial a of
         graded order; V covers at least |a| <= degree."""
         n, V, den = self._volume
         if degree > n:
-            n = degree
-            composed, D = composed_monomials(self._chart, n)
-            R, F = _reference_moments(self.dim, n)
+            lowered = _lowered_positions(self.dim, degree)
+            vertices, D = self._vertices
+            previous = None
+            for w, h in zip(vertices, self._partial_products):
+                for j in range(len(h), len(lowered)):
+                    x = previous[j] if previous else int(j == 0)
+                    for axis, lower in lowered[j]:
+                        x += w[axis] * h[lower]
+                    h.append(x)
+                previous = h
+            R, F = _reference_moments(self.dim, degree)
             (det,), det_den = self._det
-            V = [det * sum(map(mul, P, R)) * D ** (n - sum(a))
-                 for a, P in composed.items()]
-            den = det_den * F * D ** n
-            self._volume = n, V, den
+            V = [det * r * x * D ** (degree - sum(a)) for a, r, x in
+                 zip(monomial_positions(self.dim, degree), R, previous)]
+            den = det_den * F * D ** degree
+            self._volume = degree, V, den
         return V, den
 
     def facet(self, i, degree, alpha_degree):
         """(rows, den): int_ref (x^a o chart_i) t^alpha dt == rows[alpha][j]
         / den for the j-th monomial a of graded order; covers at least |a|
         <= degree and |alpha| <= alpha_degree."""
-        n, m, rows, den = self._facet[i]
+        n, m, rows, den, composed = self._facet[i]
         if degree > n or alpha_degree > m:
             n, m = max(n, degree), max(m, alpha_degree)
-            composed, D = composed_monomials(self._facet_charts[i], n)
+            composed, D = composed_monomials(self._facet_charts[i], n, composed)
             shifted, F = _shifted_reference_moments(self.dim - 1, n, m)
-            scales = [D ** (n - sum(a)) for a in composed]
-            rows = {alpha: [sum(map(mul, P, moments)) * s
-                            for P, s in zip(composed.values(), scales)]
-                    for alpha, moments in shifted.items()}
-            den = F * D ** n
-            self._facet[i] = n, m, rows, den
+            new_den = F * D ** n
+            scale = new_den // den
+            scaled = [(P, D ** (n - sum(a))) for a, P in composed.items()]
+            old, rows = rows, {}
+            for alpha, moments in shifted.items():
+                row = [x * scale for x in old.get(alpha, ())]
+                row += [sum(map(mul, P, moments)) * s
+                        for P, s in islice(scaled, len(row), None)]
+                rows[alpha] = row
+            self._facet[i] = n, m, rows, new_den, composed
+            den = new_den
         return rows, den
 
-    def weighted_rows(self, weight: VectorPoly, degree):
+    def weighted_rows(self, weight, degree, start=0):
         """(rows, den) with int_T v . weight dx == sum_c dot(rows[c], v_c)
         / den for every field v of degree <= `degree`, v_c the coefficients
-        of component c in graded order: rows[c][a] = sum_b w_c,b V[a + b]."""
-        wdeg = max(p.degree for p in weight.comps)
-        V, den = self.volume(degree + wdeg)
-        positions = monomial_positions(self.dim, degree + wdeg)
-        nums, wden = over_common_denominator(
-            c for p in weight.comps for c in p.terms.values())
-        nums = iter(nums)
+        of component c in graded order: rows[c][a] = sum_b w_c,b V[a + b].
+        `weight` is a VectorPoly or a ScaledField; with `start`, the rows
+        hold only the entries from the start-th monomial a on."""
+        w = scaled_field(weight)
+        V, den = self.volume(degree + w.degree)
+        cols = _shift_positions(self.dim, degree, w.degree)
+        count = len(cols[0]) - start
         rows = []
-        for p in weight.comps:
-            terms = [(b, next(nums)) for b in p.terms]
-            rows.append([sum(w * V[positions[tuple(map(add, a, b))]]
-                             for b, w in terms)
-                         for a in monomial_positions(self.dim, degree)])
-        return rows, wden * den
+        for comp in w.comps:
+            terms = [(x, col) for x, col in zip(comp, cols) if x]
+            if not terms:
+                rows.append([0] * count)
+                continue
+            ws = [x for x, _ in terms]
+            rows.append([sum(map(mul, ws, map(V.__getitem__, positions)))
+                         for positions in zip(*(islice(col, start, None)
+                                                for _, col in terms))])
+        return rows, w.denominator * den
 
     def integrate(self, f: VectorPoly, g: VectorPoly):
         """Exact int_T f . g dx, never forming the product: sum_c sum_{a,b}
         f_c,a g_c,b V[a + b], with g's `weighted_rows` against f scaled
-        once to ints."""
+        once to ints (and g is not scaled again when it is f)."""
         fs = scaled_field(f)
-        rows, den = self.weighted_rows(g, fs.degree)
+        rows, den = self.weighted_rows(fs if g is f else g, fs.degree)
         total = sum(sum(map(mul, comp, row)) for comp, row in zip(fs.comps, rows))
         return quotient(total, den * fs.denominator)
 

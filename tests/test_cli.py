@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -322,6 +323,26 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
         assert code == 0
         assert manifest["verdict"] == "bounded"
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of each sweep preset's CSV at its default grid and seed
+SWEEP_CSV_SHA256 = {
+    "counterexample-2d":
+        "5f433b9ba472ae1c019b4da43e8f43389a8c4d18bf8fce0838069c53db26b598",
+    "counterexample-3d":
+        "6a73cd829546ff5ef88b801356c8dbbd327c1ddcde6a841731a6674f81c5aebc",
+    "rvp-bounded":
+        "d2a5da6533ab5df542c5ce62eb9a665be6ad406603661b948e754d07bad8226c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csvs_are_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, ["sweep", "--name", name, "--out", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        SWEEP_CSV_SHA256[name]
 
 
 def test_sweep_counterexamples(capsys, tmp_path):

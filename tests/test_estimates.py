@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdmlab import linalg
 from bdmlab.bdm import build_element
@@ -16,8 +19,11 @@ from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
 from bdmlab.geometry import (DegenerateSimplexError, Simplex,
                              classify_to_reference_family, max_angle,
                              rvp_report)
-from bdmlab.polynomials import Polynomial, VectorPoly
+from bdmlab.polynomials import Polynomial, VectorPoly, monomial_indices
+from bdmlab.quadrature import map_rule
 from bdmlab.spaces import basis_pk, integrate_poly
+
+from test_moments import polynomials, simplices
 
 F = Fraction
 
@@ -79,6 +85,50 @@ def test_abs_derivative_sum_matches_plain_norm_for_single_term():
     p = x(2, 0)
     got = abs_derivative_sum_norm(p, s, 1)
     assert abs(got - l2_norm(Polynomial.constant(2, F(1)), s)) < 1e-13
+
+
+def derivative(poly, beta):
+    out = poly
+    for axis, times in enumerate(beta):
+        for _ in range(times):
+            out = out.diff(axis)
+    return out
+
+
+def abs_derivative_sum_norm_oracle(f, simplex, m):
+    """The same norm term by term: each derivative differentiated in
+    Fractions and evaluated at the points of the degree-12 rule."""
+    comps = f.comps if isinstance(f, VectorPoly) else (f,)
+    dim = comps[0].dim
+    betas = [a for a in monomial_indices(dim, m) if sum(a) == m]
+    pts, wts = map_rule(simplex, 12)
+    total = np.zeros(len(wts))
+    for p in comps:
+        for beta in betas:
+            total += np.abs(derivative(p, beta).eval(pts))
+    return math.sqrt(float(np.dot(wts, total * total)))
+
+
+@st.composite
+def norm_cases(draw):
+    """A random rational simplex, a scalar or vector field of degree <= 4
+    with rational coefficients, and a derivative order up to degree + 1."""
+    dim = draw(st.integers(2, 3))
+    simplex = draw(simplices(dim))
+    degree = draw(st.integers(0, 4))
+    comps = [draw(polynomials(dim, degree))
+             for _ in range(draw(st.sampled_from([1, dim])))]
+    f = comps[0] if len(comps) == 1 else VectorPoly(comps)
+    return f, simplex, draw(st.integers(0, degree + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm_cases())
+def test_abs_derivative_sum_norm_matches_per_term_oracle(case):
+    f, simplex, m = case
+    got = abs_derivative_sum_norm(f, simplex, m)
+    want = abs_derivative_sum_norm_oracle(f, simplex, m)
+    assert abs(got - want) <= 1e-13 * want
 
 
 # -- right-hand sides ------------------------------------------------------------

@@ -182,6 +182,39 @@ def test_interior_moments_match_oracle(case):
         integrate_oracle(dot(v, weight), simplex)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3).flatmap(simplices))
+def test_grown_moment_tables_equal_fresh_ones(simplex):
+    # a miss grows the table; the entries must be those a fresh table
+    # fills at the final degree, int for int over the same denominator
+    grown, fresh = MomentTable(simplex), MomentTable(simplex)
+    for degree in (3, 4, 6):
+        grown.volume(degree)
+    assert grown.volume(6) == fresh.volume(6)
+    for i in range(simplex.dim + 1):
+        # both degrees grow, then alpha alone, then the field degree alone
+        for degree, alpha_degree in ((2, 1), (3, 2), (3, 3), (4, 3)):
+            grown.facet(i, degree, alpha_degree)
+        assert grown.facet(i, 4, 3) == fresh.facet(i, 4, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda d: st.tuples(simplices(d), fields(d, 2))))
+def test_interior_rows_extend_their_prefix(case):
+    # rows cached at a lower degree, extended after the table has grown,
+    # equal the rows computed at the higher degree from scratch
+    simplex, weight = case
+    dof = InteriorMoment(weight, "test")
+    el = element_stub(simplex, 1)
+    dof.rows(el, 1)
+    el.moments.volume(7)
+    rows, den = dof.rows(el, 4)
+    fresh_rows, fresh_den = dof.rows(element_stub(simplex, 1), 4)
+    assert [[Fraction(x, den) for x in row] for row in rows] == \
+        [[Fraction(x, fresh_den) for x in row] for row in fresh_rows]
+
+
 @pytest.mark.parametrize("variant", ["nedelec", "bdm_original"])
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                    (3, 3)])
