@@ -46,7 +46,7 @@ def monomial_positions(dim, degree):
 
 
 @lru_cache(maxsize=None)
-def _raised_positions(nvars, degree):
+def raised_positions(nvars, degree):
     """raised[k][j]: position of t_k times the j-th monomial, |g_j| < degree."""
     positions = monomial_positions(nvars, degree)
     return [[positions[g[:k] + (g[k] + 1,) + g[k + 1:]]
@@ -69,7 +69,7 @@ def composed_monomials(chart, degree, composed=None):
                                       + list(origin))
     linear = [nums[j * nvars:(j + 1) * nvars] for j in range(dim)]
     offset = nums[dim * nvars:]
-    raised = _raised_positions(nvars, degree) if degree else []
+    raised = raised_positions(nvars, degree) if degree else []
     if not composed:
         composed = {(0,) * dim: [1]}
     # graded order: the monomials `composed` holds are a prefix

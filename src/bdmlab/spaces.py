@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from math import factorial
+from math import comb, factorial
 from operator import add, mul
 
 from . import linalg
 from .linalg import over_common_denominator, quotient
 from .polynomials import (Polynomial, VectorPoly, composed_monomials,
                           integrate_reference, monomial_indices,
-                          monomial_positions)
+                          monomial_positions, raised_positions)
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,6 @@ def _shifted_reference_moments(nvars, degree, shift_degree):
         _shift_positions(nvars, degree, shift_degree))}, F
 
 
-@lru_cache(maxsize=None)
-def _lowered_positions(dim, degree):
-    """lowered[j]: (axis, position of a - e_axis) for each axis with
-    a[axis] > 0, a the j-th monomial of graded order, |a| <= degree."""
-    positions = monomial_positions(dim, degree)
-    return [[(axis, positions[a[:axis] + (a[axis] - 1,) + a[axis + 1:]])
-             for axis in range(dim) if a[axis]] for a in positions]
-
-
 class MomentTable:
     """Exact monomial moments on one simplex, filled on first use, as ints
     over one denominator per table.
@@ -171,15 +162,19 @@ class MomentTable:
         graded order; V covers at least |a| <= degree."""
         n, V, den = self._volume
         if degree > n:
-            lowered = _lowered_positions(self.dim, degree)
             vertices, D = self._vertices
-            previous = None
+            raised = raised_positions(self.dim, degree)
+            # h_a gains w_k h_(a - e_k) for each k: only a monomial of the
+            # old top degree or above reaches a new one
+            top = comb(n - 1 + self.dim, self.dim) if n > 0 else 0
+            previous = [1] + [0] * (comb(degree + self.dim, self.dim) - 1)
             for w, h in zip(vertices, self._partial_products):
-                for j in range(len(h), len(lowered)):
-                    x = previous[j] if previous else int(j == 0)
-                    for axis, lower in lowered[j]:
-                        x += w[axis] * h[lower]
-                    h.append(x)
+                h += previous[len(h):]
+                for j in range(top, len(raised[0])):
+                    x = h[j]
+                    if x:
+                        for k, wk in enumerate(w):
+                            h[raised[k][j]] += wk * x
                 previous = h
             R, F = _reference_moments(self.dim, degree)
             (det,), det_den = self._det
