@@ -23,7 +23,6 @@ from .polynomials import Polynomial, VectorPoly
 from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
                        build_uniform, mesh_aspect_ratio, transition_point,
                        write_mesh)
-from .stokes import convergence_study, holds_contracts, study_to_csv
 
 
 # Bounds on a parsed field, so that any --field does bounded work: the
@@ -183,7 +182,7 @@ def cmd_mesh(args):
                if args.tau is not None
                else transition_point(args.eps, args.log))
         mesh = build_shishkin(ShishkinParams(N=args.N, epsilon=args.eps, tau=tau))
-    sigma_formula = aspect_ratio(min(float(tau), 1 - 1e-12))
+    sigma_formula = aspect_ratio(tau)
     sigma_mesh = mesh_aspect_ratio(mesh)
     if args.out:
         write_mesh(mesh, args.out)
@@ -215,20 +214,27 @@ def mesh_size(text):
     return value
 
 
-def eps_or_tau(convert):
-    """An argparse type: `convert`, then a check for MIN_EPS_TAU <= value
-    < 1."""
-    def parse(text):
-        try:
-            value = convert(text)
-        except ZeroDivisionError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
-        if not MIN_EPS_TAU <= value < 1:
-            raise argparse.ArgumentTypeError(
-                f"must lie in [{MIN_EPS_TAU}, 1), got {text}")
-        return value
-    parse.__name__ = convert.__name__   # argparse's "invalid ... value"
-    return parse
+def epsilon(text):
+    """--eps: a float in [MIN_EPS_TAU, 1)."""
+    value = float(text)
+    if not MIN_EPS_TAU <= value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{MIN_EPS_TAU}, 1), got {text}")
+    return value
+
+
+def transition(text):
+    """--tau: a rational in [MIN_EPS_TAU, 1/2].  A Shishkin transition
+    point is min(1/2, ...): above 1/2 the layer column is no longer the
+    thinnest, and the closed-form `sigma` would misstate the mesh."""
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    if not MIN_EPS_TAU <= value <= Fraction(1, 2):
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{MIN_EPS_TAU}, 1/2], got {text}")
+    return value
 
 
 def positive_float(text):
@@ -298,6 +304,9 @@ def cmd_sweep(args):
 
 
 def cmd_stokes(args):
+    # scipy is imported by `stokes` only, so the other commands skip it
+    from .stokes import convergence_study, holds_contracts, study_to_csv
+
     rows = convergence_study(args.eps, args.N, args.kind,
                              log_convention=args.log,
                              gamma_override=args.gamma,
@@ -320,8 +329,8 @@ def build_parser():
 
     p = sub.add_parser("mesh", help="generate layer-adapted or uniform meshes")
     p.add_argument("--N", type=mesh_size, required=True)
-    p.add_argument("--eps", type=eps_or_tau(float), default=0.01)
-    p.add_argument("--tau", type=eps_or_tau(Fraction), default=None,
+    p.add_argument("--eps", type=epsilon, default=0.01)
+    p.add_argument("--tau", type=transition, default=None,
                    help="override the transition point (rational, e.g. 3/50)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
     p.add_argument("--shishkin", dest="kind", action="store_const",
@@ -365,7 +374,7 @@ def build_parser():
 
     p = sub.add_parser("stokes", help="convergence study of the Stokes "
                                       "discretization")
-    p.add_argument("--eps", type=eps_or_tau(float), action="append",
+    p.add_argument("--eps", type=epsilon, action="append",
                    required=True)
     p.add_argument("--N", type=mesh_size, action="append", required=True)
     p.add_argument("--kind", choices=["shishkin", "uniform"],

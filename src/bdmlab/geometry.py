@@ -1,25 +1,18 @@
-"""Simplices, facet normals, angle/regular-vertex diagnostics and affine
-maps, plus the constructive classification onto the two axis-aligned
-reference families of anisotropic elements.
+"""Simplices, affine maps, facet normals and the maximum angle, and the
+text format of a simplex file.
 
 Coordinates are Fractions: a float becomes the shortest decimal that
 rounds to it, the one its `repr` prints.  Scaled facet normals, charts
-and volumes are exact; only edge lengths and directions that are not
-rational fall back to floats.
+and volumes are exact; the diameter, unit normals and angles are floats.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Optional
+from itertools import combinations
 
 import numpy as np
-
-
-DEFAULT_RVP_THRESHOLD = 0.1
-COND_CAP = 100.0
 
 
 class DegenerateSimplexError(ValueError):
@@ -65,10 +58,6 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _norm_inf_matrix(m):
-    return max(sum(abs(float(x)) for x in row) for row in m)
-
-
 @dataclass(frozen=True)
 class Simplex:
     """Triangle (dim 2) or tetrahedron (dim 3); facet e_i is opposite
@@ -101,11 +90,6 @@ class Simplex:
 
     def edge_det(self):
         return _det(self.edge_matrix())
-
-    @property
-    def orientation(self):
-        det = self.edge_det()
-        return 1 if det > 0 else -1
 
     def chart(self):
         """Affine map (A, b) with reference simplex -> self, x = A t + b."""
@@ -204,28 +188,6 @@ class AffineMap:
                 for i in range(self.dim)]
         return AffineMap(tuple(tuple(r) for r in inv), tuple(ioff))
 
-    def norm_inf(self):
-        return _norm_inf_matrix(self.matrix)
-
-
-@dataclass
-class RegularityReport:
-    """Diagnostics of one element: angles, best regular-vertex determinant,
-    and (after classification) the reference-family data."""
-
-    max_angle: float
-    rvp_best: float
-    regular_vertex: Optional[int]
-    family: Optional[str] = None
-    size_params: tuple = ()
-    directions: tuple = ()
-    map: Optional[AffineMap] = None
-    map_norm_inf: Optional[float] = None
-    inverse_norm_inf: Optional[float] = None
-    cond_product: Optional[float] = None
-    reference_vertices: tuple = ()
-    role_of_vertex: tuple = ()
-    simplex: Optional[Simplex] = None
 
 
 def facet_normals(s: Simplex):
@@ -267,130 +229,6 @@ def max_angle(s: Simplex):
         pts = [[float(x) for x in s.vertices[j]] for j in ids]
         worst = max(worst, max(_angles_of_triangle(pts)))
     return worst
-
-
-def _sqrt_or_float(x):
-    """Square root of a Fraction, kept exact for perfect rational squares."""
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return math.sqrt(float(x))
-
-
-def _unit_vector(e, length):
-    """e / length: exact for a rational length, floats for an irrational
-    (float) one."""
-    return tuple(x / length for x in e)
-
-
-def _vertex_direction_data(s, k):
-    """Unit outgoing edge directions from vertex k and the edge lengths,
-    ordered by target vertex index; also |det N_k| squared, exact.  Lengths
-    and directions stay rational whenever the edge lengths are perfect
-    rational squares."""
-    pk = s.vertices[k]
-    others = [j for j in range(s.dim + 1) if j != k]
-    edges = [_sub(s.vertices[j], pk) for j in others]
-    len_sq = [_dot(e, e) for e in edges]
-    det_e = _det([[edges[c][r] for c in range(s.dim)] for r in range(s.dim)])
-    det_sq = det_e * det_e
-    prod_sq = 1
-    for ls in len_sq:
-        prod_sq = prod_sq * ls
-    rvp_sq = det_sq / prod_sq
-    lengths = [_sqrt_or_float(ls) for ls in len_sq]
-    dirs = [_unit_vector(e, h) for e, h in zip(edges, lengths)]
-    return others, lengths, dirs, rvp_sq
-
-
-def rvp_report(s: Simplex) -> RegularityReport:
-    """Best |det N_k| over vertices; ties broken by lowest vertex index."""
-    data = [_vertex_direction_data(s, k) for k in range(s.dim + 1)]
-    # the largest rvp_sq; max keeps the first, so ties go to the lowest index
-    best_k = max(range(s.dim + 1), key=lambda k: data[k][3])
-    _, lengths, dirs, best_sq = data[best_k]
-    return RegularityReport(
-        max_angle=max_angle(s),
-        rvp_best=math.sqrt(float(best_sq)),
-        regular_vertex=best_k,
-        size_params=tuple(lengths),
-        directions=tuple(dirs),
-        simplex=s,
-    )
-
-
-def _candidate(s, perm, ref_roles, cols, sizes):
-    """Map a reference family onto s: J has the unit columns `cols`, and
-    physical vertex perm[r] takes role r, at reference vertex ref_roles[r]."""
-    d = s.dim
-    J = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-    amap = AffineMap(J, s.vertices[perm[0]])
-    roles = tuple(perm.index(i) for i in range(d + 1))
-    ref = tuple(ref_roles[r] for r in roles)
-    cond = amap.norm_inf() * amap.inverse().norm_inf()
-    return amap, tuple(sizes), tuple(cols), ref, roles, cond
-
-
-def _t1_candidate(s, anchor):
-    """Map the first reference family onto s with the anchor vertex at the
-    origin role: J columns are the unit edge directions."""
-    others, lengths, dirs, _ = _vertex_direction_data(s, anchor)
-    d = s.dim
-    zero = Fraction(0)
-    ref_roles = [(zero,) * d] + [
-        tuple(h if c == m else zero for c in range(d))
-        for m, h in enumerate(lengths)]
-    return _candidate(s, [anchor] + others, ref_roles, dirs, lengths)
-
-
-def _t2_candidate(s, perm):
-    """Map the second family {0, h1 e1 + h2 e2, h2 e2, h3 e3} onto s with
-    physical vertex perm[r] in role r."""
-    p = [s.vertices[i] for i in perm]
-    edges = (_sub(p[1], p[2]), _sub(p[2], p[0]), _sub(p[3], p[0]))
-    hs = [_sqrt_or_float(_dot(e, e)) for e in edges]
-    h1, h2, h3 = hs
-    cols = [_unit_vector(e, h) for e, h in zip(edges, hs)]
-    zero = Fraction(0)
-    ref_roles = [(zero, zero, zero), (h1, h2, zero), (zero, h2, zero), (zero, zero, h3)]
-    return _candidate(s, perm, ref_roles, cols, hs)
-
-
-def classify_to_reference_family(
-    s: Simplex,
-    rvp_threshold: float = DEFAULT_RVP_THRESHOLD,
-) -> RegularityReport:
-    """Pick a reference-family element and an affine map onto s.
-
-    An element with a good regular vertex goes to the first family with the
-    regular-vertex edge lengths as size parameters.  Otherwise every vertex
-    ordering of the second family (d=3) or first family (d=2) is tried and
-    the ordering with the smallest ||J||_inf ||J^-1||_inf wins; above
-    COND_CAP the element is declared unclassifiable (family None).
-    """
-    report = rvp_report(s)
-    if report.rvp_best >= rvp_threshold:
-        fam = "T1"
-        amap, lengths, dirs, ref, roles, cond = _t1_candidate(s, report.regular_vertex)
-    else:
-        if s.dim == 2:
-            candidates = [("T1",) + _t1_candidate(s, a) for a in range(3)]
-        else:
-            candidates = [("T2",) + _t2_candidate(s, perm)
-                          for perm in permutations(range(4))]
-        fam, amap, lengths, dirs, ref, roles, cond = min(
-            candidates, key=lambda c: c[-1])
-    report.size_params = lengths
-    report.directions = dirs
-    report.map = amap
-    report.map_norm_inf = amap.norm_inf()
-    report.inverse_norm_inf = amap.inverse().norm_inf()
-    report.cond_product = cond
-    report.reference_vertices = ref
-    report.role_of_vertex = roles
-    report.family = fam if cond <= COND_CAP else None
-    return report
 
 
 def read_simplex(path) -> Simplex:

@@ -2,9 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdmlab
 from bdmlab.checks import check_counterexample_2d
 from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
                         MAX_QUAD_DEGREE, MIN_EPS_TAU, FieldSyntaxError,
@@ -188,6 +193,8 @@ def test_interpolate_decimal_simplex_file_bdm_original(tmp_path, capsys):
     (["mesh", "--N", "4", "--eps", "1e-20"], "--eps"),
     (["mesh", "--N", "4", "--eps", "1e-18"], "--eps"),
     (["mesh", "--N", "4", "--tau", "1/100000000000000000000"], "--tau"),
+    # above 1/2 the layer column is not the thinnest: sigma misstated it
+    (["mesh", "--N", "2", "--tau", "9/10"], "--tau"),
 ])
 def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -429,9 +436,9 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_stokes_contract_failure_exits_1(capsys, monkeypatch):
-    from bdmlab import cli
+    from bdmlab import stokes
 
-    real = cli.convergence_study
+    real = stokes.convergence_study
 
     def above_residual_bound(*args, **kwargs):
         rows = real(*args, **kwargs)
@@ -441,7 +448,32 @@ def test_stokes_contract_failure_exits_1(capsys, monkeypatch):
     code, _, manifest = run(capsys, ["stokes", "--eps", "0.5", "--N", "2"])
     assert code == 0
     assert manifest["rows"][0]["residual"] <= 1e-10
-    monkeypatch.setattr(cli, "convergence_study", above_residual_bound)
+    monkeypatch.setattr(stokes, "convergence_study", above_residual_bound)
     code, _, manifest = run(capsys, ["stokes", "--eps", "0.5", "--N", "2"])
     assert code == 1
     assert manifest["rows"][0]["residual"] == 1e-8
+
+
+def loaded_modules(code):
+    """The names in sys.modules after a fresh interpreter runs `code`."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(bdmlab.__file__).resolve().parents[1]))
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_only_stokes_loads_scipy():
+    # the package root imports nothing, and only `stokes` needs scipy,
+    # whose import took more than half of an exact CLI call's wall time
+    bare = loaded_modules("import bdmlab")
+    assert "bdmlab" in bare
+    assert not [m for m in bare
+                if m.startswith(("bdmlab.", "numpy.")) or m == "numpy"]
+    for argv in (["verify", "all"],
+                 ["interpolate", "--ref", "tri", "--k", "2",
+                  "--field", "x1**2, x2"]):
+        mods = loaded_modules(f"from bdmlab.cli import main; main({argv!r})")
+        assert "bdmlab.cli" in mods
+        assert not [m for m in mods if m == "scipy" or m.startswith("scipy.")]

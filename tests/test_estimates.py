@@ -16,9 +16,7 @@ from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
                               rvp_terms, stability_lhs, stability_rhs_mac,
                               stability_rhs_rvp, sweep, sweep_to_csv,
                               t1_simplex, tstar_simplex, weaker_example_tet)
-from bdmlab.geometry import (DegenerateSimplexError, Simplex,
-                             classify_to_reference_family, max_angle,
-                             rvp_report)
+from bdmlab.geometry import DegenerateSimplexError, Simplex, max_angle
 from bdmlab.polynomials import Polynomial, VectorPoly, monomial_indices
 from bdmlab.quadrature import map_rule
 from bdmlab.spaces import basis_pk, integrate_poly
@@ -54,13 +52,6 @@ def random_mac_simplex(dim, rng):
             continue
         if max_angle(s) <= 2.6:
             return s
-
-
-def rhs_rvp(v, report, m):
-    """Regular-vertex form of the error bound; needs a first-family report."""
-    if report.family != "T1":
-        raise ValueError("regular-vertex right-hand side needs family T1")
-    return rvp_terms(v, report.simplex, report.directions, report.size_params, m)
 
 
 # -- norms ---------------------------------------------------------------------
@@ -133,19 +124,11 @@ def test_abs_derivative_sum_norm_matches_per_term_oracle(case):
 
 # -- right-hand sides ------------------------------------------------------------
 
-def test_rhs_rvp_requires_t1():
-    rep = classify_to_reference_family(weaker_example_tet(1, 1, 64))
-    assert rep.family == "T2"
-    with pytest.raises(ValueError):
-        rhs_rvp(VectorPoly.zero(3, 3), rep, 0)
-
-
 def test_rhs_rvp_divergence_term_vanishes_for_curl():
     rng = random.Random(2)
     v = random_divfree_field(2, rng)
-    s = t1_simplex(F(1), F(2), F(3))
-    rep = classify_to_reference_family(s)
-    terms = rhs_rvp(v, rep, 0)
+    params = (F(1), F(2), F(3))
+    terms = rvp_terms(v, T1_FAMILY.make(params), *T1_FAMILY.frame(params), 0)
     div_label, div_val = terms[-1]
     assert div_label.endswith("div")
     assert div_val == 0.0
@@ -205,12 +188,12 @@ def test_stability_rvp_bounded_on_stretched_t1():
     v = random_field(3, 3, rng)
     ratios = []
     for eta in [1, 10 ** 2, 10 ** 4, 10 ** 6]:
-        s = t1_simplex(F(1), F(1), F(eta))
+        params = (F(1), F(1), F(eta))
+        s = T1_FAMILY.make(params)
         el = build_element(s, 1)
-        rep = rvp_report(s)
         lhs = stability_lhs(v, el)
         rhs = sum(val for _, val in
-                  stability_rhs_rvp(v, s, rep.directions, rep.size_params))
+                  stability_rhs_rvp(v, s, *T1_FAMILY.frame(params)))
         ratios.append(lhs / rhs)
     assert max(ratios) / min(ratios) < 10
 

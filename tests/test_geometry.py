@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
-                             classify_to_reference_family, facet_normals,
-                             coord_to_token, max_angle, reference_simplex,
-                             rvp_report, simplex_from_text, t_bar_simplex)
+                             facet_normals, coord_to_token, max_angle,
+                             reference_simplex, simplex_from_text,
+                             t_bar_simplex)
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 
 from test_estimates import random_field
@@ -132,135 +132,6 @@ def test_t1_family_max_angle_uniform_bound():
         hs = [10 ** rng.uniform(-3, 3) for _ in range(3)]
         s = Simplex(((0, 0, 0), (hs[0], 0, 0), (0, hs[1], 0), (0, 0, hs[2])))
         assert max_angle(s) <= cap
-
-
-# -- regular vertex reports --------------------------------------------------
-
-def test_rvp_reference_tet():
-    rep = rvp_report(reference_simplex(3))
-    assert rep.regular_vertex == 3
-    assert abs(rep.rvp_best - 1.0) < 1e-15
-
-
-@pytest.mark.parametrize("hs", [(1, 1, 1), (2, 3, 5), (1, 100, 10000)])
-def test_rvp_t1_family_is_one_at_origin(hs):
-    s = Simplex(((0, 0, 0), (hs[0], 0, 0), (0, hs[1], 0), (0, 0, hs[2])))
-    rep = rvp_report(s)
-    assert rep.regular_vertex == 0
-    assert abs(rep.rvp_best - 1.0) < 1e-15
-
-
-def test_rvp_tbar_brute_force():
-    s = t_bar_simplex()
-    rep = rvp_report(s)
-    # enumerate all vertices with numpy as the independent oracle
-    best = 0.0
-    for k in range(4):
-        pk = np.array([float(x) for x in s.vertices[k]])
-        dirs = []
-        for j in range(4):
-            if j == k:
-                continue
-            e = np.array([float(x) for x in s.vertices[j]]) - pk
-            dirs.append(e / np.linalg.norm(e))
-        best = max(best, abs(np.linalg.det(np.column_stack(dirs))))
-    assert abs(best - 1 / math.sqrt(2)) < 1e-14
-    assert abs(rep.rvp_best - best) < 1e-14
-
-
-def test_rvp_invariant_under_rigid_motion_and_scaling():
-    s = Simplex(((0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 4)))
-    base = rvp_report(s).rvp_best
-    theta = 0.83
-    R = np.array([[math.cos(theta), -math.sin(theta), 0],
-                  [math.sin(theta), math.cos(theta), 0],
-                  [0, 0, 1.0]])
-    moved = Simplex(tuple(
-        tuple(5.0 * (R @ np.array([float(x) for x in v])) + np.array([1.0, -2, 3]))
-        for v in s.vertices))
-    assert abs(rvp_report(moved).rvp_best - base) < 1e-12
-
-
-def test_rvp_tie_breaks_to_lowest_index():
-    # isoceles triangle: vertices 0 and 1 tie exactly at |det| = 2/sqrt(5)
-    eq = Simplex(((0, 0), (2, 0), (1, 2)))
-    assert rvp_report(eq).regular_vertex == 0
-    assert rvp_report(reference_simplex(2)).regular_vertex == 2
-
-
-# -- classification -----------------------------------------------------------
-
-def test_classify_axis_tet_t1():
-    s = Simplex(((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)))
-    rep = classify_to_reference_family(s)
-    assert rep.family == "T1"
-    assert rep.map_norm_inf == 1 and rep.inverse_norm_inf == 1
-    assert tuple(float(h) for h in rep.size_params) == (2.0, 3.0, 5.0)
-    # rational edge lengths: the map and reference vertices stay exact
-    assert rep.map.apply(rep.reference_vertices[1]) == s.vertices[1]
-    assert all(rep.map.apply(rep.reference_vertices[i]) == s.vertices[i]
-               for i in range(4))
-    assert rep.cond_product < 2
-
-
-def test_classify_weaker_example_tet_t2():
-    s = Simplex(((0, 0, 0), (1, 0, 0), (0, 0, 100), (0, 1, 100)))
-    rep = classify_to_reference_family(s)
-    assert rep.family == "T2"
-    assert rep.cond_product < 3
-    for i in range(4):
-        got = rep.map.apply(rep.reference_vertices[i])
-        want = [float(x) for x in s.vertices[i]]
-        np.testing.assert_allclose([float(g) for g in got], want, atol=1e-10)
-
-
-def test_classify_tstar_condition_growth_and_failure():
-    conds = []
-    for h in [F(1, 4), F(1, 16), F(1, 64)]:
-        rep = classify_to_reference_family(tstar(h))
-        conds.append(rep.cond_product)
-    assert conds == sorted(conds)
-    assert classify_to_reference_family(tstar(F(1, 1000))).family is None
-    assert classify_to_reference_family(tstar(F(1, 4))).family == "T1"
-
-
-def test_classify_float_reproduction():
-    s = Simplex(((0.1, 0.2, 0.0), (1.3, 0.1, 0.2), (0.2, 1.1, 0.1),
-                 (0.4, 0.3, 0.9)))
-    rep = classify_to_reference_family(s)
-    assert rep.family is not None
-    for i in range(4):
-        got = [float(g) for g in rep.map.apply(rep.reference_vertices[i])]
-        np.testing.assert_allclose(got, [float(x) for x in s.vertices[i]],
-                                   atol=1e-12)
-
-
-rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-
-@st.composite
-def simplices(draw):
-    dim = draw(st.sampled_from([2, 3]))
-    try:
-        return Simplex(tuple(tuple(draw(rationals) for _ in range(dim))
-                             for _ in range(dim + 1)))
-    except DegenerateSimplexError:
-        assume(False)
-
-
-# threshold 0 always takes the regular vertex (T1); threshold 2 is above
-# every rvp value, so it searches all orderings (T1 for d = 2, T2 for d = 3)
-@pytest.mark.parametrize("threshold", [0.0, 2.0])
-@settings(max_examples=40, deadline=None)
-@given(s=simplices())
-def test_classify_map_carries_reference_vertices(threshold, s):
-    rep = classify_to_reference_family(s, rvp_threshold=threshold)
-    if threshold > 1 and s.dim == 3:    # second family: role 1 at (h1, h2, 0)
-        assert rep.reference_vertices[rep.role_of_vertex.index(1)][1] != 0
-    for i in range(s.dim + 1):
-        got = [float(g) for g in rep.map.apply(rep.reference_vertices[i])]
-        np.testing.assert_allclose(got, [float(x) for x in s.vertices[i]],
-                                   rtol=0, atol=1e-12)
 
 
 # -- Piola -------------------------------------------------------------------
