@@ -43,13 +43,14 @@ took 4.2 s when it formed V^-1 (one core of a shared 2-core VM).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from operator import add, mul
 
 import numpy as np
 
 from . import linalg
-from .geometry import AffineMap, Simplex, reference_simplex, t_bar_simplex
+from .geometry import (Simplex, adjugate, determinant, reference_simplex,
+                       t_bar_simplex)
 # integrate_poly and integrate_reference stay importable by name from this
 # module: perfbench/tracing.py rebinds them here.
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
@@ -294,29 +295,34 @@ class _Piola:
     i of `simplex`, in integers up to degree k.
 
     Q[g][j] is D^k times the coefficient of x^g in xh^a o F^-1, a the j-th
-    monomial (D the common denominator of F^-1); B is held as int rows
-    over B_den.  With J = det B, sign(J) P w is `push(w, mix)` / den (P as
-    in `_mapping`)."""
+    monomial (D the common denominator of F^-1 = (Ds adj(Bs) x - adj(Bs)
+    bs) / det(Bs), from the int vertices over Ds, and `inverse` the int
+    rows of D B^-1); B is held as int rows over B_den.  With J = det B,
+    sign(J) P w is `push(w, mix)` / den (P as in `_mapping`)."""
 
     def __init__(self, simplex, k):
-        d = simplex.dim
-        *vertices, origin = simplex.vertices
-        amap = AffineMap(tuple(tuple(v[r] - origin[r] for v in vertices)
-                               for r in range(d)), origin)
-        self.inverse = amap.inverse()
-        composed, self.D = composed_monomials(
-            (self.inverse.matrix, self.inverse.offset), k)
+        d, Ds = simplex.dim, simplex.denominator
+        *vertices, origin = simplex.scaled_vertices
+        Bs = [[v[r] - origin[r] for v in vertices] for r in range(d)]
+        det, adj = determinant(Bs), adjugate(Bs)
+        offset = [-sum(map(mul, row, origin)) for row in adj]
+        common = gcd(det, *(x * Ds for row in adj for x in row), *offset)
+        common *= 1 if det > 0 else -1
+        self.D = det // common
+        self.inverse = [[x * Ds // common for x in row] for row in adj]
+        composed, _ = composed_monomials(
+            (self.inverse, [x // common for x in offset]), k)
         n = len(composed)
         self.Q = [[0] * n for _ in range(n)]
         for j, (a, P) in enumerate(composed.items()):
             scale = self.D ** (k - sum(a))
             for g, x in enumerate(P):
                 self.Q[g][j] = x * scale
-        nums, self.B_den = linalg.over_common_denominator(
-            x for row in amap.matrix for x in row)
-        self.B = [nums[r * d:(r + 1) * d] for r in range(d)]
+        common = gcd(Ds, *(x for row in Bs for x in row))
+        self.B_den = Ds // common
+        self.B = [[x // common for x in row] for row in Bs]
         # sign(J) / J == 1 / |J|, so mix / den is B sign(J) / (J B_den D^k)
-        J = amap.det()
+        J = Fraction(det, Ds ** d)
         self.mix = [[x * J.denominator for x in row] for row in self.B]
         self.den = abs(J.numerator) * self.B_den * self.D ** k
 
@@ -367,14 +373,13 @@ def _nedelec_block(piola, ref, nf):
     every other member (the monomials of P_{k-2}^d, and S_{k-1}'s nullspace
     vectors at their free columns), so those coordinates are read off, not
     solved for."""
-    d, k, D = ref.simplex.dim, ref.order, piola.D
+    k, D = ref.order, piola.D
     scaled = [scaled_field(dof.weight) for dof in ref.dofs[nf:]]
     pivots = [max((c, j) for c, comp in enumerate(z.comps)
                   for j, x in enumerate(comp) if x) for z in scaled]
     # B^-T is (D B^-1)^T / D, so the pushed weight zh is over
     # zh.denominator D^(k+1)
-    inverse_transposed = [[int(row[r] * D) for row in piola.inverse.matrix]
-                          for r in range(d)]
+    inverse_transposed = list(zip(*piola.inverse))
     lcm_den = lcm(*(z.denominator for z in scaled))
     block = []
     for z in scaled:

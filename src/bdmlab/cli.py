@@ -245,7 +245,7 @@ def positive_float(text):
 
 
 def cmd_interpolate(args):
-    if args.simplex:
+    if args.simplex is not None:
         try:
             simplex = read_simplex(args.simplex)
         except (OSError, ValueError) as exc:
@@ -253,6 +253,7 @@ def cmd_interpolate(args):
     elif args.ref == "tbar":
         simplex = t_bar_simplex()
     else:
+        args.ref = args.ref or "tri"    # the default, echoed in the manifest
         simplex = reference_simplex(2 if args.ref == "tri" else 3)
     if args.mode == "exact" and args.quad_degree is not None:
         raise UsageError("--quad-degree sets the quadrature of --mode float; "
@@ -343,8 +344,10 @@ def build_parser():
 
     p = sub.add_parser("interpolate", help="interpolate a polynomial field "
                                            "on one element")
-    p.add_argument("--simplex", default=None, help="vertex file (one per line)")
-    p.add_argument("--ref", choices=["tri", "tet", "tbar"], default="tri")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--simplex", help="vertex file (one per line)")
+    where.add_argument("--ref", choices=["tri", "tet", "tbar"],
+                       help="reference simplex (default: tri)")
     p.add_argument("--k", type=bounded_int(1, MAX_ORDER), default=1)
     p.add_argument("--variant", choices=["nedelec", "bdm_original"],
                    default="nedelec")

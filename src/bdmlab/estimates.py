@@ -20,10 +20,10 @@ import numpy as np
 
 from .bdm import build_element
 from .geometry import Simplex
-from .polynomials import (Polynomial, VectorPoly, monomial_indices,
-                          monomial_positions)
+from .polynomials import (Polynomial, VectorPoly, composed_monomials,
+                          monomial_indices, monomial_positions)
 from .quadrature import map_rule
-from .spaces import integrate_poly, scaled_field
+from .spaces import ScaledField, integrate_poly, moment_table, scaled_field
 
 RATIO_SPREAD_CAP = 10.0  # bounded/diverging decision threshold
 
@@ -43,15 +43,6 @@ def l2_norm(f, simplex):
 
 def multi_indices_of_order(dim, m):
     return [a for a in monomial_indices(dim, m) if sum(a) == m]
-
-
-def directional_derivative(field, alpha, directions):
-    """D^alpha along the given direction vectors (iterated, they commute)."""
-    out = field
-    for i, times in enumerate(alpha):
-        for _ in range(times):
-            out = out.directional_diff(directions[i])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -123,28 +114,63 @@ def abs_derivative_sum_norm(f, simplex, m):
     return math.sqrt(float(np.dot(rule.weights, total * total)))
 
 
+def _frame_derivative_norms(fs, simplex, directions, order):
+    """{alpha: ||D^alpha v||} over |alpha| == order, v as the ScaledField
+    fs and D^alpha = prod_i (directions[i] . grad)^alpha_i.
+
+    D^alpha is sum_beta c_beta d^beta, c_beta the coefficient of t^beta in
+    prod_i (l_i . t)^alpha_i (`composed_monomials`: ints over Dl^order)
+    and d^beta the cached integer map of `_derivative_map`.  Each squared
+    norm is exact (`MomentTable.integrate`), rounded once."""
+    dim, n = simplex.dim, fs.degree - order
+    if n < 0:
+        return dict.fromkeys(multi_indices_of_order(dim, order), 0.0)
+    composed, Dl = composed_monomials((directions, [0] * dim), order)
+    partials = _derivative_map(dim, fs.degree, order)
+    norms = {}
+    for alpha in multi_indices_of_order(dim, order):
+        # the coefficients of degree `order`, graded as the betas are
+        weights = composed[alpha][comb(order - 1 + dim, dim):]
+        comps = []
+        for comp in fs.comps:
+            out = [0] * comb(n + dim, dim)
+            for w, (sources, factors) in zip(weights, partials):
+                if w:
+                    out = [x + w * f * comp[s]
+                           for x, s, f in zip(out, sources, factors)]
+            comps.append(out)
+        f = ScaledField(comps, fs.denominator * Dl ** order, n)
+        norms[alpha] = math.sqrt(float(moment_table(simplex).integrate(f, f)))
+    return norms
+
+
+def _divergence(fs, dim):
+    """div v from v as the ScaledField fs, in ints (d/dx_d comes first)."""
+    total = [0] * comb(fs.degree - 1 + dim, dim)
+    for comp, (sources, factors) in zip(reversed(fs.comps),
+                                        _derivative_map(dim, fs.degree, 1)):
+        total = [x + f * comp[s] for x, s, f in zip(total, sources, factors)]
+    return Polynomial(dim, {g: Fraction(x, fs.denominator) for g, x in zip(
+        monomial_indices(dim, fs.degree - 1), total) if x})
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides of the estimates
 
 def rvp_terms(v, simplex, directions, sizes, m):
     """Labeled terms  h^alpha ||D^alpha_l v||  over |alpha| = m+1, plus the
     h_T^{m+1} ||D^m div v|| divergence term."""
-    dim = simplex.dim
+    fs = scaled_field(v)
+    norms = _frame_derivative_norms(fs, simplex, directions, m + 1)
     terms = []
-    for alpha in multi_indices_of_order(dim, m + 1):
-        h_alpha = 1.0
-        for hi, ai in zip(sizes, alpha):
-            h_alpha *= float(hi) ** ai
-        dv = directional_derivative(v, alpha, directions)
-        label = "h^" + "".join(map(str, alpha))
-        terms.append((label, h_alpha * l2_norm(dv, simplex)))
-    div = v.divergence()
-    h_t = simplex.diameter()
-    if div.is_zero():
-        div_term = 0.0
-    else:
-        div_term = h_t ** (m + 1) * abs_derivative_sum_norm(div, simplex, m)
-    terms.append((f"hT^{m + 1}*div", div_term))
+    for alpha, norm in norms.items():
+        h_alpha = prod((float(hi) ** ai for hi, ai in zip(sizes, alpha)),
+                       start=1.0)
+        terms.append(("h^" + "".join(map(str, alpha)), h_alpha * norm))
+    div = _divergence(fs, simplex.dim)
+    terms.append((f"hT^{m + 1}*div", 0.0 if div.is_zero() else
+                  simplex.diameter() ** (m + 1)
+                  * abs_derivative_sum_norm(div, simplex, m)))
     return terms
 
 
@@ -161,10 +187,12 @@ def stability_lhs(v, el):
 
 def stability_rhs_rvp(v, simplex, directions, sizes):
     terms = [("l2", l2_norm(v, simplex))]
-    for j, (lj, hj) in enumerate(zip(directions, sizes)):
-        terms.append((f"h{j + 1}*dl{j + 1}",
-                      float(hj) * l2_norm(v.directional_diff(lj), simplex)))
-    div = v.divergence()
+    fs = scaled_field(v)
+    norms = _frame_derivative_norms(fs, simplex, directions, 1)
+    for j, hj in enumerate(sizes):
+        e_j = tuple(int(i == j) for i in range(simplex.dim))
+        terms.append((f"h{j + 1}*dl{j + 1}", float(hj) * norms[e_j]))
+    div = _divergence(fs, simplex.dim)
     terms.append(("hT*div", 0.0 if div.is_zero()
                   else simplex.diameter() * l2_norm(div, simplex)))
     return terms

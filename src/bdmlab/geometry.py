@@ -1,18 +1,22 @@
-"""Simplices, affine maps, facet normals and the maximum angle, and the
-text format of a simplex file.
+"""Simplices, facet normals and the maximum angle, and the text format of
+a simplex file.
 
 Coordinates are Fractions: a float becomes the shortest decimal that
-rounds to it, the one its `repr` prints.  Scaled facet normals, charts
-and volumes are exact; the diameter, unit normals and angles are floats.
+rounds to it, the one its `repr` prints.  A simplex scales them once to
+ints over one denominator, and what derives from them reads that int
+form: the volume, charts and scaled facet normals (exact), the diameter
+(a float), equality and hashing.  Unit normals and angles are floats.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
+
+from .linalg import over_common_denominator
 
 
 class DegenerateSimplexError(ValueError):
@@ -29,7 +33,7 @@ def _as_number(x):
     return Fraction(repr(float(x)))
 
 
-def _det(m):
+def determinant(m):
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -42,11 +46,11 @@ def _det(m):
     raise ValueError("only dimensions 1-3 supported")
 
 
-def _adjugate(m):
+def adjugate(m):
     """adj(m), with m adj(m) == det(m) I: cofactor (j, i) at (i, j)."""
     n = len(m)
-    return [[(-1) ** (i + j) * _det([[m[r][c] for c in range(n) if c != i]
-                                     for r in range(n) if r != j])
+    return [[(-1) ** (i + j) * determinant(
+        [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
              for j in range(n)] for i in range(n)]
 
 
@@ -61,9 +65,13 @@ def _sub(a, b):
 @dataclass(frozen=True)
 class Simplex:
     """Triangle (dim 2) or tetrahedron (dim 3); facet e_i is opposite
-    vertex p_i, with vertices indexed from 0."""
+    vertex p_i, with vertices indexed from 0.  `scaled_vertices` are the
+    vertices times their common `denominator` D, as ints: equal vertices
+    give equal int forms, and equality and hashing compare those."""
 
-    vertices: tuple
+    vertices: tuple = field(compare=False)
+    scaled_vertices: tuple = field(init=False, repr=False)
+    denominator: int = field(init=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(tuple(_as_number(x) for x in v) for v in self.vertices)
@@ -75,6 +83,10 @@ class Simplex:
             raise ValueError(f"need {d + 1} vertices for dim {d}")
         if any(len(v) != d for v in verts):
             raise ValueError(f"every vertex needs {d} coordinates")
+        nums, D = over_common_denominator(x for v in verts for x in v)
+        scaled = tuple(tuple(nums[i:i + d]) for i in range(0, len(nums), d))
+        object.__setattr__(self, "scaled_vertices", scaled)
+        object.__setattr__(self, "denominator", D)
         if self.edge_det() == 0:
             raise DegenerateSimplexError("simplex has zero volume")
 
@@ -82,24 +94,36 @@ class Simplex:
     def dim(self):
         return len(self.vertices[0])
 
-    def edge_matrix(self):
-        """Columns p_i - p_0, i = 1..d."""
-        p0 = self.vertices[0]
-        cols = [_sub(v, p0) for v in self.vertices[1:]]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def _scaled_edges(self, ids):
+        """The edge vectors p_j - p_ids[0], j in ids[1:], times D (ints)."""
+        p = self.scaled_vertices
+        return [_sub(p[j], p[ids[0]]) for j in ids[1:]]
+
+    def _chart(self, ids):
+        """(A, b): the columns p_j - p_ids[0], j in ids[1:], and p_ids[0]."""
+        cols = self._scaled_edges(ids)
+        return [[Fraction(c[r], self.denominator) for c in cols]
+                for r in range(self.dim)], self.vertices[ids[0]]
 
     def edge_det(self):
-        return _det(self.edge_matrix())
+        """det(p_1 - p_0, ..., p_d - p_0), a Fraction."""
+        return Fraction(determinant(self._scaled_edges(range(self.dim + 1))),
+                        self.denominator ** self.dim)
 
     def chart(self):
         """Affine map (A, b) with reference simplex -> self, x = A t + b."""
-        return self.edge_matrix(), self.vertices[0]
+        return self._chart(range(self.dim + 1))
+
+    @cached_property
+    def _diameter(self):
+        # the longest edge squared is an int over D^2, and sqrt of their
+        # correctly rounded quotient is the largest edge length's float
+        longest = max(_dot(_sub(a, b), _sub(a, b))
+                      for a, b in combinations(self.scaled_vertices, 2))
+        return math.sqrt(longest / self.denominator ** 2)
 
     def diameter(self):
-        return max(
-            math.sqrt(float(_dot(_sub(a, b), _sub(a, b))))
-            for a, b in combinations(self.vertices, 2)
-        )
+        return self._diameter
 
     def facet_vertex_ids(self, i):
         return [j for j in range(self.dim + 1) if j != i]
@@ -110,29 +134,26 @@ class Simplex:
         Spanned by edge vectors from the facet's lowest-index vertex; returns
         (matrix with d rows and d-1 columns, origin point).
         """
-        ids = self.facet_vertex_ids(i)
-        origin = self.vertices[ids[0]]
-        cols = [_sub(self.vertices[j], origin) for j in ids[1:]]
-        matrix = [[cols[c][r] for c in range(len(cols))] for r in range(self.dim)]
-        return matrix, origin
+        return self._chart(self.facet_vertex_ids(i))
 
     def scaled_facet_normal(self, i):
         """Outward normal of e_i scaled so that, with the facet chart,
-        int_{e_i} v . nhat z ds  ==  int_{ref} (v o chart) . m z dt  exactly."""
-        matrix, origin = self.facet_chart(i)
+        int_{e_i} v . nhat z ds  ==  int_{ref} (v o chart) . m z dt  exactly
+        (from the edge vectors times D, m times D^(d-1) in ints)."""
+        ids = self.facet_vertex_ids(i)
         if self.dim == 2:
-            u = [matrix[0][0], matrix[1][0]]
+            (u,) = self._scaled_edges(ids)
             m = (u[1], -u[0])
         else:
-            u = [matrix[r][0] for r in range(3)]
-            w = [matrix[r][1] for r in range(3)]
+            u, w = self._scaled_edges(ids)
             m = (u[1] * w[2] - u[2] * w[1],
                  u[2] * w[0] - u[0] * w[2],
                  u[0] * w[1] - u[1] * w[0])
         # orient away from the opposite vertex
-        if _dot(_sub(origin, self.vertices[i]), m) < 0:
-            m = tuple(-x for x in m)
-        return m
+        (inward,) = self._scaled_edges((ids[0], i))
+        sign = -1 if _dot(inward, m) > 0 else 1
+        den = self.denominator ** (self.dim - 1)
+        return tuple(Fraction(sign * x, den) for x in m)
 
 
 @lru_cache(maxsize=None)
@@ -150,44 +171,6 @@ def t_bar_simplex():
     """The sheared reference tetrahedron of the second family (h = 1),
     shared as `reference_simplex` is."""
     return Simplex(((0, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x = J xtilde + x0, with Fraction entries read as for `Simplex`."""
-
-    matrix: tuple
-    offset: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           tuple(tuple(_as_number(x) for x in r) for r in self.matrix))
-        object.__setattr__(self, "offset",
-                           tuple(_as_number(x) for x in self.offset))
-        if self.det() == 0:
-            raise ValueError("affine map must be nonsingular")
-
-    @property
-    def dim(self):
-        return len(self.offset)
-
-    def det(self):
-        return _det(self.matrix)
-
-    def apply(self, point):
-        return tuple(
-            sum(self.matrix[i][j] * point[j] for j in range(self.dim))
-            + self.offset[i]
-            for i in range(self.dim)
-        )
-
-    def inverse(self):
-        det = self.det()
-        inv = [[x / det for x in row] for row in _adjugate(self.matrix)]
-        ioff = [-sum(inv[i][j] * self.offset[j] for j in range(self.dim))
-                for i in range(self.dim)]
-        return AffineMap(tuple(tuple(r) for r in inv), tuple(ioff))
-
 
 
 def facet_normals(s: Simplex):

@@ -198,14 +198,6 @@ class Polynomial:
             terms[tuple(b)] = c * a[axis]
         return Polynomial(self.dim, terms)
 
-    def directional_diff(self, direction):
-        """Derivative along an arbitrary (not necessarily unit) vector."""
-        out = Polynomial(self.dim)
-        for i, li in enumerate(direction):
-            if li != 0:
-                out = out + self.diff(i) * li
-        return out
-
     def eval(self, point):
         """Evaluate at a point, or vectorized at an (m, dim) float array."""
         if isinstance(point, np.ndarray) and point.ndim == 2:
@@ -317,17 +309,8 @@ class VectorPoly:
     def __hash__(self):
         return hash(self.comps)
 
-    def divergence(self):
-        out = Polynomial(self.dim)
-        for i, p in enumerate(self.comps):
-            out = out + p.diff(i)
-        return out
-
     def diff(self, axis):
         return VectorPoly([p.diff(axis) for p in self.comps])
-
-    def directional_diff(self, direction):
-        return VectorPoly([p.directional_diff(direction) for p in self.comps])
 
     def compose_affine(self, matrix, offset):
         return VectorPoly([p.compose_affine(matrix, offset) for p in self.comps])

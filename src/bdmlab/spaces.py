@@ -16,6 +16,7 @@ an L2 norm squared included, is a quadratic form in the two factors'
 coefficients: the product is never formed.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,31 +48,30 @@ class SpaceBasis:
 # ---------------------------------------------------------------------------
 # numbers over one denominator
 
-class ScaledField:
-    """A polynomial field as ints over one denominator: component c has
-    coefficient comps[c][j] / denominator on the j-th monomial of graded
-    order, |a| <= degree."""
-
-    __slots__ = ("comps", "denominator", "degree")
-
-    def __init__(self, v: VectorPoly):
-        terms = [p.terms for p in v.comps]
-        self.degree = max(map(sum, chain.from_iterable(terms)), default=0)
-        positions = monomial_positions(v.dim, self.degree)
-        nums, self.denominator = over_common_denominator(
-            chain.from_iterable(t.values() for t in terms))
-        nums = iter(nums)
-        self.comps = []
-        for t in terms:
-            dense = [0] * len(positions)
-            for j, x in zip(map(positions.__getitem__, t), nums):
-                dense[j] = x
-            self.comps.append(dense)
+# A polynomial field as ints over one denominator: component c has
+# coefficient comps[c][j] / denominator on the j-th monomial of graded
+# order, |a| <= degree.
+ScaledField = namedtuple("ScaledField", "comps denominator degree")
 
 
 def scaled_field(v):
-    """`v` as a ScaledField (returned unchanged if it already is one)."""
-    return v if isinstance(v, ScaledField) else ScaledField(v)
+    """A VectorPoly as a ScaledField over the lcm of its coefficients'
+    denominators (returned unchanged if it already is one)."""
+    if isinstance(v, ScaledField):
+        return v
+    terms = [p.terms for p in v.comps]
+    degree = max(map(sum, chain.from_iterable(terms)), default=0)
+    positions = monomial_positions(v.dim, degree)
+    nums, den = over_common_denominator(
+        chain.from_iterable(t.values() for t in terms))
+    nums = iter(nums)
+    comps = []
+    for t in terms:
+        dense = [0] * len(positions)
+        for j, x in zip(map(positions.__getitem__, t), nums):
+            dense[j] = x
+        comps.append(dense)
+    return ScaledField(comps, den, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +143,9 @@ class MomentTable:
 
     def __init__(self, simplex):
         self.dim = simplex.dim
-        nums, D = over_common_denominator(
-            x for v in simplex.vertices for x in v)
         # the vertices times their common denominator D, as ints
-        self._vertices = [nums[i:i + self.dim]
-                          for i in range(0, len(nums), self.dim)], D
-        self._det = over_common_denominator([abs(simplex.edge_det())])
+        self._vertices = simplex.scaled_vertices, simplex.denominator
+        self._det = abs(simplex.edge_det()).as_integer_ratio()
         self._facet_charts = [simplex.facet_chart(i) for i in range(self.dim + 1)]
         self.normals = [over_common_denominator(simplex.scaled_facet_normal(i))
                         for i in range(self.dim + 1)]
@@ -177,7 +174,7 @@ class MomentTable:
                             h[raised[k][j]] += wk * x
                 previous = h
             R, F = _reference_moments(self.dim, degree)
-            (det,), det_den = self._det
+            det, det_den = self._det
             V = [det * r * x * D ** (degree - sum(a)) for a, r, x in
                  zip(monomial_positions(self.dim, degree), R, previous)]
             den = det_den * F * D ** degree

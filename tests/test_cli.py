@@ -133,6 +133,23 @@ def test_interpolate_integer_simplex_file_is_exact(tmp_path, capsys):
     assert from_file["interpolant"][1] == "1/20 + -3/5*x1 + 3/2*x1^2"
 
 
+def test_interpolate_simplex_and_ref_exclusive(tmp_path, capsys):
+    # --ref next to --simplex was ignored, and the manifest echoed the
+    # default "tri" for a tetrahedron file
+    path = tmp_path / "simplex.txt"
+    path.write_text("0 0 0\n2 0 0\n0 3 0\n0 0 5\n")
+    field = ["--field", "x1, 0, 0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--simplex", str(path), "--ref", "tet"] + field)
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    code, _, manifest = run(capsys, ["interpolate", "--simplex", str(path)]
+                            + field)
+    assert code == 0 and manifest["config"]["ref"] is None
+    code, _, manifest = run(capsys, ["interpolate", "--field", "x1, 0"])
+    assert code == 0 and manifest["config"]["ref"] == "tri"
+
+
 # (decimal tokens, the same simplex in p/q tokens)
 DECIMAL_SIMPLEX_FILES = [
     ("0.5 0\n2 0.25\n0 1.5\n", "1/2 0\n2 1/4\n0 3/2\n"),

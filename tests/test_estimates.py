@@ -11,7 +11,8 @@ from bdmlab import linalg
 from bdmlab.bdm import build_element
 from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
                               abs_derivative_sum_norm, evaluate_estimate,
-                              l2_norm, l2_norm_sq, random_divfree_field,
+                              l2_norm, l2_norm_sq, multi_indices_of_order,
+                              random_divfree_field,
                               random_polynomial, ratio_verdict, rhs_mac,
                               rvp_terms, stability_lhs, stability_rhs_mac,
                               stability_rhs_rvp, sweep, sweep_to_csv,
@@ -21,7 +22,8 @@ from bdmlab.polynomials import Polynomial, VectorPoly, monomial_indices
 from bdmlab.quadrature import map_rule
 from bdmlab.spaces import basis_pk, integrate_poly
 
-from test_moments import polynomials, simplices
+from test_moments import (AffineMap, divergence, fields, piola_push,
+                          polynomials, rationals, simplices)
 
 F = Fraction
 
@@ -132,6 +134,96 @@ def test_rhs_rvp_divergence_term_vanishes_for_curl():
     div_label, div_val = terms[-1]
     assert div_label.endswith("div")
     assert div_val == 0.0
+
+
+def directional_derivative(field, alpha, directions):
+    """D^alpha along the given direction vectors, differentiated in
+    Fractions one direction at a time (they commute)."""
+    out = field
+    for direction, times in zip(directions, alpha):
+        for _ in range(times):
+            out = VectorPoly([sum((p.diff(i) * li
+                                   for i, li in enumerate(direction) if li),
+                                  Polynomial.zero(p.dim)) for p in out.comps])
+    return out
+
+
+def rvp_terms_oracle(v, simplex, directions, sizes, m):
+    """`rvp_terms` with every derivative taken in Fractions."""
+    terms = []
+    for alpha in multi_indices_of_order(simplex.dim, m + 1):
+        h_alpha = 1.0
+        for hi, ai in zip(sizes, alpha):
+            h_alpha *= float(hi) ** ai
+        dv = directional_derivative(v, alpha, directions)
+        terms.append(("h^" + "".join(map(str, alpha)),
+                      h_alpha * l2_norm(dv, simplex)))
+    div = divergence(v)
+    terms.append((f"hT^{m + 1}*div", 0.0 if div.is_zero() else
+                  simplex.diameter() ** (m + 1)
+                  * abs_derivative_sum_norm(div, simplex, m)))
+    return terms
+
+
+def rotation(q):
+    """A rotation with rational entries, whose rows are a frame's
+    directions: for q = (a, b), the Pythagorean-triple rotation by (a^2 -
+    b^2, 2ab) / (a^2 + b^2); for q = (a, b, c, d), the rotation of the
+    integer quaternion q."""
+    if len(q) == 2:
+        a, b = q
+        rows = [[a * a - b * b, -2 * a * b], [2 * a * b, a * a - b * b]]
+    else:
+        a, b, c, d = q
+        rows = [[a * a + b * b - c * c - d * d, 2 * (b * c - a * d),
+                 2 * (b * d + a * c)],
+                [2 * (b * c + a * d), a * a - b * b + c * c - d * d,
+                 2 * (c * d - a * b)],
+                [2 * (b * d - a * c), 2 * (c * d + a * b),
+                 a * a - b * b - c * c + d * d]]
+    n = sum(x * x for x in q)
+    return tuple(tuple(F(x, n) for x in row) for row in rows)
+
+
+@st.composite
+def frames(draw, dim):
+    """Axes (in any order), a rational rotation, or non-unit rational
+    vectors, with positive rational sizes."""
+    kind = draw(st.sampled_from(["axes", "rotation", "vectors"]))
+    if kind == "axes":
+        order = draw(st.permutations(range(dim)))
+        directions = tuple(tuple(int(i == j) for j in range(dim))
+                           for i in order)
+    elif kind == "rotation":
+        directions = rotation(draw(st.tuples(
+            *[st.integers(-5, 5)] * (2 if dim == 2 else 4)).filter(any)))
+    else:
+        directions = tuple(tuple(draw(rationals) for _ in range(dim))
+                           for _ in range(dim))
+    sizes = tuple(draw(st.builds(F, st.integers(1, 10 ** 6),
+                                 st.integers(1, 9))) for _ in range(dim))
+    return directions, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(
+    simplices(d), st.integers(0, 4).flatmap(lambda n: fields(d, n)),
+    frames(d), st.integers(0, 2))))
+def test_rvp_terms_match_fraction_derivatives(case):
+    # the integer derivatives take d/dx_a from a map that lists e_d first:
+    # a swapped pair of axes changes the terms of a generic field
+    simplex, v, (directions, sizes), m = case
+    assert rvp_terms(v, simplex, directions, sizes, m) == rvp_terms_oracle(
+        v, simplex, directions, sizes, m)
+    # the stability form takes its first derivatives the same way
+    _, *terms, (_, div_term) = stability_rhs_rvp(v, simplex, directions, sizes)
+    for j, (_, value) in enumerate(terms):
+        e_j = tuple(int(i == j) for i in range(simplex.dim))
+        dv = directional_derivative(v, e_j, directions)
+        assert value == float(sizes[j]) * l2_norm(dv, simplex)
+    div = divergence(v)
+    assert div_term == (0.0 if div.is_zero()
+                        else simplex.diameter() * l2_norm(div, simplex))
 
 
 def test_rvp_terms_weaker_example_display_chain():
@@ -305,8 +397,6 @@ def test_rvp_ratio_invariance_scaling_and_relabeling():
     ratio = lhs / sum(val for _, val in terms)
     # uniform scaling: same field pulled to the doubled element
     s2 = t1_simplex(F(2), F(4), F(10))
-    from bdmlab.geometry import AffineMap
-    from test_moments import piola_push
     amap = AffineMap(((2, 0, 0), (0, 2, 0), (0, 0, 2)), (0, 0, 0))
     v2 = piola_push(amap, v)
     lhs2, terms2 = evaluate_estimate("interpolation_rvp", s2, v2, k=1, m=1,

@@ -1,20 +1,20 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
+from bdmlab.geometry import (DegenerateSimplexError, Simplex,
                              facet_normals, coord_to_token, max_angle,
                              reference_simplex, simplex_from_text,
                              t_bar_simplex)
 from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 
 from test_estimates import random_field
-from test_moments import dot, map_simplex, piola_push
+from test_moments import AffineMap, divergence, dot, map_simplex, piola_push
 
 F = Fraction
 
@@ -31,6 +31,114 @@ def test_degenerate_rejected():
 def test_vertex_count_enforced():
     with pytest.raises(ValueError):
         Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+
+
+# -- the int form against Fraction formulas ------------------------------------
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def det_oracle(m):
+    """Leibniz's formula on Fractions."""
+    n = len(m)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = F((-1) ** inversions)
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def facet_chart_oracle(s, i):
+    ids = s.facet_vertex_ids(i)
+    origin = s.vertices[ids[0]]
+    cols = [_sub(s.vertices[j], origin) for j in ids[1:]]
+    return [[c[r] for c in cols] for r in range(s.dim)], origin
+
+
+def scaled_normal_oracle(s, i):
+    """The cross product (d = 3) or rotated edge (d = 2) of the chart's
+    Fraction columns, pointing away from vertex i."""
+    matrix, origin = facet_chart_oracle(s, i)
+    if s.dim == 2:
+        m = (matrix[1][0], -matrix[0][0])
+    else:
+        (u1, w1), (u2, w2), (u3, w3) = matrix
+        m = (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
+    if sum(a * b for a, b in zip(_sub(origin, s.vertices[i]), m)) < 0:
+        m = tuple(-x for x in m)
+    return m
+
+
+def diameter_oracle(s):
+    return max(math.sqrt(float(sum(x * x for x in _sub(a, b))))
+               for a, b in combinations(s.vertices, 2))
+
+
+# mixed denominators, negative coordinates, and floats read as the decimal
+# their repr prints
+coordinates = st.one_of(
+    st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+    st.integers(-50, 50),
+    st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: abs(x) > 1e-6
+                                                  or x == 0))
+
+
+@st.composite
+def mixed_simplices(draw, dim):
+    verts = tuple(tuple(draw(coordinates) for _ in range(dim))
+                  for _ in range(dim + 1))
+    try:
+        return Simplex(verts)
+    except DegenerateSimplexError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(mixed_simplices))
+def test_int_form_matches_fraction_formulas(s):
+    edges = [_sub(v, s.vertices[0]) for v in s.vertices[1:]]
+    assert s.edge_det() == det_oracle(edges)
+    for i in range(s.dim + 1):
+        assert s.facet_chart(i) == facet_chart_oracle(s, i)
+        normal = s.scaled_facet_normal(i)
+        assert all(type(x) is F for x in normal)
+        assert normal == scaled_normal_oracle(s, i)
+    assert s.diameter() == diameter_oracle(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda d: st.tuples(mixed_simplices(d), st.integers(0, d),
+                        st.integers(0, d - 1), coordinates,
+                        st.sampled_from(["same", "as text", "moved",
+                                         "halved"]))))
+def test_equality_and_hash_follow_the_vertices(case):
+    # halving every coordinate can keep the scaled ints and double D
+    s, vertex, axis, x, how = case
+    if how == "halved":
+        t = Simplex(tuple(tuple(c / 2 for c in v) for v in s.vertices))
+    elif how == "moved":
+        verts = [list(v) for v in s.vertices]
+        verts[vertex][axis] = x
+        try:
+            t = Simplex(tuple(map(tuple, verts)))
+        except DegenerateSimplexError:
+            assume(False)
+    elif how == "as text":
+        t = simplex_from_text("".join(
+            " ".join(f"{c.numerator}/{c.denominator}" for c in v) + "\n"
+            for v in s.vertices))
+    else:
+        t = Simplex(s.vertices)
+    assert (s == t) == (s.vertices == t.vertices)
+    if s == t:
+        assert hash(s) == hash(t)
+    assert (s == reference_simplex(s.dim)) == (
+        s.vertices == reference_simplex(s.dim).vertices)
 
 
 # -- facet normals ----------------------------------------------------------
@@ -162,8 +270,8 @@ def test_piola_divergence_relation():
     pushed = piola_push(amap, v)
     det = amap.det()
     inv = amap.inverse()
-    lhs = pushed.divergence()
-    rhs = v.divergence().compose_affine(inv.matrix, inv.offset) / det
+    lhs = divergence(pushed)
+    rhs = divergence(v).compose_affine(inv.matrix, inv.offset) / det
     assert lhs == rhs
 
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from bdmlab import bdm, linalg
 from bdmlab.bdm import FacetMoment, InteriorMoment, build_element
-from bdmlab.geometry import (AffineMap, DegenerateSimplexError, Simplex,
-                             reference_simplex, t_bar_simplex)
+from bdmlab.geometry import (DegenerateSimplexError, Simplex, adjugate,
+                             determinant, reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
 from bdmlab.spaces import MomentTable, basis_qk, integrate_poly
@@ -64,6 +64,12 @@ def dot(v, w):
     """sum_c v_c w_c as one Polynomial, with Polynomial products: w is a
     VectorPoly or a constant vector."""
     return sum((p * w_c for p, w_c in zip(v.comps, w)), Polynomial.zero(v.dim))
+
+
+def divergence(v):
+    """sum_i d v_i / dx_i, differentiated in Fractions."""
+    return sum((p.diff(i) for i, p in enumerate(v.comps)),
+               Polynomial.zero(v.dim))
 
 
 def substitute(p, matrix, offset):
@@ -231,6 +237,38 @@ def test_projection_property_random_simplices(dim, k, variant):
 
 
 # -- invariants of the interpolant, checked with exact equality
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """x = J xtilde + x0, with Fraction entries."""
+
+    matrix: tuple
+    offset: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix",
+                           tuple(tuple(map(Fraction, r)) for r in self.matrix))
+        object.__setattr__(self, "offset", tuple(map(Fraction, self.offset)))
+        if self.det() == 0:
+            raise ValueError("affine map must be nonsingular")
+
+    @property
+    def dim(self):
+        return len(self.offset)
+
+    def det(self):
+        return determinant(self.matrix)
+
+    def apply(self, point):
+        return tuple(sum(map(mul, row, point)) + b
+                     for row, b in zip(self.matrix, self.offset))
+
+    def inverse(self):
+        det = self.det()
+        inv = [[x / det for x in row] for row in adjugate(self.matrix)]
+        ioff = [-sum(map(mul, row, self.offset)) for row in inv]
+        return AffineMap(inv, ioff)
 
 
 def map_simplex(amap, s):
