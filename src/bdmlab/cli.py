@@ -316,7 +316,8 @@ def cmd_stokes(args):
         study_to_csv(rows, args.out)
     summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
                                     "rate_u", "rate_p", "div_max", "jump_max",
-                                    "residual", "lu_nnz")} for row in rows]
+                                    "residual", "n_unknowns", "nnz",
+                                    "lu_nnz")} for row in rows]
     _manifest("stokes", vars(args), rows=summary)
     return 0 if all(holds_contracts(row) for row in rows) else 1
 

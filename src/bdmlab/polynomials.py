@@ -243,9 +243,6 @@ class Polynomial:
         return Polynomial(nvars, {t: quotient(x, den)
                                   for t, x in zip(positions, total) if x})
 
-    def coeff(self, alpha):
-        return self.terms.get(tuple(alpha), Fraction(0))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
@@ -275,12 +272,8 @@ class VectorPoly:
         self.comps = comps
 
     @staticmethod
-    def zero(ncomp, dim):
-        return VectorPoly([Polynomial.zero(dim) for _ in range(ncomp)])
-
-    @property
-    def ncomp(self):
-        return len(self.comps)
+    def zero(n, dim):
+        return VectorPoly([Polynomial.zero(dim) for _ in range(n)])
 
     @property
     def dim(self):
@@ -311,9 +304,6 @@ class VectorPoly:
 
     def diff(self, axis):
         return VectorPoly([p.diff(axis) for p in self.comps])
-
-    def compose_affine(self, matrix, offset):
-        return VectorPoly([p.compose_affine(matrix, offset) for p in self.comps])
 
     def eval(self, point):
         return tuple(p.eval(point) for p in self.comps)

@@ -142,30 +142,35 @@ def build_shishkin(params: ShishkinParams) -> Mesh2D:
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
     tau = params.tau
-    xs = _x_coordinates(N, tau)
     exact = isinstance(tau, (Fraction, int))
     ys = [Fraction(j, N) if exact else j / N for j in range(N + 1)]
-    vertices = []
-    for j in range(N + 1):
-        for i in range(N + 1):
-            vertices.append((xs[i], ys[j]))
+    return _tensor_mesh(_x_coordinates(N, tau), ys)
 
-    def vid(i, j):
-        return j * (N + 1) + i
 
+def build_uniform(N: int, exact=True) -> Mesh2D:
+    """Uniform grid, split like `build_shishkin`'s: vertices (i/N, j/N) as
+    Fractions, or with exact=False as the floats nearest them, which the
+    orientation test of `build_facets` and the float conversions of the
+    Stokes code take without Fraction arithmetic."""
+    if N < 2 or N % 2:
+        raise ValueError("N must be even and >= 2")
+    coords = [Fraction(i, N) if exact else i / N for i in range(N + 1)]
+    return _tensor_mesh(coords, coords)
+
+
+def _tensor_mesh(xs, ys):
+    """The grid xs x ys, each rectangle split along the lower-left to
+    upper-right diagonal, with its facets."""
+    n = len(xs)
+    vertices = [(x, y) for y in ys for x in xs]
     triangles = []
-    for j in range(N):
-        for i in range(N):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
+    for j in range(len(ys) - 1):
+        for i in range(n - 1):
+            ll, lr = j * n + i, j * n + i + 1
+            ul, ur = ll + n, lr + n
             triangles.append((ll, lr, ur))
             triangles.append((ll, ur, ul))
     return Mesh2D(vertices, triangles).build_facets()
-
-
-def build_uniform(N: int) -> Mesh2D:
-    """Uniform grid: the layer construction with the transition at 1/2."""
-    return build_shishkin(ShishkinParams(N=N, epsilon=0.5, tau=Fraction(1, 2)))
 
 
 def mesh_aspect_ratio(mesh: Mesh2D):

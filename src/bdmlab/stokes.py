@@ -17,18 +17,21 @@ form and the continuity rows), and the system is solved in the divergence-
 free subspace: on the simply connected square the divergence-free BDM1
 fields are exactly the curls of continuous P2 stream functions, so the
 velocity comes from one SPD system in the stream function (half the
-unknowns, no pressure, no pivoting).  The pressure follows from the
-momentum rows.  Its only freedom is an additive constant, so the zero-mean
-gauge is a shift after the solve, and the system is never formed as one
-matrix.
+unknowns, no pressure, no pivoting), the only factorization of a solve.
+The pressure follows from the momentum rows by one sparse triangular
+solve along a spanning tree of the triangle adjacency.  Its only freedom
+is an additive constant, so the zero-mean gauge is a shift after the
+solve, and the system is never formed as one matrix.
 
 No work runs per point or per facet in Python.  The manufactured fields
 are evaluated by `eval_fields`, several at a time on one point set: dense
-float coefficient arrays against power tables of x and y built once, with
-exp(-x/eps) computed once.  The volume integrals (body force, errors) run
-over triangle batches of at most QUAD_BATCH_POINTS quadrature points, and
-the facet terms over batches of FACET_BATCH interior facets, as batched
-matmuls; both bounds keep the temporaries of a large mesh small.
+float coefficient arrays, sized by each field's degree in x and in y,
+against power tables of x and y built once, with exp(-x/eps) computed
+once.  The volume integrals (body force, errors) run over triangle
+batches of at most QUAD_BATCH_POINTS quadrature points, and the facet
+terms over batches of FACET_BATCH interior facets, as batched matmuls;
+both bounds are sized to keep the temporaries in cache, so they stay
+small whatever the mesh.
 """
 
 import csv
@@ -63,12 +66,22 @@ class ExpPoly:
     """q_exp(x) * exp(-x1/eps) + q_plain(x); closed under differentiation,
     which is all the manufactured solution needs."""
 
-    __slots__ = ("pexp", "pplain", "eps")
+    __slots__ = ("pexp", "pplain", "eps", "_dense")
 
     def __init__(self, pexp=None, pplain=None, eps=Fraction(1)):
         self.pexp = pexp if pexp is not None else Polynomial.zero(2)
         self.pplain = pplain if pplain is not None else Polynomial.zero(2)
         self.eps = eps
+        self._dense = None
+
+    def dense(self):
+        """(c_exp, c_plain, float eps) for `eval_fields`: each part as a
+        float array c[i, j] of the coefficients of x^i y^j, sized by its
+        degree in x and in y (None for a zero part); built on first use."""
+        if self._dense is None:
+            self._dense = (*map(_dense_coefficients, (self.pexp, self.pplain)),
+                           float(self.eps))
+        return self._dense
 
     def diff(self, axis):
         pexp = self.pexp.diff(axis)
@@ -89,41 +102,49 @@ class ExpPoly:
         return eval_fields([self], pts)[0]
 
 
+def _dense_coefficients(poly):
+    if not poly.terms:
+        return None
+    c = np.zeros((max(i for i, _ in poly.terms) + 1,
+                  max(j for _, j in poly.terms) + 1))
+    for (i, j), value in poly.terms.items():
+        c[i, j] = float(value)
+    return c
+
+
 def eval_fields(fields, pts):
     """The values of ExpPoly fields at points (P, 2): (len(fields), P).
 
-    Each polynomial part becomes a dense float array c[i, j] of the
-    coefficients of x^i y^j.  The powers of x and y are built once, by
-    repeated multiplication, as rows X[i] = x^i and Y[j] = y^j, and
-    exp(-x/eps) once per eps, so a part costs one small matmul and a sum
-    over rows: sum_j (c^T X)[j] * Y[j]."""
+    Each polynomial part is the dense float array c[i, j] of `ExpPoly.dense`,
+    sized by the part's degree in x and in y (the manufactured fields have
+    total degree 8 but degree at most 4 in each variable).  The powers of x
+    and y are built once, by repeated multiplication, as rows X[i] = x^i
+    and Y[j] = y^j, and exp(-x/eps) once per eps, so a part costs one small
+    matmul and a sum over rows: sum_j (c^T X)[j] * Y[j]."""
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    deg = max((p.degree for f in fields for p in (f.pexp, f.pplain)), default=0)
-    X = np.ones((deg + 1, len(pts)))
-    Y = np.ones((deg + 1, len(pts)))
-    for i in range(1, deg + 1):
-        np.multiply(X[i - 1], x, out=X[i])
-        np.multiply(Y[i - 1], y, out=Y[i])
+    dense = [f.dense() for f in fields]
+    shapes = [c.shape for d in dense for c in d[:2] if c is not None]
+    X = np.ones((max((m for m, _ in shapes), default=1), len(pts)))
+    Y = np.ones((max((n for _, n in shapes), default=1), len(pts)))
+    for powers, v in ((X, x), (Y, y)):
+        for i in range(1, len(powers)):
+            np.multiply(powers[i - 1], v, out=powers[i])
 
-    def part(poly):
-        n = poly.degree + 1
-        c = np.zeros((n, n))
-        for (i, j), coeff in poly.terms.items():
-            c[i, j] = float(coeff)
-        terms = c.T @ X[:n]
-        terms *= Y[:n]
+    def part(c):
+        terms = c.T @ X[:len(c)]
+        terms *= Y[:c.shape[1]]
         return terms.sum(axis=0)
 
     decay = {}
     vals = np.zeros((len(fields), len(pts)))
-    for row, f in zip(vals, fields):
-        if f.pexp.terms:
-            if f.eps not in decay:
-                decay[f.eps] = np.exp(-x / float(f.eps))
-            row += part(f.pexp) * decay[f.eps]
-        if f.pplain.terms:
-            row += part(f.pplain)
+    for row, (c_exp, c_plain, eps) in zip(vals, dense):
+        if c_exp is not None:
+            if eps not in decay:
+                decay[eps] = np.exp(-x / eps)
+            row += part(c_exp) * decay[eps]
+        if c_plain is not None:
+            row += part(c_plain)
     return vals
 
 
@@ -187,7 +208,7 @@ def holds_contracts(row):
 class DGSpace:
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
-        self.x = np.array([[float(a), float(b)] for a, b in mesh.vertices])
+        self.x = np.array(mesh.vertices, dtype=float)
         self.tris = np.array(mesh.triangles, dtype=int)
         self.n_tri = len(mesh.triangles)
         # the facet topology of the mesh: vertex keys, the `left` triangle
@@ -360,14 +381,17 @@ class StokesSolution:
         sp_ = self.space
         f = sp_.interior
         pts = sp_.facet_points(f, np.array([0.25, 0.75]))
-        jl, jr = (np.einsum("fmb,fcb,fc->fm", sp_.monomials(t, pts),
-                            self.coeffs[t].reshape(-1, 2, 3), sp_.facet_n[f])
+        # the normal component's coefficients first, then its values: two
+        # two-operand einsums, several times faster than one of three
+        jl, jr = (np.einsum("fmb,fb->fm", sp_.monomials(t, pts), np.einsum(
+                      "fcb,fc->fb", self.coeffs[t].reshape(-1, 2, 3), sp_.facet_n[f]))
                   for t in (sp_.facet_left[f], sp_.facet_right[f]))
         return float(np.max(np.abs(jl - jr), initial=0.0))
 
 
-# Interior facets per `_facet_block` call in `assemble`.
-FACET_BATCH = 2048
+# Interior facets per `_facet_block` call in `assemble`: about 1.3 MB of
+# temporaries, which measured faster than batches of 2048.
+FACET_BATCH = 256
 
 
 def _facet_block(space, facet_ids, sides, gamma, ts, ws):
@@ -430,6 +454,13 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     G = space.shape_grads.reshape(n_tri, 6, 4)
     diag = space.areas[:, None, None] * (G @ G.transpose(0, 2, 1))
     coupling = np.empty((len(interior), 6, 6))
+    entries = np.arange(36)
+
+    def add_to_diag(tri_ids, blocks):
+        # one flat index per entry: np.add.at runs several times faster
+        # this way than with one block row per index
+        np.add.at(diag.reshape(-1), (36 * tri_ids[:, None] + entries).ravel(),
+                  blocks.ravel())
     # interior facets in batches, which bounds the facet temporaries (about
     # 5 kB per facet) whatever the mesh size
     ts, ws = gauss_01(2)
@@ -437,13 +468,13 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
         f = interior[start:start + FACET_BATCH]
         local = _facet_block(space, f, [(left[f], 1.0), (right[f], -1.0)],
                              gamma, ts, ws)[0]
-        np.add.at(diag, left[f], local[:, :6, :6])
-        np.add.at(diag, right[f], local[:, 6:, 6:])
+        add_to_diag(left[f], local[:, :6, :6])
+        add_to_diag(right[f], local[:, 6:, 6:])
         coupling[start:start + len(f)] = local[:, :6, 6:]
     if len(boundary):
         local, pts, wtest = _facet_block(
             space, boundary, [(left[boundary], 1.0)], gamma, ts, ws)
-        np.add.at(diag, left[boundary], local)
+        add_to_diag(left[boundary], local)
         # weak Dirichlet data in the jump slots (tangential part; the
         # normal part is fixed strongly through the boundary DOFs)
         gv = case.boundary_g(pts.reshape(-1, 2)).reshape(pts.shape)
@@ -481,6 +512,50 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     return A, B, rhs
 
 
+def _pressure_tree(space):
+    """The pressure rows of B^T p = r that a breadth-first spanning tree of
+    the triangle adjacency picks: (order, dofs, L) with p[order[1:]] =
+    L^-1 r[dofs] and p[order[0]] = 0.
+
+    The 0th normal moment of a facet is the flux through it, so its row of
+    B^T holds -div of that shape function, +-1/|T|, on the two triangles
+    beside it (its t-moment row holds only roundoff).  Each triangle but
+    the root takes the 0th-moment row of the facet to its parent; in
+    breadth-first order a parent comes first, so L is lower triangular."""
+    # imported here, not with the module: csgraph adds about 1 MiB to
+    # every process that imports `stokes`, and only a solve uses it
+    from scipy.sparse.csgraph import breadth_first_order
+
+    interior = space.interior
+    adjacency = sp.csr_matrix(
+        (np.ones(len(interior)),
+         (space.facet_left[interior], space.facet_right[interior])),
+        shape=(space.n_tri, space.n_tri))
+    order, parent = breadth_first_order(adjacency, 0, directed=False)
+    child = order[1:]
+    par = parent[child]
+    pos = np.empty(space.n_tri, dtype=int)
+    pos[order] = np.arange(space.n_tri)
+    rows = np.arange(len(child))
+    # the facet to the parent: the one whose other triangle is the parent
+    # (a boundary facet gives -1)
+    facets = space.tri_facets[child]                            # (T-1, 3)
+    other = space.facet_left[facets] + space.facet_right[facets] - child[:, None]
+    f = facets[rows, np.argmax(other == par[:, None], axis=1)]
+    k, k_par = (np.argmax(space.tri_facets[t] == f[:, None], axis=1)
+                for t in (child, par))
+    # row i holds the pressure of order[i + 1] and, unless it is the root,
+    # its parent's
+    off = pos[par] > 0
+    L = sp.csr_matrix(
+        (-np.concatenate([space.shape_divs[child, 2 * k],
+                          space.shape_divs[par[off], 2 * k_par[off]]]),
+         (np.concatenate([rows, rows[off]]),
+          np.concatenate([rows, pos[par[off]] - 1]))),
+        shape=(len(child), len(child)))
+    return order, 2 * f, L
+
+
 def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolution:
     """Solve the system of `assemble`'s blocks in the divergence-free
     subspace.
@@ -491,11 +566,12 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     path); the rows of C_f there are zero, so u keeps them.  psi_f solves
     the SPD system C_f^T A C_f psi_f = C_f^T (rhs - A C_b psi_b), factorized
     once without pivoting.  The area-scaled pressure p solves B^T p =
-    rhs - A u on the free rows (normal equations, one pressure pinned);
-    since B^T annihilates only the constant pressure, the zero-mean gauge is
-    a shift.  One step of iterative refinement reuses the factors.  The
-    residual is relative, over the free momentum rows, the continuity rows
-    with g on the right-hand side and the zero-sum gauge.
+    rhs - A u on the free rows, a consistent system of which
+    `_pressure_tree` picks one row per triangle but the first; since B^T
+    annihilates only the constant pressure, the zero-mean gauge is a shift.
+    One step of iterative refinement reuses the factors.  The residual is
+    relative, over the free momentum rows, the continuity rows with g on
+    the right-hand side and the zero-sum gauge.
     """
     A, B, rhs = assemble(space, case, gamma, quad_degree)
     free, fixed, areas = space.free_dofs, space.fixed_dofs, space.areas
@@ -512,8 +588,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     S.eliminate_zeros()
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
-    B_f = B[:, free]
-    normal = spla.splu((B_f @ B_f.T).tocsc()[1:, 1:])
+    order, tree_dofs, L = _pressure_tree(space)
 
     def correction(r, u0, total):
         """Velocity and area-scaled pressure for the momentum right-hand
@@ -521,7 +596,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
         function fixes and `total` the sum of the pressure."""
         u = u0 + C_f @ lu.solve(C_f.T @ (r - A @ u0))
         p = np.zeros(space.n_tri)
-        p[1:] = normal.solve((B_f @ (r - A @ u)[free])[1:])
+        p[order[1:]] = spla.spsolve_triangular(L, (r - A @ u)[tree_dofs])
         p += areas * ((total - p.sum()) / areas.sum())
         return u, p
 
@@ -555,8 +630,9 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
 
 
 # Points per quadrature batch: bounds the power tables of `eval_fields` and
-# the other point-wise arrays of `assemble` and `errors`.
-QUAD_BATCH_POINTS = 2 ** 16
+# the other point-wise arrays of `assemble` and `errors`, to sizes that
+# stay in cache (2^12 measured faster than 2^16).
+QUAD_BATCH_POINTS = 2 ** 12
 
 
 def _quadrature(space, case, quad_degree):
@@ -606,7 +682,7 @@ STUDY_COLUMNS = ["epsilon", "mesh_kind", "N", "ndof", "tau", "sigma", "gamma",
 
 def study_mesh(kind, N, eps, log_convention="natural"):
     if kind == "uniform":
-        mesh = build_uniform(N)
+        mesh = build_uniform(N, exact=False)
         tau = 0.5
     elif kind == "shishkin":
         tau = transition_point(eps, log_convention)
@@ -619,8 +695,9 @@ def study_mesh(kind, N, eps, log_convention="natural"):
 def convergence_study(eps_list, N_list, kind, log_convention="natural",
                       gamma_override=None, quad_degree=8):
     """One row per (epsilon, N): errors, parameters and observed rates,
-    the contract values, and the factor's fill `lu_nnz` (a row key that
-    `STUDY_COLUMNS` leaves out of the CSV)."""
+    the contract values, and the sizes of the factorized stream-function
+    system: its `n_unknowns` and `nnz`, and the factor's fill `lu_nnz` (row
+    keys that `STUDY_COLUMNS` leaves out of the CSV)."""
     rows = []
     for eps in eps_list:
         case = manufactured_case(eps)
@@ -644,6 +721,8 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural",
                 "div_max": float(np.max(np.abs(sol.elementwise_divergence()))),
                 "jump_max": sol.max_normal_jump(),
                 "residual": sol.stats["residual"],
+                "n_unknowns": sol.stats["n_unknowns"],
+                "nnz": sol.stats["nnz"],
                 "lu_nnz": sol.stats["lu_nnz"],
             })
     return rows

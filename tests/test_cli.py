@@ -30,9 +30,7 @@ def run(capsys, argv):
 
 def test_parse_polynomial():
     p = parse_polynomial("x1**2 - 2*x2 + 1/3", 2)
-    assert p.coeff((2, 0)) == 1
-    assert p.coeff((0, 1)) == -2
-    assert p.coeff((0, 0)) == F(1, 3)
+    assert p.terms == {(2, 0): 1, (0, 1): -2, (0, 0): F(1, 3)}
 
 
 def test_parse_field_component_count():
@@ -252,7 +250,7 @@ def test_interpolate_unbounded_field_exit_2(field, capsys):
 def test_parse_accepts_fields_at_the_caps():
     p = parse_polynomial(f"x1**{MAX_FIELD_DEGREE} + (1/2)**-3", 2)
     assert p.degree == MAX_FIELD_DEGREE
-    assert p.coeff((0, 0)) == 8
+    assert p.terms[(0, 0)] == 8
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -423,10 +421,15 @@ def test_stokes_subcommand(tmp_path, capsys):
     assert code == 0
     assert len(manifest["rows"]) == 2
     assert out_path.exists()
-    # the factor's fill is in the manifest, not in the CSV
-    fills = [row["lu_nnz"] for row in manifest["rows"]]
-    assert all(isinstance(n, int) for n in fills) and 0 < fills[0] < fills[1]
-    assert "lu_nnz" not in out_path.read_text().splitlines()[0]
+    # the sizes of the stream-function matrix and the factor's fill are in
+    # the manifest, not in the CSV
+    header = out_path.read_text().splitlines()[0]
+    for key in ("n_unknowns", "nnz", "lu_nnz"):
+        sizes = [row[key] for row in manifest["rows"]]
+        assert all(isinstance(n, int) for n in sizes) and 0 < sizes[0] < sizes[1]
+        assert key not in header.split(",")
+    for row in manifest["rows"]:
+        assert row["n_unknowns"] <= row["nnz"] < row["lu_nnz"]
 
 
 def test_stokes_csv_deterministic(tmp_path, capsys):

@@ -72,6 +72,16 @@ def divergence(v):
                Polynomial.zero(v.dim))
 
 
+def coeff(p, alpha):
+    """The coefficient of x^alpha in p (zero terms are not stored)."""
+    return p.terms.get(alpha, 0)
+
+
+def compose_field(v, matrix, offset):
+    """v(A t + b), componentwise, by `Polynomial.compose_affine`."""
+    return VectorPoly([p.compose_affine(matrix, offset) for p in v.comps])
+
+
 def substitute(p, matrix, offset):
     """p(A t + b) by plain substitution, sum_a c_a prod_i (A_i t + b_i)^a_i,
     with Polynomial products and powers only."""
@@ -159,7 +169,7 @@ def test_integrate_poly_two_factors_matches_product(case):
     simplex, f, g = case
     expected = integrate_poly(dot(f, g), simplex)
     assert integrate_poly(f, simplex, g) == expected
-    if f.ncomp == 1:
+    if len(f.comps) == 1:
         assert integrate_poly(f.comps[0], simplex, g.comps[0]) == expected
 
 
@@ -368,7 +378,7 @@ def direct_inverse(el):
 def coefficients(v, degree):
     """The coefficients of a field of degree <= `degree`, component-major
     in graded order: its coordinates in the element's basis."""
-    return [p.coeff(a) for p in v.comps
+    return [coeff(p, a) for p in v.comps
             for a in monomial_indices(v.dim, degree)]
 
 

@@ -24,9 +24,9 @@ def test_monomial_indices_counts():
 def test_arithmetic_stays_rational():
     p = (x1 + 2 * x2) * (x1 - F(1, 3))
     assert all(isinstance(c, Fraction) for c in p.terms.values())
-    assert p.coeff((1, 0)) == -F(1, 3)
-    assert p.coeff((2, 0)) == 1
-    assert p.coeff((1, 1)) == 2
+    assert p.terms[(1, 0)] == -F(1, 3)
+    assert p.terms[(2, 0)] == 1
+    assert p.terms[(1, 1)] == 2
 
 
 def test_zero_terms_dropped():

@@ -196,6 +196,18 @@ def test_uniform_counts():
     assert build_uniform(4).n_vertices == 25
 
 
+@pytest.mark.parametrize("N", [2, 6, 10, 64])
+def test_float_uniform_mesh_rounds_the_exact_one(N):
+    # the Stokes study's uniform mesh: the floats nearest the exact
+    # vertices, with the same topology and aspect ratio
+    exact, rounded = build_uniform(N), build_uniform(N, exact=False)
+    assert rounded.vertices == [(float(x), float(y)) for x, y in exact.vertices]
+    assert rounded.triangles == exact.triangles
+    for key in ("facet_v", "facet_left", "facet_right", "tri_facets"):
+        assert np.array_equal(getattr(rounded, key), getattr(exact, key))
+    assert mesh_aspect_ratio(rounded) == mesh_aspect_ratio(exact)
+
+
 def test_fig6_mesh():
     mesh = build_shishkin(ShishkinParams(N=8, epsilon=0.01, tau=F(3, 50)))
     assert mesh.n_triangles == 128

@@ -256,8 +256,9 @@ def test_solve_reports_factor_fill(monkeypatch, case01):
 
     monkeypatch.setattr(stokes.spla, "splu", recording_splu)
     sol = solve(DGSpace(build_uniform(8)), case01, 8.0)
-    # the stream-function system, then the pressure normal equations
-    lu, _ = factors
+    # the stream-function system is the only factorization: the pressure
+    # is a triangular solve along a spanning tree
+    lu, = factors
     assert lu.shape[0] == sol.stats["n_unknowns"]
     assert sol.stats["lu_nnz"] == lu.L.nnz + lu.U.nnz > sol.stats["nnz"]
 
@@ -429,3 +430,60 @@ def test_study_rates_improve_with_refinement():
     errs = [r["err_grad_u"] for r in rows]
     assert errs[2] < errs[1] < errs[0]
     assert rows[2]["rate_u"] > 0.5
+
+
+# (err_grad_u, err_p, sigma, gamma, ndof, lu_nnz) of study rows, recorded
+# while the uniform mesh was exact and the pressure came from the normal
+# equations.  The N that are not powers of two guard the float mesh.
+PINNED_STUDY = {
+    ("shishkin", 0.1, 6): (0.015194929093341686, 0.07912189634720651, 2.4142135623730954, 4, 312, 4274),
+    ("shishkin", 0.1, 8): (0.013318643502519814, 0.06190944986497198, 2.4142135623730954, 4, 544, 10882),
+    ("shishkin", 0.1, 10): (0.011658539027480404, 0.05060547514746988, 2.4142135623730954, 4, 840, 20964),
+    ("shishkin", 0.1, 16): (0.008139824612129384, 0.03244343067314929, 2.4142135623730954, 4, 2112, 83282),
+    ("uniform", 1e-3, 6): (0.009347306040953615, 0.012136181998600053, 2.4142135623730954, 4, 312, 4274),
+    ("uniform", 1e-3, 8): (0.005302205430411261, 0.012723526249301335, 2.4142135623730954, 4, 544, 10882),
+    ("uniform", 1e-3, 10): (0.001089265802401953, 0.015089920244209507, 2.4142135623730954, 4, 840, 20964),
+    ("uniform", 1e-3, 16): (0.00592746190202546, 0.019470429106804545, 2.4142135623730954, 4, 2112, 83282),
+}
+
+
+@pytest.mark.parametrize("kind, eps", [("shishkin", 0.1), ("uniform", 1e-3)])
+def test_study_matches_pinned_rows(kind, eps):
+    for row in convergence_study([eps], [6, 8, 10, 16], kind):
+        err_u, err_p, sigma, gamma, ndof, lu_nnz = PINNED_STUDY[kind, eps, row["N"]]
+        assert (row["sigma"], row["gamma"], row["ndof"], row["lu_nnz"]) == (
+            sigma, gamma, ndof, lu_nnz)
+        assert abs(row["err_grad_u"] - err_u) <= 1e-12 * err_u
+        assert abs(row["err_p"] - err_p) <= 1e-12 * err_p
+
+
+def least_squares_pressure(space, case, gamma, u):
+    """The oracle of the tree pressure: the area-scaled pressure of the
+    velocity u from the normal equations of B^T p = rhs - A u on the free
+    rows, one pressure pinned, shifted to zero sum."""
+    A, B, rhs = assemble(space, case, gamma)
+    B_f = B[:, space.free_dofs]
+    p = np.zeros(space.n_tri)
+    p[1:] = spla.splu((B_f @ B_f.T).tocsc()[1:, 1:]).solve(
+        (B_f @ (rhs - A @ u)[space.free_dofs])[1:])
+    return p - space.areas * (p.sum() / space.areas.sum())
+
+
+@pytest.mark.parametrize("kind, N, case", [
+    ("shishkin", 8, "manufactured"), ("shishkin", 16, "manufactured"),
+    ("uniform", 8, "manufactured"), ("uniform", 16, "manufactured"),
+    ("uniform", 8, "linear"), ("shishkin", 8, "linear"),
+])
+def test_tree_pressure_matches_least_squares(kind, N, case):
+    # On layer meshes the pressure itself is fixed only to 1e-13..1e-7
+    # relative: this solve, the least-squares one and a pivoted LU of the
+    # saddle-point system differ by that much (up to 6.5e-8 at Shishkin
+    # eps = 1e-6, N = 8), so the comparison runs on the eps = 0.1 meshes
+    case = manufactured_case(0.1) if case == "manufactured" else linear_case()
+    mesh, _ = study_mesh(kind, N, 0.1)
+    space = DGSpace(mesh)
+    gamma = penalty(mesh_aspect_ratio(mesh))
+    sol = solve(space, case, gamma)
+    want = least_squares_pressure(space, case, gamma, sol.vel_dofs)
+    got = sol.pressure * space.areas
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
