@@ -31,16 +31,16 @@ from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
 MAX_FIELD_DEGREE = 12
 MAX_COEFF_BITS = 1024
 # Bound on --k: the first d = 3 `nedelec` build of an order builds the
-# reference element from its own DOF matrix, 0.09 s at k = 4, 1.35 s at
-# k = 6 and 9.1 s at k = 8 (one core of a shared 2-core VM, Python 3.11).
-# Mapping it onto a tetrahedron and interpolating once takes 0.02 and
-# 0.13 s at k = 4, 6 on a rational one, and 0.03 and 0.23 s on one with
-# 15-digit decimal vertices.  A `bdm_original` element is mapped from its
-# reference element as well (3.3 s once at k = 6): its Q_k moments are
-# taken against the pushed reference basis, with an exact r x r
-# correction.  Build and first interpolation take 0.1 s at k = 4 and
-# 3.7 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 3.9 s
-# at k = 5 and 42 s at k = 6 on the 15-digit one.
+# reference element from its own DOF matrix, 0.09 s at k = 4, 0.9-1.35 s
+# at k = 6 and 9.1 s at k = 8 (one core of a shared 2-core VM, Python
+# 3.11).  Interpolating through it on a tetrahedron, build included,
+# takes 0.005 and 0.023 s at k = 4, 6 on a rational one, and 0.008 and
+# 0.04 s on one with 15-digit decimal vertices.  A `bdm_original` element
+# interpolates through its reference element too (2-3.3 s once at k = 6):
+# its Q_k moments are weighted by G = B^T B, with an exact r x r
+# correction.  Build and first interpolation take 0.12-0.18 s at k = 4 and
+# 5-6 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 4.2 s
+# at k = 5 and 44-53 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
 # Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
 # per element, and `stokes` doubles q on layer elements for eps <= 1e-3;
@@ -305,6 +305,10 @@ def cmd_sweep(args):
 
 
 def cmd_stokes(args):
+    # a repeated level would be solved again and rated against itself
+    for option, values in (("--eps", args.eps), ("--N", args.N)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{option} repeats a value: {values}")
     # scipy is imported by `stokes` only, so the other commands skip it
     from .stokes import convergence_study, holds_contracts, study_to_csv
 

@@ -134,32 +134,30 @@ class MomentTable:
     computed.  The volume table keeps the partial products, and the facet
     tables keep the composed monomials and rescale the entries they hold
     to the new denominator (F and D^n grow, and every entry by the same
-    integer factor).  The scaled facet normals (as ints over one
-    denominator, `normals`), the charts and |det| are computed once.
+    integer factor).  Facet charts and scaled normals are made on first
+    use, as most tables serve norms only; |det| is computed once.
     """
 
-    __slots__ = ("dim", "normals", "_vertices", "_det", "_facet_charts",
-                 "_volume", "_partial_products", "_facet")
+    __slots__ = ("dim", "_simplex", "_det", "_volume", "_partial_products",
+                 "_facet")
 
     def __init__(self, simplex):
         self.dim = simplex.dim
-        # the vertices times their common denominator D, as ints
-        self._vertices = simplex.scaled_vertices, simplex.denominator
+        self._simplex = simplex
         self._det = abs(simplex.edge_det()).as_integer_ratio()
-        self._facet_charts = [simplex.facet_chart(i) for i in range(self.dim + 1)]
-        self.normals = [over_common_denominator(simplex.scaled_facet_normal(i))
-                        for i in range(self.dim + 1)]
         self._volume = (-1, [], 1)
         # coefficients of prod_{i' <= i} 1 / (1 - <xi, D v_i'>), per i
         self._partial_products = [[] for _ in range(self.dim + 1)]
-        self._facet = [(-1, -1, {}, 1, None)] * (self.dim + 1)
+        self._facet = [None] * (self.dim + 1)
 
     def volume(self, degree):
         """(V, den): int_T x^a dx == V[j] / den for the j-th monomial a of
         graded order; V covers at least |a| <= degree."""
         n, V, den = self._volume
         if degree > n:
-            vertices, D = self._vertices
+            # the vertices times their common denominator D, as ints
+            vertices = self._simplex.scaled_vertices
+            D = self._simplex.denominator
             raised = raised_positions(self.dim, degree)
             # h_a gains w_k h_(a - e_k) for each k: only a monomial of the
             # old top degree or above reaches a new one
@@ -182,13 +180,18 @@ class MomentTable:
         return V, den
 
     def facet(self, i, degree, alpha_degree):
-        """(rows, den): int_ref (x^a o chart_i) t^alpha dt == rows[alpha][j]
-        / den for the j-th monomial a of graded order; covers at least |a|
-        <= degree and |alpha| <= alpha_degree."""
-        n, m, rows, den, composed = self._facet[i]
+        """(rows, normal, den): int_ref (x^a o chart_i) t^alpha dt ==
+        rows[alpha][j] / den for the j-th monomial a of graded order; covers
+        at least |a| <= degree and |alpha| <= alpha_degree.  `normal` is the
+        facet's scaled outward normal as (ints, denominator)."""
+        if self._facet[i] is None:
+            self._facet[i] = (-1, -1, {}, 1, None, self._simplex.facet_chart(i),
+                              over_common_denominator(
+                                  self._simplex.scaled_facet_normal(i)))
+        n, m, rows, den, composed, chart, normal = self._facet[i]
         if degree > n or alpha_degree > m:
             n, m = max(n, degree), max(m, alpha_degree)
-            composed, D = composed_monomials(self._facet_charts[i], n, composed)
+            composed, D = composed_monomials(chart, n, composed)
             shifted, F = _shifted_reference_moments(self.dim - 1, n, m)
             new_den = F * D ** n
             scale = new_den // den
@@ -199,30 +202,27 @@ class MomentTable:
                 row += [sum(map(mul, P, moments)) * s
                         for P, s in islice(scaled, len(row), None)]
                 rows[alpha] = row
-            self._facet[i] = n, m, rows, new_den, composed
+            self._facet[i] = n, m, rows, new_den, composed, chart, normal
             den = new_den
-        return rows, den
+        return rows, normal, den
 
-    def weighted_rows(self, weight, degree, start=0):
+    def weighted_rows(self, weight, degree):
         """(rows, den) with int_T v . weight dx == sum_c dot(rows[c], v_c)
         / den for every field v of degree <= `degree`, v_c the coefficients
         of component c in graded order: rows[c][a] = sum_b w_c,b V[a + b].
-        `weight` is a VectorPoly or a ScaledField; with `start`, the rows
-        hold only the entries from the start-th monomial a on."""
+        `weight` is a VectorPoly or a ScaledField."""
         w = scaled_field(weight)
         V, den = self.volume(degree + w.degree)
         cols = _shift_positions(self.dim, degree, w.degree)
-        count = len(cols[0]) - start
         rows = []
         for comp in w.comps:
             terms = [(x, col) for x, col in zip(comp, cols) if x]
             if not terms:
-                rows.append([0] * count)
+                rows.append([0] * len(cols[0]))
                 continue
             ws = [x for x, _ in terms]
             rows.append([sum(map(mul, ws, map(V.__getitem__, positions)))
-                         for positions in zip(*(islice(col, start, None)
-                                                for _, col in terms))])
+                         for positions in zip(*(col for _, col in terms))])
         return rows, w.denominator * den
 
     def integrate(self, f: VectorPoly, g: VectorPoly):

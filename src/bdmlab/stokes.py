@@ -35,18 +35,30 @@ small whatever the mesh.
 """
 
 import csv
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .polynomials import Polynomial
 from .quadrature import gauss_01, simplex_rule
 from .shishkin import (Mesh2D, ShishkinParams, build_shishkin, build_uniform,
                        mesh_aspect_ratio, transition_point)
+
+
+class _LazyModule(ModuleType):
+    """The module of its name, imported on first use: only a space or a
+    solve needs scipy (0.15-0.3 s and 30 MiB).  perfbench/tracing.py
+    rebinds `spla`, a module-level name, to wrap `spsolve`."""
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self.__name__), attr)
+
+
+sp, spla = _LazyModule("scipy.sparse"), _LazyModule("scipy.sparse.linalg")
 
 
 def penalty(sigma, convention="natural"):

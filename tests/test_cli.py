@@ -281,6 +281,19 @@ def test_quad_degree_and_powers_out_of_range_exit_2(argv, option, capsys):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["stokes", "--eps", "0.5", "--N", "2", "--N", "4", "--N", "2"], "--N"),
+    (["stokes", "--eps", "0.5", "--eps", "5e-1", "--N", "2"], "--eps"),
+])
+def test_stokes_repeated_value_exit_2(argv, option, capsys):
+    # a repeated level was solved again and reported a rate of 0.0
+    # against itself
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{option} repeats a value" in capsys.readouterr().err
+
+
 def test_options_at_their_caps(capsys):
     code, _, manifest = run(capsys, [
         "interpolate", "--mode", "float", "--field", "x1, x2**2",
@@ -497,3 +510,14 @@ def test_only_stokes_loads_scipy():
         mods = loaded_modules(f"from bdmlab.cli import main; main({argv!r})")
         assert "bdmlab.cli" in mods
         assert not [m for m in mods if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_stokes_loads_scipy_on_first_use():
+    # importing `stokes` loads no scipy (the benchmark's exact workloads
+    # import it and never solve); the first study loads it
+    scipy_mods = lambda mods: [m for m in mods
+                               if m == "scipy" or m.startswith("scipy.")]
+    assert not scipy_mods(loaded_modules("from bdmlab import stokes"))
+    mods = loaded_modules("from bdmlab import stokes\n"
+                          "stokes.convergence_study([0.1], [4], 'shishkin')")
+    assert "scipy.sparse.linalg" in scipy_mods(mods)

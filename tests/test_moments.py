@@ -1,10 +1,10 @@
 """Polynomial.compose_affine, the DOF functionals and integrate_poly against
 a substitute-then-integrate oracle that shares no code with the moment
-tables, the mapped elements of both variants against the inverse of their
-own DOF matrix, mapped `bdm_original` interpolants against Q_k moments
-taken against basis_qk(T), and the invariants of the interpolant
-(projection, Piola commuting, vertex relabelling), on random rational
-triangles and tetrahedra."""
+tables; the reference-frame interpolant of both variants against the
+physical-DOF oracle (the DOFs of the simplex itself, Q_k moments against
+basis_qk(T), and the inverse of their DOF matrix); and the invariants of
+the interpolant (projection, Piola commuting, vertex relabelling), on
+random rational triangles and tetrahedra."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,9 +21,9 @@ from bdmlab.geometry import (DegenerateSimplexError, Simplex, adjugate,
                              determinant, reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
-from bdmlab.spaces import MomentTable, basis_qk, integrate_poly
+from bdmlab.spaces import MomentTable, integrate_poly, scaled_field
 
-from test_linalg import fraction_invert, rank
+from test_linalg import fraction_invert
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -119,10 +119,22 @@ def facet_moment_oracle(simplex, facet, v):
 
 
 def element_stub(simplex, order):
-    """What the functionals read from an element: a fresh table, k and an
-    empty row cache."""
+    """What a functional's rows read from an element: a fresh table and
+    k; and a cache of rows for `dof_value`."""
     return SimpleNamespace(simplex=simplex, order=order,
-                           moments=MomentTable(simplex), _rows={})
+                           moments=MomentTable(simplex), row_cache={})
+
+
+def dof_value(dof, el, v):
+    """The DOF's value on v from its rows on the element's tables."""
+    f = scaled_field(v)
+    key = dof, f.degree
+    if key not in el.row_cache:
+        el.row_cache[key] = dof.rows(el, f.degree)
+    rows, den = el.row_cache[key]
+    return Fraction(sum(sum(map(mul, comp, row))
+                        for comp, row in zip(f.comps, rows)),
+                    den * f.denominator)
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,7 +196,7 @@ def test_facet_moments_match_oracle(case):
         oracle = facet_moment_oracle(simplex, facet, v)
         # highest degree first, so lower-degree entries come from its fill
         for alpha in reversed(monomial_indices(d - 1, k)):
-            assert Fraction(*FacetMoment(facet, alpha).apply(el, v)) == \
+            assert dof_value(FacetMoment(facet, alpha), el, v) == \
                 oracle(alpha)
 
 
@@ -194,7 +206,7 @@ def test_facet_moments_match_oracle(case):
 def test_interior_moments_match_oracle(case):
     simplex, weight, v = case
     dof = InteriorMoment(weight, "test")
-    assert Fraction(*dof.apply(element_stub(simplex, 1), v)) == \
+    assert dof_value(dof, element_stub(simplex, 1), v) == \
         integrate_oracle(dot(v, weight), simplex)
 
 
@@ -218,8 +230,8 @@ def test_grown_moment_tables_equal_fresh_ones(simplex):
 @given(st.integers(2, 3).flatmap(
     lambda d: st.tuples(simplices(d), fields(d, 2))))
 def test_interior_rows_extend_their_prefix(case):
-    # rows cached at a lower degree, extended after the table has grown,
-    # equal the rows computed at the higher degree from scratch
+    # rows read at a lower degree, then at a higher one after the table has
+    # grown, equal the rows computed at the higher degree from scratch
     simplex, weight = case
     dof = InteriorMoment(weight, "test")
     el = element_stub(simplex, 1)
@@ -360,19 +372,24 @@ def test_interpolant_invariant_under_vertex_relabelling(dim, k, variant):
     check()
 
 
-# -- mapped elements against the direct build
+# -- mapped elements against the physical-DOF oracle
+
+
+def dof_matrix(el, dofs):
+    """The DOF matrix of `dofs` on P_k^d, k = el.order, from the tables
+    `el` holds: their rows at degree k, in Fractions."""
+    n = len(monomial_indices(el.simplex.dim, el.order))
+    matrix = []
+    for dof in dofs:
+        rows, den = dof.rows(el, el.order)
+        matrix.append([Fraction(x, den) for row in rows for x in row[:n]])
+    return matrix
 
 
 def direct_inverse(el):
-    """The inverse of the element's own DOF matrix (its DOF rows at degree
-    k), by exact inversion in Fractions: the direct build a mapped element
-    must reproduce exactly."""
-    n = len(monomial_indices(el.simplex.dim, el.order))
-    vandermonde = []
-    for dof in el.dofs:
-        rows, den = dof.rows(el, el.order)
-        vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
-    return fraction_invert(vandermonde)
+    """The inverse of a reference element's own DOF matrix, by exact
+    inversion in Fractions."""
+    return fraction_invert(dof_matrix(el, el.dofs))
 
 
 def coefficients(v, degree):
@@ -392,23 +409,60 @@ def assert_inverts_its_dof_matrix(el):
             [row[j] for row in inverse]
 
 
+def physical_element(simplex, k, variant):
+    """(stub, dofs, inverse): the DOFs of order k on `simplex` itself, with
+    Q_k moments against basis_qk(simplex) (`bdm._dof_functionals`), the
+    simplex's own moment tables, and the inverse of their DOF matrix in
+    Fractions.  The physical-DOF path that a mapped element, which
+    interpolates in the reference frame, must reproduce."""
+    stub = element_stub(simplex, k)
+    dofs = bdm._dof_functionals(simplex, k, variant)
+    return stub, dofs, fraction_invert(dof_matrix(stub, dofs))
+
+
+def physical_dof_values(physical, v):
+    stub, dofs, _ = physical
+    f = scaled_field(v)
+    return [dof_value(dof, stub, f) for dof in dofs]
+
+
+def oracle_interpolant(physical, v):
+    """The member of P_k^d with the physical DOF values of v."""
+    stub, _, inverse = physical
+    values = physical_dof_values(physical, v)
+    coeffs = [sum(map(mul, row, values)) for row in inverse]
+    d, k = stub.simplex.dim, stub.order
+    n = len(monomial_indices(d, k))
+    return VectorPoly([Polynomial(d, dict(zip(
+        monomial_indices(d, k), coeffs[c * n:(c + 1) * n])))
+        for c in range(d)])
+
+
 def assert_matches_direct_build(simplex, k, variant="nedelec"):
+    """The element of `simplex` is its interpolation operator on
+    P_{k+1}^d: a reference element inverts its own DOF matrix, and any
+    other element leaves, for each monomial field e of degree k + 1, an
+    error e - I e on which every physical DOF vanishes (the physical DOF
+    matrix is invertible, so I e is the oracle's interpolant; on P_k^d
+    both are the identity, see the projection tests)."""
     el = build_element(simplex, k, variant)
-    if variant == "bdm_original":
-        # the mapped Q_k weights are a basis of the simplex's Q_k: they add
-        # nothing to the span of basis_qk, and there are as many
-        qk = basis_qk(simplex, k).members
-        weights = [dof.weight for dof in el.dofs
-                   if getattr(dof, "label", "") == "qk"]
-        assert len(weights) == len(qk)
-        assert rank([coefficients(z, k) for z in [*weights, *qk]]) == len(qk)
-    assert_inverts_its_dof_matrix(el)
+    if el is bdm._reference_element(simplex.dim, k, variant):
+        assert_inverts_its_dof_matrix(el)
+        return
+    physical = physical_element(simplex, k, variant)
+    d = simplex.dim
+    for c in range(d):
+        for a in monomial_indices(d, k + 1)[len(monomial_indices(d, k)):]:
+            e = VectorPoly([Polynomial.monomial(d, a) if i == c
+                            else Polynomial.zero(d) for i in range(d)])
+            err = e - el.interpolate(e)
+            assert not any(physical_dof_values(physical, err))
 
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
                                    (3, 2), (3, 3)])
 def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
-    # both variants are mapped from their reference element
+    # both variants interpolate through their reference element
     examples = {(2, 4): 1, (3, 3): 2}.get((dim, k), 6)
 
     @settings(max_examples=examples, deadline=None)
@@ -425,38 +479,38 @@ def test_mapped_nedelec_inverse_matches_direct_build(dim, k):
     check()
 
 
-def canonical_interpolant(el, v):
-    """The interpolant of `v` in the old `bdm_original` convention: Q_k
-    moments against basis_qk(T), the DOF matrix inverted in Fractions.  It
-    shares only the facet and gradient functionals with `el`."""
-    simplex, k = el.simplex, el.order
-    stub = element_stub(simplex, k)
-    dofs = [dof for dof in el.dofs if getattr(dof, "label", "") != "qk"]
-    dofs += [InteriorMoment(z, "qk") for z in basis_qk(simplex, k)]
-    n = len(monomial_indices(simplex.dim, k))
-    vandermonde = []
-    for dof in dofs:
-        rows, den = dof.rows(stub, k)
-        vandermonde.append([Fraction(x, den) for row in rows for x in row[:n]])
-    values = [Fraction(*dof.apply(stub, v)) for dof in dofs]
-    coeffs = [sum(map(mul, row, values)) for row in fraction_invert(vandermonde)]
-    return VectorPoly([Polynomial(simplex.dim, dict(zip(
-        monomial_indices(simplex.dim, k), coeffs[c * n:(c + 1) * n])))
-        for c in range(simplex.dim)])
+@pytest.mark.parametrize("variant", bdm.VARIANTS)
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                   (3, 3)])
+def test_reference_frame_interpolant_matches_physical_oracle(dim, k, variant):
+    # pull back, reference interpolant, push forward against the DOF
+    # values on the simplex and the inverse of its own DOF matrix,
+    # Fraction for Fraction, on both orientations and fields of degree
+    # up to k + 1
+    @settings(max_examples=1 if (dim, k) == (3, 3) else 4, deadline=None)
+    @given(simplices(dim), st.integers(0, k + 1).flatmap(
+        lambda n: fields(dim, n)))
+    def check(simplex, v):
+        w = simplex.vertices
+        for s in (simplex, Simplex((w[1], w[0]) + w[2:])):
+            assert build_element(s, k, variant).interpolate(v) == \
+                oracle_interpolant(physical_element(s, k, variant), v)
+
+    check()
 
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                    (3, 3)])
 def test_mapped_bdm_original_matches_canonical_convention(dim, k):
-    # the interpolant depends on Q_k(T), not on its basis: weights pushed
-    # from the reference element give what basis_qk(T) gives
+    # the interpolant depends on Q_k(T), not on its basis: moments against
+    # the G-weighted reference basis give what basis_qk(T) gives
     @settings(max_examples=1 if (dim, k) == (3, 3) else 3, deadline=None)
     @given(simplices(dim), fields(dim, k + 1))
     def check(simplex, v):
         w = simplex.vertices
         for s in (simplex, Simplex((w[1], w[0]) + w[2:])):
-            el = build_element(s, k, "bdm_original")
-            assert el.interpolate(v) == canonical_interpolant(el, v)
+            assert build_element(s, k, "bdm_original").interpolate(v) == \
+                oracle_interpolant(physical_element(s, k, "bdm_original"), v)
 
     check()
 
@@ -478,8 +532,7 @@ def test_inverted_elements_match_oracle(dim, k):
     @settings(max_examples=4 if dim == 2 else 2, deadline=None)
     @given(simplices(dim))
     def check(simplex):
-        el = build_element(simplex, k, "bdm_original")
-        assert_inverts_its_dof_matrix(el)
+        assert_matches_direct_build(simplex, k, "bdm_original")
 
     check()
 
@@ -587,18 +640,54 @@ def test_repeated_reference_builds_invert_nothing(monkeypatch):
 
 @pytest.mark.parametrize("variant", bdm.VARIANTS)
 def test_reference_row_cache_holds_only_its_own_rows(variant):
-    # mapped elements share the reference's interior DOFs, but each caches
-    # the rows it reads itself: the reference's cache must not grow, or it
-    # would keep rows alive per mapped element
+    # mapped elements interpolate through the reference element's DOF rows
+    # and hold no rows or tables of their own: the reference's row cache
+    # grows with the field degree, and not per mapped element, or it would
+    # keep rows alive per mapped element
     ref = bdm._reference_element(2, 3, variant)
-    ref.interpolate(VectorPoly([Polynomial.variable(2, 0) ** 4,
-                                Polynomial.variable(2, 1)]))
-    before = dict(ref._rows)
     v = VectorPoly([Polynomial.variable(2, 1) ** 5, Polynomial.constant(2, 1)])
+    ref.interpolate(v)
+    before = dict(ref._rows)
     for i in range(3):
         el = build_element(Simplex(((0, 0), (i + 1, 1), (Fraction(1, 3), 2))),
                            3, variant)
         el.interpolate(v)
-        assert set(el._rows) <= set(el.dofs)
+        assert not hasattr(el, "_rows") and not hasattr(el, "moments")
     assert ref._rows == before
-    assert set(before) <= set(ref.dofs)
+    assert 5 in before and set(ref._positions) == set(ref.dofs)
+
+
+def test_mapped_elements_read_no_moment_table(monkeypatch):
+    # a mapped element pulls the field back to the reference element, so
+    # neither its build nor its interpolations make a table for its simplex
+    for variant in bdm.VARIANTS:
+        build_element(reference_simplex(3), 2, variant).interpolate(
+            VectorPoly([Polynomial.variable(3, 0) ** 3] * 3))
+    made = []
+    init = MomentTable.__init__
+
+    def counting_init(self, simplex):
+        made.append(simplex)
+        init(self, simplex)
+
+    monkeypatch.setattr(MomentTable, "__init__", counting_init)
+    tet = Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
+                   (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
+                   (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5))))
+    for variant in bdm.VARIANTS:
+        build_element(tet, 2, variant).interpolate(
+            VectorPoly([Polynomial.variable(3, 1) ** 3] * 3))
+    assert made == []
+
+
+def test_volume_integrals_make_no_facet_chart(monkeypatch):
+    # a table's facet charts and normals are made on first facet use, so a
+    # norm or a volume integral computes none
+    def refuse(self, i):
+        raise AssertionError("facet geometry computed")
+
+    monkeypatch.setattr(Simplex, "facet_chart", refuse)
+    monkeypatch.setattr(Simplex, "scaled_facet_normal", refuse)
+    tri = Simplex(((0, 0), (Fraction(5, 2), Fraction(1, 3)), (1, 2)))
+    p = Polynomial.variable(2, 0) ** 2
+    assert integrate_poly(p, tri) == integrate_oracle(p, tri)
