@@ -36,27 +36,28 @@ DOFs:
 
 Simplex vertices are Fractions, so every interpolant of a rational field
 is exact: the one the element's own DOF matrix gives, Fraction for
-Fraction.
+Fraction.  There is no floating-point path: `interpolate --mode float`
+prints this interpolant with each coefficient rounded by `float()`, which
+rounds correctly, so every printed coefficient is within half an ulp.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd, isfinite, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
-
-import numpy as np
 
 from . import linalg
 from .geometry import (Simplex, adjugate, determinant, reference_simplex,
                        t_bar_simplex)
-# integrate_poly and integrate_reference stay importable by name from this
-# module: perfbench/tracing.py rebinds them here.
+# integrate_poly, integrate_reference and simplex_rule stay importable by
+# name from this module, though it calls none of them: perfbench/tracing.py
+# rebinds them here, and its self-test requires that they exist.
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
                           composed_monomials, integrate_reference,
                           monomial_indices)
-from .quadrature import map_rule, simplex_rule
+from .quadrature import simplex_rule  # noqa: F401
 from .spaces import (ScaledField, basis_nk, basis_pk, basis_qk,  # noqa: F401
                      integrate_poly, moment_table, scaled_field)
 
@@ -74,6 +75,13 @@ def _moment_apply(dof, el, v):
     rows, den = el._dof_rows(f.degree)
     return (sum(map(mul, rows[el._positions[dof]], chain(*f.comps))),
             den * f.denominator)
+
+
+def _dots(rows, w):
+    """Each row against the coefficients of the ScaledField w, in the
+    component-major order of `_dof_rows`."""
+    flat = list(chain(*w.comps))
+    return [sum(map(mul, row, flat)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,6 @@ class FacetMoment:
 
     apply = _moment_apply
 
-    def apply_quad(self, el, f, degree):
-        pts, wts = simplex_rule(el.simplex.dim - 1, degree)
-        A, b = (np.array(x, dtype=float)
-                for x in el.simplex.facet_chart(self.facet))
-        phys = pts @ A.T + b
-        m = np.array(el.simplex.scaled_facet_normal(self.facet), dtype=float)
-        vals = np.asarray(f(phys), dtype=float)  # (npts, d)
-        mono = np.prod(pts ** np.array(self.alpha), axis=1)
-        return float(np.dot(wts, (vals @ m) * mono))
-
 
 @dataclass(frozen=True, eq=False)
 class InteriorMoment:
@@ -121,12 +119,6 @@ class InteriorMoment:
         return el.moments.weighted_rows(self.weight, degree)
 
     apply = _moment_apply
-
-    def apply_quad(self, el, f, degree):
-        phys, wts = map_rule(el.simplex, degree)
-        vals = np.asarray(f(phys), dtype=float)
-        wvals = np.column_stack([p.eval(phys) for p in self.weight.comps])
-        return float(np.dot(wts, np.sum(vals * wvals, axis=1)))
 
 
 def _dof_functionals(simplex, k, variant):
@@ -197,20 +189,6 @@ class BDMElement:
     def ndofs(self):
         return len(self.dofs)
 
-    def _apply(self, v, apply):
-        """apply(start, stop, w) over ranges of the DOFs, w the field v
-        pulled back to the reference simplex (a ScaledField or a callable
-        on points), and G w for the Q_k DOFs of a mapped `bdm_original`
-        element (see `_correction`)."""
-        piola, n = self._piola, len(self.dofs)
-        if piola is None:
-            return apply(0, n, v)
-        w = piola.pull(v)
-        values = apply(0, self._split, w)
-        if self._split < n:
-            values += apply(self._split, n, piola.weigh(w))
-        return values
-
     def _dof_rows(self, degree):
         """(rows, den) of a reference element: each DOF's rows at `degree`,
         component-major in one list, over one denominator, so the DOF's
@@ -228,34 +206,29 @@ class BDMElement:
     def dof_values(self, v: VectorPoly):
         """The element's DOF values of v as ints over one denominator, in
         lowest terms (a `linalg.Scaled`): on a reference element each DOF's
-        `apply` (the `bdm.moment_apply` span of perfbench), on a mapped one
-        the reference `_dof_rows` against the pulled-back field (`_apply`)."""
-        def apply(start, stop, w):
-            if self._piola is None:
-                return [dof.apply(self, w) for dof in self.dofs[start:stop]]
+        `apply` (the `bdm.moment_apply` span of perfbench); on a mapped one
+        the reference `_dof_rows` against w, v pulled back to the reference
+        simplex, and for the Q_k DOFs of a mapped `bdm_original` element
+        against G w (see `_correction`)."""
+        f, piola = scaled_field(v), self._piola
+        if piola is None:
+            values = [dof.apply(self, f) for dof in self.dofs]
+            den = lcm(*(den for _, den in values))
+            nums = [num * (den // d) for num, d in values]
+        else:
+            w = piola.pull(f)
             rows, den = self._reference._dof_rows(w.degree)
-            flat = [x for comp in w.comps for x in comp]
-            return [(sum(map(mul, row, flat)), den * w.denominator)
-                    for row in rows[start:stop]]
-
-        values = self._apply(scaled_field(v), apply)
-        den = lcm(*(den for _, den in values))
-        return linalg.Scaled(*linalg.lowest_terms(
-            [num * (den // d) for num, d in values], den))
+            den *= w.denominator
+            nums = _dots(rows[:self._split], w)
+            if self._split < len(rows):
+                nums += _dots(rows[self._split:], piola.weigh(w))
+        return linalg.Scaled(*linalg.lowest_terms(nums, den))
 
     def field_from_dofs(self, values):
-        """The member of P_k^d with these DOF values (a `linalg.Scaled`, or
-        ints, Fractions or floats, as `dof_values` gives them): the
-        `bdm_original` correction, the reference inverse and the Piola push
-        applied right to left in integers.  A float enters as the Fraction
-        it is, and the coefficients are rounded once, at the end."""
-        exact = isinstance(values, linalg.Scaled) or all(
-            isinstance(x, (Fraction, int)) for x in values)
-        if not isinstance(values, linalg.Scaled):
-            if not exact and not all(map(isfinite, values)):
-                raise ValueError("DOF values must be finite")
-            values = linalg.Scaled(*linalg.over_common_denominator(
-                map(Fraction, values)))
+        """The member of P_k^d with these DOF values, a `linalg.Scaled` as
+        `dof_values` gives them: the `bdm_original` correction, the
+        reference inverse and the Piola push applied right to left in
+        integers."""
         y, den = values, values.denominator * self._inverse.denominator
         if self._lower:
             # the reference values below the split from the G-weighted ones
@@ -273,20 +246,12 @@ class BDMElement:
             comps = piola.push(comps)
             den *= piola.den
         return VectorPoly([Polynomial(d, {
-            a: Fraction(x, den) if exact else x / den
-            for a, x in zip(self._monomials, comp) if x}) for comp in comps])
+            a: Fraction(x, den) for a, x in zip(self._monomials, comp) if x})
+            for comp in comps])
 
-    def interpolate(self, v, quad_degree=None) -> VectorPoly:
-        """Interpolant in P_k^d; exact for polynomial fields.  Callables go
-        through quadrature of the given degree (default 2k + 4) on the
-        reference simplex."""
-        if isinstance(v, VectorPoly):
-            return self.field_from_dofs(self.dof_values(v))
-        if quad_degree is None:
-            quad_degree = 2 * self.order + 4
-        return self.field_from_dofs(self._apply(v, lambda start, stop, w: [
-            dof.apply_quad(self._reference, w, quad_degree)
-            for dof in self.dofs[start:stop]]))
+    def interpolate(self, v: VectorPoly) -> VectorPoly:
+        """The interpolant of the polynomial field v in P_k^d, exact."""
+        return self.field_from_dofs(self.dof_values(v))
 
 
 def build_element(simplex, k, variant="nedelec") -> BDMElement:
@@ -375,17 +340,8 @@ class _Piola:
 
     def pull(self, v):
         """sign(J) P^-1 v for a ScaledField v, as a ScaledField of its
-        degree; for a callable v, the callable of that field in floats."""
+        degree."""
         d, Ds = len(self._unmix), self._Ds
-        if not isinstance(v, ScaledField):
-            def floats(rows, den):
-                return np.array([[float(Fraction(x, den)) for x in row]
-                                 for row in rows])
-            Bs, origin = self._chart
-            B, b = floats(Bs, Ds), floats([origin], Ds)
-            unmix = floats(self._unmix, Ds ** (d - 1))
-            return lambda pts: (np.asarray(v(pts @ B.T + b), dtype=float)
-                                @ unmix.T)
         composed, degree, table = self._forward
         if v.degree > degree:
             composed, _ = composed_monomials(self._chart, v.degree, composed)
@@ -396,11 +352,8 @@ class _Piola:
             v.denominator * Ds ** (degree + d - 1), v.degree)
 
     def weigh(self, w):
-        """G w, for a pulled-back ScaledField or callable w."""
-        if isinstance(w, ScaledField):
-            return ScaledField(_mix(self.gram, w.comps), w.denominator,
-                               w.degree)
-        return lambda pts: w(pts) @ np.array(self.gram, dtype=float).T
+        """G w, for a pulled-back ScaledField w."""
+        return ScaledField(_mix(self.gram, w.comps), w.denominator, w.degree)
 
     def push(self, comps):
         """sum_c mix[r][c] (comps[c] o F^-1 times D^k) per component r."""

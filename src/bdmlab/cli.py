@@ -9,10 +9,9 @@ contracts, 2 usage error.
 import argparse
 import ast
 import json
+import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .bdm import build_element
@@ -42,11 +41,11 @@ MAX_COEFF_BITS = 1024
 # 5-6 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 4.2 s
 # at k = 5 and 44-53 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
-# Bound on --quad-degree: a rule of degree q has ((q + d) // 2 + 1)^d points
-# per element, and `stokes` doubles q on layer elements for eps <= 1e-3;
-# q = 30 took 0.8 s and 132 MiB for `stokes --eps 0.001 --N 16` (same
-# machine), while --quad-degree 100000 asked for an 18.6 GiB array.  The
-# defaults are 8 (`stokes`) and 2k + 4 <= 16 (`interpolate --mode float`).
+# Bound on `stokes --quad-degree` (default 8): a rule of degree q has
+# ((q + 2) // 2 + 1)^2 points per triangle, and q doubles on layer
+# triangles for eps <= 1e-3; q = 30 took 0.8 s and 132 MiB for `stokes
+# --eps 0.001 --N 16` (same machine), while --quad-degree 100000 asked for
+# an 18.6 GiB array.
 MAX_QUAD_DEGREE = 30
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
@@ -62,6 +61,13 @@ MAX_MESH_N = 256
 # mesh does not conform.  At the floor, the two aspect ratios `mesh`
 # prints (about 6e9) agree to 1e-13, relative, for every N.
 MIN_EPS_TAU = 1e-12
+# Bound on `stokes --gamma`: a large gamma over the thinnest facets
+# overflows in the factorization, which raised with a traceback.  At the
+# smallest mesh width the CLI accepts (`--eps 1e-12 --N 256 --log base10`,
+# layer cells 2.8e-13 wide) a bisection put the first failure at gamma =
+# 10^262.1, and gamma = 10^200 ran to the end (10^305.1 at `--eps 0.5 --N
+# 2`).  The default, 4 ceil(log sigma), is at most 92.
+MAX_GAMMA = 1e200
 
 
 class UsageError(ValueError):
@@ -238,9 +244,20 @@ def transition(text):
 
 
 def positive_float(text):
+    """A finite float > 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
+
+
+def penalty_parameter(text):
+    """--gamma: a float in (0, MAX_GAMMA]."""
+    value = positive_float(text)
+    if value > MAX_GAMMA:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_GAMMA}, got {text}")
     return value
 
 
@@ -255,20 +272,16 @@ def cmd_interpolate(args):
     else:
         args.ref = args.ref or "tri"    # the default, echoed in the manifest
         simplex = reference_simplex(2 if args.ref == "tri" else 3)
-    if args.mode == "exact" and args.quad_degree is not None:
-        raise UsageError("--quad-degree sets the quadrature of --mode float; "
-                         "exact mode integrates exactly")
     field = parse_field(args.field, simplex.dim)
     el = build_element(simplex, args.k, args.variant)
+    result = el.interpolate(field)
     if args.mode == "float":
-        def values(pts):
-            return np.column_stack([p.eval(pts) for p in field.comps])
+        # the exact interpolant, each coefficient correctly rounded
         try:
-            result = el.interpolate(values, quad_degree=args.quad_degree)
-        except (ValueError, OverflowError) as exc:   # past the float range
+            result = VectorPoly([Polynomial(p.dim, {
+                a: float(c) for a, c in p.terms.items()}) for p in result.comps])
+        except OverflowError as exc:   # past the float range
             raise UsageError(f"--field in --mode float: {exc}") from exc
-    else:
-        result = el.interpolate(field)
     print(f"interpolant: {result}")
     _manifest("interpolate", vars(args), ndofs=el.ndofs,
               interpolant=[repr(p) for p in result.comps])
@@ -358,11 +371,9 @@ def build_parser():
                    default="nedelec")
     p.add_argument("--field", required=True,
                    help="comma-separated components, e.g. '0, x1**3'")
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
-                   default=None,
-                   help="quadrature degree, --mode float only (default "
-                        "2k + 4)")
+    p.add_argument("--mode", choices=["exact", "float"], default="exact",
+                   help="float: the exact interpolant with each coefficient "
+                        "rounded to the nearest float")
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("verify", help="run a named exact verification suite")
@@ -388,7 +399,7 @@ def build_parser():
     p.add_argument("--kind", choices=["shishkin", "uniform"],
                    default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
-    p.add_argument("--gamma", type=positive_float, default=None)
+    p.add_argument("--gamma", type=penalty_parameter, default=None)
     p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
                    default=8)
     p.add_argument("--out", default=None)

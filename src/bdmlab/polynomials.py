@@ -1,8 +1,9 @@
 """Multivariate polynomial algebra in monomial form.
 
-Coefficients are whatever number type is supplied (Fraction for the exact
-paths, float for quadrature-driven paths); arithmetic never converts, so a
-computation started in rationals stays exact.  Terms map a multi-index
+Coefficients are whatever number type is supplied (Fraction on every exact
+path, float in the rounded interpolant `interpolate --mode float` prints);
+arithmetic never converts, so a computation started in rationals stays
+exact.  Terms map a multi-index
 tuple to its coefficient; zero coefficients are never stored.
 """
 
@@ -10,8 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
-
-import numpy as np
 
 from .linalg import over_common_denominator, quotient
 
@@ -198,28 +197,6 @@ class Polynomial:
             terms[tuple(b)] = c * a[axis]
         return Polynomial(self.dim, terms)
 
-    def eval(self, point):
-        """Evaluate at a point, or vectorized at an (m, dim) float array."""
-        if isinstance(point, np.ndarray) and point.ndim == 2:
-            vals = np.zeros(point.shape[0])
-            for a, c in self.terms.items():
-                term = np.full(point.shape[0], float(c))
-                for i, ai in enumerate(a):
-                    if ai:
-                        term *= point[:, i] ** ai
-                vals += term
-            return vals
-        acc = 0
-        for a, c in self.terms.items():
-            t = c
-            for i, ai in enumerate(a):
-                if ai:
-                    t = t * point[i] ** ai
-            acc = acc + t
-        return acc
-
-    __call__ = eval
-
     def compose_affine(self, matrix, offset):
         """p(A t + b) as a polynomial in t.
 
@@ -304,9 +281,6 @@ class VectorPoly:
 
     def diff(self, axis):
         return VectorPoly([p.diff(axis) for p in self.comps])
-
-    def eval(self, point):
-        return tuple(p.eval(point) for p in self.comps)
 
     def __repr__(self):
         return "(" + ", ".join(repr(p) for p in self.comps) + ")"

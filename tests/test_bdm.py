@@ -10,7 +10,7 @@ from bdmlab.polynomials import Polynomial, VectorPoly, integrate_reference
 from bdmlab.spaces import basis_pk
 
 from test_estimates import poly_project, random_field, random_mac_simplex
-from test_moments import (AffineMap, coeff, commutes_with_piola, compose_field,
+from test_moments import (AffineMap, commutes_with_piola, compose_field,
                           divergence, dot, map_simplex, physical_dof_values,
                           physical_element)
 
@@ -162,32 +162,6 @@ def test_interpolant_independent_of_vertex_ordering():
     for perm in [(1, 2, 0), (2, 0, 1), (0, 2, 1)]:
         el = build_element(Simplex(tuple(verts[i] for i in perm)), 2)
         assert el.interpolate(v) == base
-
-
-def test_quadrature_path_matches_exact_path():
-    s = Simplex(((0, 0), (2, 0), (0, 1)))
-    el = build_element(s, 2)
-    v = random_field(2, 2, random.Random(8))
-    exact = el.interpolate(v)
-    vf = lambda pts: np.column_stack([p.eval(pts) for p in v.comps])
-    approx = el.interpolate(vf, quad_degree=8)
-    worst = 0.0
-    for pe, pa in zip(exact.comps, approx.comps):
-        for alpha in set(pe.terms) | set(pa.terms):
-            worst = max(worst, abs(float(coeff(pe, alpha)) - coeff(pa, alpha)))
-    assert worst < 1e-11
-
-
-def test_quadrature_default_degree_for_callables():
-    # callables default to a 2k + 4 rule, exact for this quadratic field
-    el = build_element(reference_simplex(2), 1)
-    v = VectorPoly([x(2, 0) ** 2, x(2, 1)])
-    vf = lambda pts: np.column_stack([p.eval(pts) for p in v.comps])
-    approx = el.interpolate(vf)
-    exact = el.interpolate(v)
-    for pe, pa in zip(exact.comps, approx.comps):
-        for alpha in set(pe.terms) | set(pa.terms):
-            assert abs(float(coeff(pe, alpha)) - coeff(pa, alpha)) < 1e-13
 
 
 # -- float vertices --------------------------------------------------------------

@@ -8,13 +8,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdmlab
+from bdmlab.bdm import VARIANTS, build_element
 from bdmlab.checks import check_counterexample_2d
-from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
-                        MAX_QUAD_DEGREE, MIN_EPS_TAU, FieldSyntaxError,
-                        build_parser, main, parse_field, parse_polynomial)
+from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_GAMMA, MAX_MESH_N, MAX_ORDER,
+                        MAX_POW, MAX_QUAD_DEGREE, MIN_EPS_TAU,
+                        FieldSyntaxError, build_parser, main, parse_field,
+                        parse_polynomial)
+from bdmlab.geometry import Simplex, coord_to_token
+from bdmlab.polynomials import Polynomial
 from fractions import Fraction
+
+from test_interpolant_digests import TET15
+from test_moments import fields, simplices
 
 F = Fraction
 
@@ -258,6 +267,8 @@ def test_parse_accepts_fields_at_the_caps():
      "--quad-degree"),
     (["stokes", "--eps", "0.1", "--N", "4", "--quad-degree",
       str(MAX_QUAD_DEGREE + 1)], "--quad-degree"),
+    # float mode rounds the exact interpolant: `interpolate` has no
+    # quadrature, and argparse refuses the option
     (["interpolate", "--mode", "float", "--field", "x1, 0", "--quad-degree",
       "-1"], "--quad-degree"),
     (["interpolate", "--mode", "float", "--field", "x1, 0", "--quad-degree",
@@ -270,7 +281,6 @@ def test_parse_accepts_fields_at_the_caps():
      "--pow-max"),
     (["sweep", "--name", "counterexample-3d", "--pow-min", str(MAX_POW + 1),
       "--pow-max", str(MAX_POW + 1)], "--pow-min"),
-    # exact mode integrates exactly: the degree would be echoed, not used
     (["interpolate", "--field", "x1, 0", "--quad-degree", "4"],
      "--quad-degree"),
 ])
@@ -294,15 +304,22 @@ def test_stokes_repeated_value_exit_2(argv, option, capsys):
     assert f"{option} repeats a value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["inf", "1e308", repr(MAX_GAMMA * 10)])
+def test_stokes_gamma_past_its_cap_exit_2(gamma, capsys):
+    # inf and 1e308 made the penalty matrix overflow, and splu raised
+    # "Factor is exactly singular" with a traceback and exit code 1
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes", "--eps", "0.5", "--N", "2", "--gamma", gamma])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--gamma" in err and "Traceback" not in err
+
+
 def test_options_at_their_caps(capsys):
     code, _, manifest = run(capsys, [
-        "interpolate", "--mode", "float", "--field", "x1, x2**2",
-        "--quad-degree", str(MAX_QUAD_DEGREE)])
-    assert code == 0
-    code, _, manifest = run(capsys, [
-        "interpolate", "--mode", "float", "--field", "x1, 0",
-        "--quad-degree", "0"])
-    assert code == 0
+        "stokes", "--eps", "0.5", "--N", "2", "--quad-degree",
+        str(MAX_QUAD_DEGREE)])
+    assert code == 0 and manifest["config"]["quad_degree"] == MAX_QUAD_DEGREE
     code, _, manifest = run(capsys, [
         "sweep", "--name", "counterexample-2d", "--pow-min", str(MAX_POW),
         "--pow-max", str(MAX_POW)])
@@ -413,9 +430,6 @@ def test_mesh_at_the_smallest_eps_is_finite(N, capsys):
 
 
 @pytest.mark.parametrize("field, message", [
-    # 2^1023 is a float, but its quadrature moments overflow: the
-    # interpolant was printed as nan with exit code 0
-    (f"{2 ** 1023}, {2 ** 1023}", "finite"),
     # a 1024-bit coefficient is past the largest float: an OverflowError
     (f"{2 ** 1024 - 1}, 0", "too large"),
 ])
@@ -424,6 +438,79 @@ def test_interpolate_float_overflow_exit_2(field, message, capsys):
         main(["interpolate", "--mode", "float", "--field", field])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_interpolate_float_at_the_largest_power_of_two(capsys):
+    # 2^1023 is a float: the interpolant, the field itself, rounds to it
+    # (its quadrature moments overflowed, and the interpolant was printed
+    # as nan with exit code 0, later refused with exit code 2)
+    code, out, manifest = run(capsys, [
+        "interpolate", "--mode", "float", "--field",
+        f"{2 ** 1023}, {2 ** 1023}"])
+    assert code == 0
+    assert manifest["interpolant"] == ["8.98846567431158e+307"] * 2
+    assert float(manifest["interpolant"][0]) == 2.0 ** 1023
+
+
+def field_text(v):
+    """The field v as a --field argument."""
+    def term(a, c):
+        return "*".join([f"({c})"] + [f"x{i + 1}**{ai}"
+                                      for i, ai in enumerate(a) if ai])
+    return ", ".join(" + ".join(term(a, c) for a, c in p.terms.items()) or "0"
+                     for p in v.comps)
+
+
+def rounded(v):
+    """The printed components of v with each coefficient rounded by
+    float(), which rounds correctly."""
+    return [repr(Polynomial(p.dim, {a: float(c) for a, c in p.terms.items()}))
+            for p in v.comps]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                   (3, 3)])
+def test_interpolate_float_is_the_rounded_exact_interpolant(dim, k, variant,
+                                                            tmp_path, capsys):
+    # float mode prints the exact interpolant, every coefficient rounded to
+    # the nearest float, on both orientations of a random rational simplex
+    # and fields of degree up to k + 1
+    path = tmp_path / "simplex.txt"
+
+    @settings(max_examples=3 if (dim, k) == (3, 3) else 8, deadline=None)
+    @given(simplices(dim), st.integers(0, k + 1).flatmap(
+        lambda n: fields(dim, n)))
+    def check(simplex, v):
+        text = field_text(v)
+        assert parse_field(text, dim) == v
+        w = simplex.vertices
+        for s in (simplex, Simplex((w[1], w[0]) + w[2:])):
+            path.write_text("".join(
+                " ".join(map(coord_to_token, x)) + "\n" for x in s.vertices))
+            code, _, manifest = run(capsys, [
+                "interpolate", "--simplex", str(path), "--k", str(k),
+                "--variant", variant, "--field", text, "--mode", "float"])
+            assert code == 0
+            assert manifest["interpolant"] == rounded(
+                build_element(s, k, variant).interpolate(v))
+
+    check()
+
+
+def test_interpolate_float_on_long_decimals(tmp_path, capsys):
+    # the quadrature path was off by 7.9e-5 here, with exit code 0
+    path = tmp_path / "tet15.txt"
+    path.write_text("".join(" ".join(map(repr, x)) + "\n" for x in TET15))
+    field = "x1**6*x3 - x2**7, x1*x2**3*x3**3 + x3**2, x1**4*x2**2 - x1"
+    code, _, manifest = run(capsys, [
+        "interpolate", "--simplex", str(path), "--k", "5", "--variant",
+        "nedelec", "--field", field, "--mode", "float"])
+    assert code == 0
+    exact = build_element(Simplex(TET15), 5, "nedelec").interpolate(
+        parse_field(field, 3))
+    assert manifest["interpolant"] == rounded(exact)
+    assert exact != parse_field(field, 3)   # degree 7: not reproduced
 
 
 def test_stokes_subcommand(tmp_path, capsys):

@@ -24,6 +24,7 @@ from bdmlab.spaces import basis_pk, integrate_poly
 
 from test_moments import (AffineMap, divergence, fields, piola_push,
                           polynomials, rationals, simplices)
+from test_polynomials import evaluate
 
 F = Fraction
 
@@ -98,7 +99,7 @@ def abs_derivative_sum_norm_oracle(f, simplex, m):
     total = np.zeros(len(wts))
     for p in comps:
         for beta in betas:
-            total += np.abs(derivative(p, beta).eval(pts))
+            total += np.abs(evaluate(derivative(p, beta), pts))
     return math.sqrt(float(np.dot(wts, total * total)))
 
 

@@ -404,7 +404,7 @@ def assert_inverts_its_dof_matrix(el):
     direct inverse, for every j: the element's inverse is that matrix."""
     inverse = direct_inverse(el)
     for j in range(el.ndofs):
-        unit = [int(i == j) for i in range(el.ndofs)]
+        unit = linalg.Scaled([int(i == j) for i in range(el.ndofs)], 1)
         assert coefficients(el.field_from_dofs(unit), el.order) == \
             [row[j] for row in inverse]
 

@@ -19,6 +19,8 @@ from bdmlab.stokes import (QUAD_BATCH_POINTS, DGSpace, ExpPoly, StokesCase,
                            eval_fields, manufactured_case, penalty, solve,
                            study_mesh, study_to_csv)
 
+from test_polynomials import evaluate
+
 F = Fraction
 
 
@@ -167,7 +169,7 @@ def test_eval_fields_matches_exact_evaluation(case):
         assert np.array_equal(f.eval(np.array(pts, dtype=float)), row)
         for (x, y), value in zip(pts, row):
             decay = F(math.exp(-(x / f.eps)))
-            want = f.pexp.eval((x, y)) * decay + f.pplain.eval((x, y))
+            want = evaluate(f.pexp, (x, y)) * decay + evaluate(f.pplain, (x, y))
             size = (_magnitude(f.pexp, x, y) * decay
                     + _magnitude(f.pplain, x, y))
             slack = F(sys.float_info.min) * _magnitude(f.pexp, x, y)
