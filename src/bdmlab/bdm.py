@@ -195,11 +195,10 @@ class BDMElement:
         value on a field is the dot product with its coefficients over den.
         Cached per degree."""
         if degree not in self._rows:
-            n = len(monomial_indices(self.simplex.dim, degree))
             rows = [dof.rows(self, degree) for dof in self.dofs]
             den = lcm(*(den for _, den in rows))
             self._rows[degree] = [
-                [x * (den // r_den) for row in r for x in row[:n]]
+                [x * (den // r_den) for row in r for x in row]
                 for r, r_den in rows], den
         return self._rows[degree]
 

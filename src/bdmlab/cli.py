@@ -9,7 +9,6 @@ contracts, 2 usage error.
 import argparse
 import ast
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -19,9 +18,8 @@ from .checks import ALL_CHECKS, run_checks
 from .estimates import SWEEP_PRESETS, sweep_to_csv
 from .geometry import read_simplex, reference_simplex, t_bar_simplex
 from .polynomials import Polynomial, VectorPoly
-from .shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
-                       build_uniform, mesh_aspect_ratio, transition_point,
-                       write_mesh)
+from .shishkin import (aspect_ratio, build_shishkin, build_uniform,
+                       mesh_aspect_ratio, transition_point, write_mesh)
 
 
 # Bounds on a parsed field, so that any --field does bounded work: the
@@ -41,12 +39,6 @@ MAX_COEFF_BITS = 1024
 # 5-6 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 4.2 s
 # at k = 5 and 44-53 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
-# Bound on `stokes --quad-degree` (default 8): a rule of degree q has
-# ((q + 2) // 2 + 1)^2 points per triangle, and q doubles on layer
-# triangles for eps <= 1e-3; q = 30 took 0.8 s and 132 MiB for `stokes
-# --eps 0.001 --N 16` (same machine), while --quad-degree 100000 asked for
-# an 18.6 GiB array.
-MAX_QUAD_DEGREE = 30
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
 MAX_POW = 40
@@ -61,13 +53,6 @@ MAX_MESH_N = 256
 # mesh does not conform.  At the floor, the two aspect ratios `mesh`
 # prints (about 6e9) agree to 1e-13, relative, for every N.
 MIN_EPS_TAU = 1e-12
-# Bound on `stokes --gamma`: a large gamma over the thinnest facets
-# overflows in the factorization, which raised with a traceback.  At the
-# smallest mesh width the CLI accepts (`--eps 1e-12 --N 256 --log base10`,
-# layer cells 2.8e-13 wide) a bisection put the first failure at gamma =
-# 10^262.1, and gamma = 10^200 ran to the end (10^305.1 at `--eps 0.5 --N
-# 2`).  The default, 4 ceil(log sigma), is at most 92.
-MAX_GAMMA = 1e200
 
 
 class UsageError(ValueError):
@@ -187,7 +172,7 @@ def cmd_mesh(args):
         tau = (args.tau.limit_denominator(10 ** 12)
                if args.tau is not None
                else transition_point(args.eps, args.log))
-        mesh = build_shishkin(ShishkinParams(N=args.N, epsilon=args.eps, tau=tau))
+        mesh = build_shishkin(args.N, tau)
     sigma_formula = aspect_ratio(tau)
     sigma_mesh = mesh_aspect_ratio(mesh)
     if args.out:
@@ -240,24 +225,6 @@ def transition(text):
     if not MIN_EPS_TAU <= value <= Fraction(1, 2):
         raise argparse.ArgumentTypeError(
             f"must lie in [{MIN_EPS_TAU}, 1/2], got {text}")
-    return value
-
-
-def positive_float(text):
-    """A finite float > 0."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text}")
-    return value
-
-
-def penalty_parameter(text):
-    """--gamma: a float in (0, MAX_GAMMA]."""
-    value = positive_float(text)
-    if value > MAX_GAMMA:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_GAMMA}, got {text}")
     return value
 
 
@@ -326,9 +293,7 @@ def cmd_stokes(args):
     from .stokes import convergence_study, holds_contracts, study_to_csv
 
     rows = convergence_study(args.eps, args.N, args.kind,
-                             log_convention=args.log,
-                             gamma_override=args.gamma,
-                             quad_degree=args.quad_degree)
+                             log_convention=args.log)
     if args.out:
         study_to_csv(rows, args.out)
     summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
@@ -352,10 +317,6 @@ def build_parser():
     p.add_argument("--tau", type=transition, default=None,
                    help="override the transition point (rational, e.g. 3/50)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
-    p.add_argument("--shishkin", dest="kind", action="store_const",
-                   const="shishkin")
-    p.add_argument("--uniform", dest="kind", action="store_const",
-                   const="uniform")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mesh)
@@ -399,9 +360,6 @@ def build_parser():
     p.add_argument("--kind", choices=["shishkin", "uniform"],
                    default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
-    p.add_argument("--gamma", type=penalty_parameter, default=None)
-    p.add_argument("--quad-degree", type=bounded_int(0, MAX_QUAD_DEGREE),
-                   default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stokes)
     return parser

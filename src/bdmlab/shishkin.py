@@ -56,13 +56,6 @@ def aspect_ratio(tau):
     return root / (2.0 * t - 4.0 * t * t / (1.0 + root))
 
 
-@dataclass(frozen=True)
-class ShishkinParams:
-    N: int
-    epsilon: float
-    tau: object                     # Fraction or float
-
-
 @dataclass(eq=False)
 class Mesh2D:
     """Vertices and triangles, plus the facet topology `build_facets`
@@ -135,13 +128,12 @@ def _x_coordinates(N, tau):
     return xs
 
 
-def build_shishkin(params: ShishkinParams) -> Mesh2D:
-    """Tensor grid with the layer-graded x direction, each rectangle split
-    along the lower-left to upper-right diagonal."""
-    N = params.N
+def build_shishkin(N: int, tau) -> Mesh2D:
+    """Tensor grid with the layer-graded x direction, transition point tau
+    (a Fraction or a float), each rectangle split along the lower-left to
+    upper-right diagonal."""
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
-    tau = params.tau
     exact = isinstance(tau, (Fraction, int))
     ys = [Fraction(j, N) if exact else j / N for j in range(N + 1)]
     return _tensor_mesh(_x_coordinates(N, tau), ys)

@@ -20,7 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from math import comb, factorial
 from operator import add, mul
 
@@ -130,12 +130,11 @@ class MomentTable:
     (`composed_monomials`) and dots the result with a cached table of int
     reference moments g! F / (|g| + d)!.
 
-    A miss grows a table: only the entries of the new degrees are
-    computed.  The volume table keeps the partial products, and the facet
-    tables keep the composed monomials and rescale the entries they hold
-    to the new denominator (F and D^n grow, and every entry by the same
-    integer factor).  Facet charts and scaled normals are made on first
-    use, as most tables serve norms only; |det| is computed once.
+    A miss grows the volume table: it keeps the partial products, so only
+    the entries of the new degrees are computed.  Facet moments serve the
+    DOF rows of the two reference simplices only, which their elements
+    cache per degree: each (i, n, m) is computed from scratch and kept.
+    |det| is computed once.
     """
 
     __slots__ = ("dim", "_simplex", "_det", "_volume", "_partial_products",
@@ -148,7 +147,7 @@ class MomentTable:
         self._volume = (-1, [], 1)
         # coefficients of prod_{i' <= i} 1 / (1 - <xi, D v_i'>), per i
         self._partial_products = [[] for _ in range(self.dim + 1)]
-        self._facet = [None] * (self.dim + 1)
+        self._facet = {}
 
     def volume(self, degree):
         """(V, den): int_T x^a dx == V[j] / den for the j-th monomial a of
@@ -181,30 +180,21 @@ class MomentTable:
 
     def facet(self, i, degree, alpha_degree):
         """(rows, normal, den): int_ref (x^a o chart_i) t^alpha dt ==
-        rows[alpha][j] / den for the j-th monomial a of graded order; covers
-        at least |a| <= degree and |alpha| <= alpha_degree.  `normal` is the
-        facet's scaled outward normal as (ints, denominator)."""
-        if self._facet[i] is None:
-            self._facet[i] = (-1, -1, {}, 1, None, self._simplex.facet_chart(i),
-                              over_common_denominator(
-                                  self._simplex.scaled_facet_normal(i)))
-        n, m, rows, den, composed, chart, normal = self._facet[i]
-        if degree > n or alpha_degree > m:
-            n, m = max(n, degree), max(m, alpha_degree)
-            composed, D = composed_monomials(chart, n, composed)
-            shifted, F = _shifted_reference_moments(self.dim - 1, n, m)
-            new_den = F * D ** n
-            scale = new_den // den
-            scaled = [(P, D ** (n - sum(a))) for a, P in composed.items()]
-            old, rows = rows, {}
-            for alpha, moments in shifted.items():
-                row = [x * scale for x in old.get(alpha, ())]
-                row += [sum(map(mul, P, moments)) * s
-                        for P, s in islice(scaled, len(row), None)]
-                rows[alpha] = row
-            self._facet[i] = n, m, rows, new_den, composed, chart, normal
-            den = new_den
-        return rows, normal, den
+        rows[alpha][j] / den for the j-th monomial a of graded order, |a| <=
+        degree and |alpha| <= alpha_degree.  `normal` is the facet's scaled
+        outward normal as (ints, denominator)."""
+        key = i, degree, alpha_degree
+        if key not in self._facet:
+            composed, D = composed_monomials(self._simplex.facet_chart(i),
+                                             degree)
+            shifted, F = _shifted_reference_moments(self.dim - 1, degree,
+                                                    alpha_degree)
+            scaled = [(P, D ** (degree - sum(a))) for a, P in composed.items()]
+            rows = {alpha: [sum(map(mul, P, moments)) * s for P, s in scaled]
+                    for alpha, moments in shifted.items()}
+            self._facet[key] = rows, over_common_denominator(
+                self._simplex.scaled_facet_normal(i)), F * D ** degree
+        return self._facet[key]
 
     def weighted_rows(self, weight, degree):
         """(rows, den) with int_T v . weight dx == sum_c dot(rows[c], v_c)

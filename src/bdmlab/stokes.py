@@ -45,7 +45,7 @@ import numpy as np
 
 from .polynomials import Polynomial
 from .quadrature import gauss_01, simplex_rule
-from .shishkin import (Mesh2D, ShishkinParams, build_shishkin, build_uniform,
+from .shishkin import (Mesh2D, build_shishkin, build_uniform,
                        mesh_aspect_ratio, transition_point)
 
 
@@ -109,9 +109,6 @@ class ExpPoly:
 
     def is_zero(self):
         return self.pexp.is_zero() and self.pplain.is_zero()
-
-    def eval(self, pts):
-        return eval_fields([self], pts)[0]
 
 
 def _dense_coefficients(poly):
@@ -438,7 +435,7 @@ def _facet_block(space, facet_ids, sides, gamma, ts, ws):
     return local, pts, wtest
 
 
-def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
+def assemble(space: DGSpace, case: StokesCase, gamma):
     """Assemble the SIP blocks over all velocity DOFs.
 
     Returns (A, B, rhs): the symmetric velocity form A, the continuity rows
@@ -509,7 +506,7 @@ def assemble(space: DGSpace, case: StokesCase, gamma, quad_degree=8):
     # body force: int_T f . shape, the local monomial moments of f mapped
     # by `coeff_from_dofs`; layer elements of very small eps get a doubled
     # rule, mirroring the error-integral policy
-    for ids, phys, wts in _quadrature(space, case, quad_degree):
+    for ids, phys, wts in _quadrature(space, case):
         fv = eval_fields(case.f, phys.reshape(-1, 2)).reshape(2, *wts.shape)
         moments = (fv * wts)[:, :, None] @ space.monomials(ids, phys)
         moments = moments.transpose(1, 2, 0, 3).reshape(-1, 1, 6)  # (T, 1, 6)
@@ -568,7 +565,7 @@ def _pressure_tree(space):
     return order, 2 * f, L
 
 
-def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolution:
+def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
     """Solve the system of `assemble`'s blocks in the divergence-free
     subspace.
 
@@ -585,7 +582,7 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     relative, over the free momentum rows, the continuity rows with g on
     the right-hand side and the zero-sum gauge.
     """
-    A, B, rhs = assemble(space, case, gamma, quad_degree)
+    A, B, rhs = assemble(space, case, gamma)
     free, fixed, areas = space.free_dofs, space.fixed_dofs, space.areas
     g = space.edge_moments(case.boundary_g, space.boundary, 4)
     C_f = space.curl[:, space.stream_free]
@@ -641,25 +638,28 @@ def solve(space: DGSpace, case: StokesCase, gamma, quad_degree=8) -> StokesSolut
     return StokesSolution(space, u, coeffs, p / areas, stats)
 
 
+# Degree of the triangle rule of the volume integrals (body force, errors),
+# doubled on layer elements when epsilon is at or below 1e-3.
+QUAD_DEGREE = 8
 # Points per quadrature batch: bounds the power tables of `eval_fields` and
 # the other point-wise arrays of `assemble` and `errors`, to sizes that
 # stay in cache (2^12 measured faster than 2^16).
 QUAD_BATCH_POINTS = 2 ** 12
 
 
-def _quadrature(space, case, quad_degree):
+def _quadrature(space, case):
     """(tri_ids, points (T, m, 2), weights (T, m)) per batch of triangles
-    sharing a rule: the default degree, doubled on layer elements when
-    epsilon is at or below 1e-3.  A batch holds at most QUAD_BATCH_POINTS
-    points (but at least one triangle), so the point-wise temporaries of
-    the callers stay bounded whatever the mesh and the rule."""
+    sharing a rule: QUAD_DEGREE, doubled on layer elements when epsilon is
+    at or below 1e-3.  A batch holds at most QUAD_BATCH_POINTS points (but
+    at least one triangle), so the point-wise temporaries of the callers
+    stay bounded whatever the mesh and the rule."""
     tri_ids = np.arange(space.n_tri)
-    groups = [(tri_ids, quad_degree)]
+    groups = [(tri_ids, QUAD_DEGREE)]
     if case.epsilon <= 1e-3:
         layer_width = 3.0 * case.epsilon * abs(math.log(case.epsilon))
         in_layer = space.tri_pts[:, :, 0].min(axis=1) < layer_width
-        groups = [(tri_ids[in_layer], 2 * quad_degree),
-                  (tri_ids[~in_layer], quad_degree)]
+        groups = [(tri_ids[in_layer], 2 * QUAD_DEGREE),
+                  (tri_ids[~in_layer], QUAD_DEGREE)]
     for ids, degree in groups:
         size = max(1, QUAD_BATCH_POINTS // len(simplex_rule(2, degree)[1]))
         for start in range(0, len(ids), size):
@@ -667,7 +667,7 @@ def _quadrature(space, case, quad_degree):
             yield (batch, *space.triangle_quad(degree, batch))
 
 
-def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
+def errors(sol: StokesSolution, case: StokesCase):
     """(broken H1 velocity error, L2 pressure error with the exact pressure
     shifted to the zero-mean gauge).  Layer elements get a doubled rule for
     very small epsilon."""
@@ -675,7 +675,7 @@ def errors(sol: StokesSolution, case: StokesCase, quad_degree=8):
     err_grad_sq = 0.0
     err_p_sq = 0.0
     exact = [g for row in case.grad_u for g in row] + [case.p]
-    for ids, phys, wts in _quadrature(space, case, quad_degree):
+    for ids, phys, wts in _quadrature(space, case):
         vals = eval_fields(exact, phys.reshape(-1, 2)).reshape(5, *wts.shape)
         gh = sol.coeffs[ids][:, [1, 2, 4, 5]].T[:, :, None]     # (4, T, 1)
         err_grad_sq += float(np.sum(wts * np.sum((vals[:4] - gh) ** 2, axis=0)))
@@ -698,18 +698,19 @@ def study_mesh(kind, N, eps, log_convention="natural"):
         tau = 0.5
     elif kind == "shishkin":
         tau = transition_point(eps, log_convention)
-        mesh = build_shishkin(ShishkinParams(N=N, epsilon=float(eps), tau=tau))
+        mesh = build_shishkin(N, tau)
     else:
         raise ValueError(f"unknown mesh kind {kind!r}")
     return mesh, float(tau)
 
 
-def convergence_study(eps_list, N_list, kind, log_convention="natural",
-                      gamma_override=None, quad_degree=8):
+def convergence_study(eps_list, N_list, kind, log_convention="natural"):
     """One row per (epsilon, N): errors, parameters and observed rates,
     the contract values, and the sizes of the factorized stream-function
     system: its `n_unknowns` and `nnz`, and the factor's fill `lu_nnz` (row
-    keys that `STUDY_COLUMNS` leaves out of the CSV)."""
+    keys that `STUDY_COLUMNS` leaves out of the CSV).  A rate is the order
+    per doubling of N against the previous row of the same epsilon,
+    log(e_prev / e) / log(N / N_prev), whatever the steps of N_list."""
     rows = []
     for eps in eps_list:
         case = manufactured_case(eps)
@@ -717,14 +718,17 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural",
         for N in N_list:
             mesh, tau = study_mesh(kind, N, eps, log_convention)
             sigma = mesh_aspect_ratio(mesh)
-            gamma = gamma_override if gamma_override is not None else penalty(
-                sigma, log_convention)
+            gamma = penalty(sigma, log_convention)
             space = DGSpace(mesh)
-            sol = solve(space, case, gamma, quad_degree)
-            err_u, err_p = errors(sol, case, quad_degree)
-            rate_u = math.log2(prev[0] / err_u) if prev else None
-            rate_p = math.log2(prev[1] / err_p) if prev else None
-            prev = (err_u, err_p)
+            sol = solve(space, case, gamma)
+            err_u, err_p = errors(sol, case)
+            if prev:
+                steps = math.log2(N / prev[0])   # exactly 1.0 when N doubles
+                rate_u = math.log2(prev[1] / err_u) / steps
+                rate_p = math.log2(prev[2] / err_p) / steps
+            else:
+                rate_u = rate_p = None
+            prev = (N, err_u, err_p)
             rows.append({
                 "epsilon": float(eps), "mesh_kind": kind, "N": N,
                 "ndof": space.ndof, "tau": tau, "sigma": sigma,

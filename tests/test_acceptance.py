@@ -15,8 +15,8 @@ from bdmlab.checks import (check_counterexample_2d, check_counterexample_3d,
 from bdmlab.estimates import (T1_FAMILY, l2_norm, random_divfree_field,
                               rhs_mac, sweep)
 from bdmlab.geometry import Simplex, max_angle
-from bdmlab.shishkin import (ShishkinParams, aspect_ratio, build_shishkin,
-                             mesh_aspect_ratio, transition_point)
+from bdmlab.shishkin import (aspect_ratio, build_shishkin, mesh_aspect_ratio,
+                             transition_point)
 from bdmlab.stokes import (DGSpace, convergence_study, errors,
                            manufactured_case, penalty, solve, study_mesh)
 
@@ -118,7 +118,7 @@ def test_criterion_7_shishkin_mesh():
     tau = transition_point(F(1, 100), "base10")
     assert tau == F(3, 50)
     for N in (8, 16):
-        mesh = build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau))
+        mesh = build_shishkin(N, tau)
         assert mesh.n_triangles == 2 * N * N
         assert sum(triangle_area(mesh, t) for t in range(mesh.n_triangles)) == 1
         for t in range(mesh.n_triangles):
@@ -134,7 +134,7 @@ def test_criterion_7_shishkin_mesh():
             assert abs(max_angle(s) - math.pi / 2) < 1e-12
     sigma = aspect_ratio(F(3, 50))
     assert abs(sigma - 8.93) <= 0.05
-    mesh = build_shishkin(ShishkinParams(N=8, epsilon=0.01, tau=tau))
+    mesh = build_shishkin(8, tau)
     assert abs(mesh_aspect_ratio(mesh) - sigma) < 1e-10
     _report(7, "layer mesh counts, exact area, aspect ratio 8.93", t0, 30.0)
 
@@ -144,7 +144,7 @@ def _run(kind, N, eps, tau_convention="natural", penalty_convention="natural"):
         mesh, tau = study_mesh("uniform", N, eps)
     else:
         tau = transition_point(eps, tau_convention)
-        mesh = build_shishkin(ShishkinParams(N=N, epsilon=float(eps), tau=tau))
+        mesh = build_shishkin(N, tau)
     sigma = mesh_aspect_ratio(mesh)
     gamma = penalty(sigma, penalty_convention)
     space = DGSpace(mesh)

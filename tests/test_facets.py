@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdmlab.linalg import over_common_denominator
-from bdmlab.shishkin import Mesh2D, ShishkinParams, build_shishkin, build_uniform
+from bdmlab.shishkin import Mesh2D, build_shishkin, build_uniform
 from bdmlab.stokes import DGSpace
 
 
@@ -24,7 +24,7 @@ def base_meshes(draw):
     tau = draw(st.one_of(
         st.builds(Fraction, st.integers(1, 9), st.just(20)),
         st.floats(0.01, 0.49)))
-    return N, build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau))
+    return N, build_shishkin(N, tau)
 
 
 @st.composite

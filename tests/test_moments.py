@@ -213,14 +213,15 @@ def test_interior_moments_match_oracle(case):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 3).flatmap(simplices))
 def test_grown_moment_tables_equal_fresh_ones(simplex):
-    # a miss grows the table; the entries must be those a fresh table
-    # fills at the final degree, int for int over the same denominator
+    # a miss grows the volume table; the entries must be those a fresh
+    # table fills at the final degree, int for int over the same
+    # denominator.  Facet entries are kept per (i, degree, alpha degree):
+    # the ones computed first must not change a later one
     grown, fresh = MomentTable(simplex), MomentTable(simplex)
     for degree in (3, 4, 6):
         grown.volume(degree)
     assert grown.volume(6) == fresh.volume(6)
     for i in range(simplex.dim + 1):
-        # both degrees grow, then alpha alone, then the field degree alone
         for degree, alpha_degree in ((2, 1), (3, 2), (3, 3), (4, 3)):
             grown.facet(i, degree, alpha_degree)
         assert grown.facet(i, 4, 3) == fresh.facet(i, 4, 3)

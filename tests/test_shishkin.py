@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdmlab.geometry import Simplex, coord_from_token, max_angle
-from bdmlab.shishkin import (Mesh2D, ShishkinParams, aspect_ratio,
-                             build_shishkin, build_uniform, mesh_aspect_ratio,
-                             mesh_to_text, transition_point)
+from bdmlab.shishkin import (Mesh2D, aspect_ratio, build_shishkin,
+                             build_uniform, mesh_aspect_ratio, mesh_to_text,
+                             transition_point)
 
 F = Fraction
 
@@ -104,7 +104,7 @@ def test_aspect_ratio_matches_high_precision(tau):
 def test_mesh_aspect_ratio_of_thin_layer_triangles():
     # Heron's formula read 6031867804.7 as up to 2e-6 off (N = 26 here)
     tau = transition_point(1e-12)
-    mesh = build_shishkin(ShishkinParams(N=26, epsilon=1e-12, tau=tau))
+    mesh = build_shishkin(26, tau)
     assert abs(mesh_aspect_ratio(mesh) - aspect_ratio(tau)) <= \
         1e-12 * aspect_ratio(tau)
 
@@ -127,7 +127,7 @@ def test_mesh_aspect_ratio_matches_per_triangle_oracle(N, tau):
     # `np.hypot` give a maximum that differs from the oracle's in the last
     # place
     mesh = (build_uniform(N) if tau is None
-            else build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau)))
+            else build_shishkin(N, tau))
     oracle = max(triangle_aspect_ratio([(float(x), float(y))
                                         for x, y in triangle_points(mesh, t)])
                  for t in range(mesh.n_triangles))
@@ -135,7 +135,7 @@ def test_mesh_aspect_ratio_matches_per_triangle_oracle(N, tau):
 
 
 def test_mesh_aspect_matches_formula():
-    mesh = build_shishkin(ShishkinParams(N=8, epsilon=0.01, tau=F(3, 50)))
+    mesh = build_shishkin(8, F(3, 50))
     assert abs(mesh_aspect_ratio(mesh) - aspect_ratio(0.06)) < 1e-10
 
 
@@ -143,7 +143,7 @@ def test_mesh_aspect_matches_formula():
 
 def test_counts_and_exact_area():
     for N in (2, 8, 16):
-        mesh = build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=F(3, 50)))
+        mesh = build_shishkin(N, F(3, 50))
         assert mesh.n_triangles == 2 * N * N
         assert mesh.n_vertices == (N + 1) ** 2
         assert sum(triangle_area(mesh, t) for t in range(mesh.n_triangles)) == 1
@@ -160,7 +160,7 @@ def test_euler_characteristic():
 
 def test_x_coordinate_split():
     N, tau = 8, F(3, 50)
-    mesh = build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau))
+    mesh = build_shishkin(N, tau)
     xs = sorted({v[0] for v in mesh.vertices})
     fine = [x for x in xs if x <= tau]
     coarse = [x for x in xs if x >= tau]
@@ -172,7 +172,7 @@ def test_x_coordinate_split():
 def test_all_elements_right_angled():
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         tau = transition_point(eps)
-        mesh = build_shishkin(ShishkinParams(N=4, epsilon=eps, tau=tau))
+        mesh = build_shishkin(4, tau)
         for t in range(mesh.n_triangles):
             pts = triangle_points(mesh, t)
             s = Simplex(tuple(tuple(float(c) for c in p) for p in pts))
@@ -181,7 +181,7 @@ def test_all_elements_right_angled():
 
 def test_layer_elements_thin_toward_inflow():
     # inside the layer the short direction is normal to {x1 = 0}
-    mesh = build_shishkin(ShishkinParams(N=8, epsilon=0.01, tau=F(3, 50)))
+    mesh = build_shishkin(8, F(3, 50))
     tau = F(3, 50)
     for t in range(mesh.n_triangles):
         pts = triangle_points(mesh, t)
@@ -209,14 +209,14 @@ def test_float_uniform_mesh_rounds_the_exact_one(N):
 
 
 def test_fig6_mesh():
-    mesh = build_shishkin(ShishkinParams(N=8, epsilon=0.01, tau=F(3, 50)))
+    mesh = build_shishkin(8, F(3, 50))
     assert mesh.n_triangles == 128
     assert abs(mesh_aspect_ratio(mesh) - 8.93) < 0.05
 
 
 def test_odd_n_rejected():
     with pytest.raises(ValueError):
-        build_shishkin(ShishkinParams(N=5, epsilon=0.01, tau=F(3, 50)))
+        build_shishkin(5, F(3, 50))
 
 
 def test_facet_structure():
@@ -230,7 +230,7 @@ def test_facet_structure():
 
 
 def test_mesh_text_roundtrip_bit_exact():
-    mesh = build_shishkin(ShishkinParams(N=4, epsilon=0.01, tau=F(3, 50)))
+    mesh = build_shishkin(4, F(3, 50))
     text = mesh_to_text(mesh)
     back = mesh_from_text(text)
     assert mesh_to_text(back) == text
@@ -239,8 +239,7 @@ def test_mesh_text_roundtrip_bit_exact():
 
 
 def test_mesh_text_roundtrip_float():
-    mesh = build_shishkin(ShishkinParams(N=4, epsilon=0.01,
-                                         tau=transition_point(0.01)))
+    mesh = build_shishkin(4, transition_point(0.01))
     text = mesh_to_text(mesh)
     back = mesh_from_text(text)
     assert mesh_to_text(back) == text
@@ -263,7 +262,7 @@ taus = st.one_of(
 @given(N=st.sampled_from([2, 4, 6, 8]), tau=taus, uniform=st.booleans())
 def test_mesh_text_roundtrip_is_exact(N, tau, uniform):
     mesh = (build_uniform(N) if uniform
-            else build_shishkin(ShishkinParams(N=N, epsilon=0.01, tau=tau)))
+            else build_shishkin(N, tau))
     text = mesh_to_text(mesh)
     back = mesh_from_text(text)
     assert _same_vertices(back.vertices, mesh.vertices)

@@ -24,6 +24,11 @@ from test_polynomials import evaluate
 F = Fraction
 
 
+def eval_field(f, pts):
+    """The values of one ExpPoly field at points (P, 2): (P,)."""
+    return eval_fields([f], pts)[0]
+
+
 @pytest.fixture(scope="module")
 def case01():
     return manufactured_case(0.1)
@@ -85,9 +90,9 @@ def test_body_force_matches_finite_differences(case01):
     def second_diff(comp, p, d, h):
         e = np.zeros(2)
         e[d] = h
-        return (case01.u[comp].eval(np.array([p + e]))[0]
-                - 2 * case01.u[comp].eval(np.array([p]))[0]
-                + case01.u[comp].eval(np.array([p - e]))[0]) / h ** 2
+        return (eval_field(case01.u[comp], np.array([p + e]))[0]
+                - 2 * eval_field(case01.u[comp], np.array([p]))[0]
+                + eval_field(case01.u[comp], np.array([p - e]))[0]) / h ** 2
 
     fd_vals, exact_vals = [], []
     h1, h2 = 1e-6, 4e-4
@@ -98,10 +103,10 @@ def test_body_force_matches_finite_differences(case01):
                        - second_diff(comp, p, d, h2)) / 3 for d in range(2))
             e0 = np.zeros(2)
             e0[comp] = h1
-            gradp = (case01.p.eval(np.array([p + e0]))[0]
-                     - case01.p.eval(np.array([p - e0]))[0]) / (2 * h1)
+            gradp = (eval_field(case01.p, np.array([p + e0]))[0]
+                     - eval_field(case01.p, np.array([p - e0]))[0]) / (2 * h1)
             fd_vals.append(-lap + gradp)  # viscosity 1
-            exact_vals.append(case01.f[comp].eval(np.array([p]))[0])
+            exact_vals.append(eval_field(case01.f[comp], np.array([p]))[0])
     scale = max(abs(v) for v in exact_vals)
     worst = max(abs(fd - ex) / max(abs(ex), 1e-3 * scale)
                 for fd, ex in zip(fd_vals, exact_vals))
@@ -118,7 +123,7 @@ def test_exppoly_derivative_chain():
     d = e.diff(0)  # (1 - 2 x1) exp(-2 x1)
     pts = np.array([[0.3, 0.1]])
     expected = (1 - 2 * 0.3) * math.exp(-0.6)
-    assert abs(d.eval(pts)[0] - expected) < 1e-14
+    assert abs(eval_field(d, pts)[0] - expected) < 1e-14
 
 
 def _random_poly(draw, degree):
@@ -166,7 +171,7 @@ def test_eval_fields_matches_exact_evaluation(case):
     got = eval_fields(fields, np.array(pts, dtype=float))
     assert got.shape == (len(fields), len(pts))
     for f, row in zip(fields, got):
-        assert np.array_equal(f.eval(np.array(pts, dtype=float)), row)
+        assert np.array_equal(eval_field(f, np.array(pts, dtype=float)), row)
         for (x, y), value in zip(pts, row):
             decay = F(math.exp(-(x / f.eps)))
             want = evaluate(f.pexp, (x, y)) * decay + evaluate(f.pplain, (x, y))
@@ -205,8 +210,10 @@ def space64():
     (0.1, 8, None), (0.1, 16, None), (0.1, 30, None), (0.1, 60, None),
     (1e-3, 30, 60),       # doubled rule on the layer elements
 ])
-def test_quadrature_batches_are_bounded(space64, eps, degree, layer_degree):
-    batches = list(stokes._quadrature(space64, manufactured_case(eps), degree))
+def test_quadrature_batches_are_bounded(monkeypatch, space64, eps, degree,
+                                       layer_degree):
+    monkeypatch.setattr(stokes, "QUAD_DEGREE", degree)
+    batches = list(stokes._quadrature(space64, manufactured_case(eps)))
     sizes = {degree: len(simplex_rule(2, degree)[1])}
     if layer_degree:
         sizes[layer_degree] = len(simplex_rule(2, layer_degree)[1])
@@ -391,7 +398,7 @@ def interpolate_exact_solution(space, case):
     coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
                        vel[space.tri_dof_ids])
     phys, wts = space.triangle_quad(8)
-    pvals = case.p.eval(phys.reshape(-1, 2)).reshape(space.n_tri, -1)
+    pvals = eval_field(case.p, phys.reshape(-1, 2)).reshape(space.n_tri, -1)
     pressure = (np.sum(wts * (pvals - case.pressure_mean), axis=1)
                 / np.sum(wts, axis=1))
     return StokesSolution(space, vel, coeffs, pressure, {"kind": "interpolant"})
@@ -408,7 +415,8 @@ def test_interpolant_baseline_matches_direct_computation(case01):
     gh = np.stack([base.coeffs[:, 1], base.coeffs[:, 2],
                    base.coeffs[:, 4], base.coeffs[:, 5]], axis=1)
     for pos, (comp, axis) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        exact = case01.grad_u[comp][axis].eval(flat).reshape(space.n_tri, -1)
+        exact = eval_field(case01.grad_u[comp][axis], flat).reshape(
+            space.n_tri, -1)
         total += float(np.sum(wts * (exact - gh[:, pos][:, None]) ** 2))
     assert abs(math.sqrt(total) - eu) < 1e-14
 
@@ -416,7 +424,7 @@ def test_interpolant_baseline_matches_direct_computation(case01):
 # -- study -------------------------------------------------------------------------
 
 def test_study_row_count_and_csv(tmp_path):
-    rows = convergence_study([0.5, 0.1], [2, 4], "uniform", quad_degree=4)
+    rows = convergence_study([0.5, 0.1], [2, 4], "uniform")
     assert len(rows) == 4
     out = tmp_path / "study.csv"
     study_to_csv(rows, out)
@@ -432,6 +440,17 @@ def test_study_rates_improve_with_refinement():
     errs = [r["err_grad_u"] for r in rows]
     assert errs[2] < errs[1] < errs[0]
     assert rows[2]["rate_u"] > 0.5
+
+
+def test_study_rates_are_per_doubling_of_n():
+    # a step of N from 4 to 16 is two doublings: its rate is the mean of
+    # the two doubling rates, and a decreasing N gives the same rate
+    steps = convergence_study([0.5], [4, 8, 16], "uniform")
+    want = [(steps[1][r] + steps[2][r]) / 2 for r in ("rate_u", "rate_p")]
+    for N_list in ([4, 16], [16, 4]):
+        last = convergence_study([0.5], N_list, "uniform")[1]
+        assert last["rate_u"] == pytest.approx(want[0], rel=1e-12)
+        assert last["rate_p"] == pytest.approx(want[1], rel=1e-12)
 
 
 # (err_grad_u, err_p, sigma, gamma, ndof, lu_nnz) of study rows, recorded
