@@ -31,8 +31,9 @@ DOFs:
 
 * ``nedelec`` commutes with P, so the interpolant is P Ih P^-1 v;
 * ``bdm_original`` does not: its r = dim Q_k moments are taken against G
-  zh on the reference simplex, G = B^T B, and one r x r system per
-  element turns them into reference Q_k values (`_correction`).
+  zh on the reference simplex, G = B^T B, and each element turns them
+  into reference Q_k values with the inverse of one r x r system Sh and
+  the rows Kh that couple them to the other DOFs (`_correction`).
 
 Simplex vertices are Fractions, so every interpolant of a rational field
 is exact: the one the element's own DOF matrix gives, Fraction for
@@ -157,14 +158,15 @@ class BDMElement:
         self.variant = variant
         self._monomials = monomial_indices(simplex.dim, order)
         self._reference, self._piola = self, None
-        self._lower, self._lower_den = [], 1
+        self._kh, self._tden, self._sh_inverse = [], 1, None
         if simplex != reference_simplex(simplex.dim):
             ref = self._reference = _reference_element(simplex.dim, order,
                                                        variant)
             self.dofs, self._inverse = ref.dofs, ref._inverse
             self._piola = _Piola(simplex, order)
             if variant == "bdm_original" and order > 1:
-                self._lower, self._lower_den = _correction(self._piola, ref)
+                self._kh, self._tden, self._sh_inverse = _correction(
+                    self._piola, ref)
         else:
             self.moments = moment_table(simplex)
             self._rows = {}     # degree -> `_dof_rows`
@@ -183,7 +185,7 @@ class BDMElement:
             except linalg.SingularMatrixError as exc:
                 raise UnisolvenceError("singular DOF system") from exc
         # the DOFs from `_split` on are the Q_k moments the correction weighs
-        self._split = len(self.dofs) - len(self._lower)
+        self._split = len(self.dofs) - len(self._kh)
 
     @property
     def ndofs(self):
@@ -229,12 +231,15 @@ class BDMElement:
         reference inverse and the Piola push applied right to left in
         integers."""
         y, den = values, values.denominator * self._inverse.denominator
-        if self._lower:
-            # the reference values below the split from the G-weighted ones
-            Dc, m = self._lower_den, self._split
-            y = [Dc * x for x in y[:m]] + [sum(map(mul, row, y))
-                                           for row in self._lower]
-            den *= Dc
+        if self._kh:
+            # the reference Q_k values Sh^-1 (Tden t - Kh u) from the values
+            # u below the split and the G-weighted ones t
+            u, inverse = y[:self._split], self._sh_inverse
+            rhs = [self._tden * t - sum(map(mul, row, u))
+                   for row, t in zip(self._kh, y[self._split:])]
+            y = [inverse.denominator * x for x in u] + [
+                sum(map(mul, row, rhs)) for row in inverse]
+            den *= inverse.denominator
         coeffs = [sum(map(mul, row, y)) for row in self._inverse]
         # the basis is component-major: one block of monomial coefficients
         # per component
@@ -386,8 +391,8 @@ def _qk_tables(dim, order):
 
 
 def _correction(piola, ref):
-    """(lower, Dc): the rows that turn a mapped `bdm_original` element's
-    values into reference DOF values, over Dc.
+    """(Kh, Tden, Sh^-1): the factors that turn a mapped `bdm_original`
+    element's values into reference DOF values.
 
     With v = P wh and its interpolant P ph, the facet and gradient moments
     of P w are sign(J) times those of w against the pulled-back facet
@@ -398,19 +403,15 @@ def _correction(piola, ref):
     Math. 4, 2018, for this view of a non-affine-equivalent element).
     With Yh(w) = int_T^ (G w) . zh_l and Yh Vh^-1 = [Kh | Sh] / Tden (from
     `_qk_tables`), Sh r x r, the reference Q_k values of ph are Sh^-1 (Tden
-    t - Kh u): the rows of `lower`, which act on (u, t), over Dc."""
+    t - Kh u)."""
     U, Tden = _qk_tables(ref.simplex.dim, ref.order)
     terms = [(piola.gram[c][c2], rows) for (c, c2), rows in U.items()]
     r, N = len(terms[0][1]), len(ref._inverse)
     m = N - r
     S = [[sum(g * rows[l][j] for g, rows in terms) for j in range(N)]
          for l in range(r)]
-    # X = [A | E] / Dc with A / Dc = Sh^-1 Kh and E / Dc = Sh^-1
-    X = linalg.solve([row[m:] for row in S],
-                     [row[:m] + [int(i == l) for i in range(r)]
-                      for l, row in enumerate(S)])
-    return ([[-x for x in row[:m]] + [x * Tden for x in row[m:]]
-             for row in X], X.denominator)
+    return ([row[:m] for row in S], Tden,
+            linalg.invert([row[m:] for row in S]))
 
 
 def structural_lemma_check(el: BDMElement, axis: int, f: Polynomial) -> bool:

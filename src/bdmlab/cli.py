@@ -33,11 +33,11 @@ MAX_COEFF_BITS = 1024
 # 3.11).  Interpolating through it on a tetrahedron, build included,
 # takes 0.005 and 0.023 s at k = 4, 6 on a rational one, and 0.008 and
 # 0.04 s on one with 15-digit decimal vertices.  A `bdm_original` element
-# interpolates through its reference element too (2-3.3 s once at k = 6):
-# its Q_k moments are weighted by G = B^T B, with an exact r x r
-# correction.  Build and first interpolation take 0.12-0.18 s at k = 4 and
-# 5-6 s at k = 6 on the rational tetrahedron, and 0.3 s at k = 4, 4.2 s
-# at k = 5 and 44-53 s at k = 6 on the 15-digit one.
+# interpolates through its reference element too (3.1-3.6 s once at k =
+# 6): its Q_k moments are weighted by G = B^T B, with an exact correction
+# that inverts one r x r system.  Build and first interpolation take 0.03 s
+# at k = 4 and 2.5 s at k = 6 on the rational tetrahedron, and 0.14 s at
+# k = 4, 2.8-3.1 s at k = 5 and 34-38 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
@@ -46,12 +46,13 @@ MAX_POW = 40
 # (Shishkin meshes) peaks at 1.68 GiB and takes 27 s, and the fill of the
 # factorization grows about 6x per doubling of N (same machine).
 MAX_MESH_N = 256
-# Floor on `--eps` (`mesh`, `stokes`) and `mesh --tau`.  The manufactured
-# solution and `mesh --tau` read the value as the nearest fraction with
-# denominator <= 10^12, which is 0 for values <= 5e-13 and 1/10^12 just
-# above: below 1e-12 a study crashes or solves another eps, and a --tau
-# mesh does not conform.  At the floor, the two aspect ratios `mesh`
-# prints (about 6e9) agree to 1e-13, relative, for every N.
+# Floor on `--eps` (`mesh`, `stokes`).  The manufactured solution reads
+# eps as the nearest fraction with denominator <= 10^12, which is 0 for
+# values <= 5e-13 and 1/10^12 just above: below 1e-12 a study crashes or
+# solves another eps.  On `mesh`, the closed-form aspect ratio of the
+# transition point tau = 3 eps |log eps| divides by zero at 1e-20.  At
+# the floor, the two aspect ratios `mesh` prints (about 6e9) agree to
+# 1e-13, relative, for every N.
 MIN_EPS_TAU = 1e-12
 
 
@@ -163,15 +164,10 @@ def _manifest(command, config, **extra):
 
 def cmd_mesh(args):
     if args.kind == "uniform":
-        if args.tau is not None:
-            raise UsageError("--tau sets the transition of the Shishkin "
-                             "mesh; the uniform one has it at 1/2")
         mesh = build_uniform(args.N)
         tau = Fraction(1, 2)
     else:
-        tau = (args.tau.limit_denominator(10 ** 12)
-               if args.tau is not None
-               else transition_point(args.eps, args.log))
+        tau = transition_point(args.eps, args.log)
         mesh = build_shishkin(args.N, tau)
     sigma_formula = aspect_ratio(tau)
     sigma_mesh = mesh_aspect_ratio(mesh)
@@ -211,20 +207,6 @@ def epsilon(text):
     if not MIN_EPS_TAU <= value < 1:
         raise argparse.ArgumentTypeError(
             f"must lie in [{MIN_EPS_TAU}, 1), got {text}")
-    return value
-
-
-def transition(text):
-    """--tau: a rational in [MIN_EPS_TAU, 1/2].  A Shishkin transition
-    point is min(1/2, ...): above 1/2 the layer column is no longer the
-    thinnest, and the closed-form `sigma` would misstate the mesh."""
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
-    if not MIN_EPS_TAU <= value <= Fraction(1, 2):
-        raise argparse.ArgumentTypeError(
-            f"must lie in [{MIN_EPS_TAU}, 1/2], got {text}")
     return value
 
 
@@ -314,8 +296,6 @@ def build_parser():
     p = sub.add_parser("mesh", help="generate layer-adapted or uniform meshes")
     p.add_argument("--N", type=mesh_size, required=True)
     p.add_argument("--eps", type=epsilon, default=0.01)
-    p.add_argument("--tau", type=transition, default=None,
-                   help="override the transition point (rational, e.g. 3/50)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default="natural")
     p.add_argument("--out", default=None)

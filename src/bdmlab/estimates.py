@@ -336,7 +336,10 @@ def evaluate_estimate(estimate_id, simplex, v, k, m=None, frame=None):
 
 def ratio_verdict(ratios):
     """'diverging' for monotone growth past 10x, 'bounded' for spread
-    under 10x, otherwise 'inconclusive'."""
+    under 10x, otherwise 'inconclusive'.  A single ratio has no spread or
+    growth to measure: fewer than two are 'inconclusive'."""
+    if len(ratios) < 2:
+        return "inconclusive"
     finite = [r for r in ratios if r > 0]
     if not finite:
         return "bounded"

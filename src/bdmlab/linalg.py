@@ -14,17 +14,15 @@ column, then the first row, in input order, that is not a pivot yet.
 
 Back-substitution runs in integers against every right-hand side in one
 pass, each unknown as ints over its own denominator in lowest terms.
-`solve` eliminates M against the identity, which gives M^-1, and
-multiplies a right-hand side by that inverse; `invert` is `solve` with no
-right-hand side.  Both return ints over one positive denominator in
-lowest terms, as a `Scaled`.  The identity is never built: of its
-columns, a row stores only those it can be nonzero in (see `_echelon`).
-`nullspace` returns Fractions.
+`solve` eliminates M against the identity, which gives M^-1 as ints over
+one positive denominator in lowest terms, a `Scaled`; `invert` returns
+it.  The identity is never built: of its columns, a row stores only
+those it can be nonzero in (see `_echelon`).  `nullspace` returns
+Fractions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -144,18 +142,12 @@ def _back_substitute(pivots, ncols, width, x):
         x[c] = lowest_terms(acc, row[0] * common)
 
 
-def solve(matrix, rhs=None):
-    """Solve M X = rhs exactly for a square nonsingular M; with no `rhs`,
-    X = M^-1.
-
-    `rhs` is a list of n rows of ints and Fractions.  Returns X as a
-    `Scaled` in lowest terms: int rows over one positive denominator.
-    """
+def solve(matrix):
+    """M^-1 for a square nonsingular M, as int rows over one positive
+    denominator in lowest terms (a `Scaled`)."""
     n = len(matrix)
     if not n or any(len(row) != n for row in matrix):
         raise ValueError("solve needs a nonempty square matrix")
-    if rhs is not None and len(rhs) != n:
-        raise ValueError(f"{len(rhs)} right-hand side rows for {n} equations")
     rows, scales = _integer_rows(matrix)
     pivots = _echelon(rows, n, identity=True)
     if len(pivots) < n:
@@ -170,21 +162,12 @@ def solve(matrix, rhs=None):
     x = [([xc[t] * s for t, s in zip(position, scales)], d) for xc, d in x]
     den = lcm(*(d for _, d in x))
     flat, den = lowest_terms([v * (den // d) for xc, d in x for v in xc], den)
-    inverse = [flat[i:i + n] for i in range(0, n * n, n)]
-    if rhs is None:
-        return Scaled(inverse, den)
-    width = len(rhs[0])
-    nums, rhs_den = over_common_denominator(b for row in rhs for b in row)
-    columns = list(zip(*(nums[i:i + width] for i in range(0, n * width, width))))
-    flat, den = lowest_terms(
-        [sum(map(mul, row, col)) for row in inverse for col in columns],
-        den * rhs_den)
-    return Scaled([flat[i:i + width] for i in range(0, n * width, width)], den)
+    return Scaled([flat[i:i + n] for i in range(0, n * n, n)], den)
 
 
 def invert(matrix):
-    """M^-1 for a square nonsingular M, as int rows over one positive
-    denominator in lowest terms (a `Scaled`)."""
+    """M^-1 for a square nonsingular M: `solve`, called through the module
+    so that a wrapper of `solve` sees every inversion."""
     return solve(matrix)
 
 

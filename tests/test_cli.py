@@ -212,11 +212,12 @@ def test_interpolate_decimal_simplex_file_bdm_original(tmp_path, capsys):
     (["stokes", "--eps", "0.1", "--eps", "6e-13", "--N", "2"], "--eps"),
     # the same floor on `mesh`: tau = 3 eps |log eps| made the closed-form
     # aspect ratio divide by zero at 1e-20 and sigma_mesh infinite at
-    # 1e-18, and a --tau of 1e-20 became 0 (a non-conforming mesh)
+    # 1e-18.  `mesh` takes no --tau: its transition point is computed, and
+    # a --tau of 1e-20 became 0 (a non-conforming mesh)
     (["mesh", "--N", "4", "--eps", "1e-20"], "--eps"),
     (["mesh", "--N", "4", "--eps", "1e-18"], "--eps"),
     (["mesh", "--N", "4", "--tau", "1/100000000000000000000"], "--tau"),
-    # above 1/2 the layer column is not the thinnest: sigma misstated it
+    # a --tau above 1/2 made sigma misstate the mesh
     (["mesh", "--N", "2", "--tau", "9/10"], "--tau"),
     # the mesh kind has one way in, --kind
     (["mesh", "--shishkin", "--N", "4"], "--shishkin"),
@@ -230,8 +231,9 @@ def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
 
 
 def test_mesh_uniform_rejects_tau(capsys):
-    # the uniform mesh has its transition at 1/2: a --tau would be echoed
-    # in the manifest but not used
+    # `mesh` takes no --tau for either kind; on the uniform mesh, whose
+    # transition is at 1/2, it used to be echoed in the manifest but not
+    # used
     with pytest.raises(SystemExit) as exc:
         main(["mesh", "--kind", "uniform", "--N", "4", "--tau", "1/3"])
     assert exc.value.code == 2
@@ -324,6 +326,16 @@ def test_options_at_their_caps(capsys):
         "sweep", "--name", "counterexample-2d", "--pow-min", str(MAX_POW),
         "--pow-max", str(MAX_POW)])
     assert code == 0 and len(manifest["ratios"]) == 1
+
+
+def test_one_point_sweep_is_inconclusive(capsys):
+    # the family the paper proves diverging read 'bounded' from a single
+    # ratio
+    code, _, manifest = run(capsys, [
+        "sweep", "--name", "counterexample-2d", "--pow-min", "6",
+        "--pow-max", "6"])
+    assert code == 0 and len(manifest["ratios"]) == 1
+    assert manifest["verdict"] == "inconclusive"
 
 
 def test_mesh_size_cap_is_accepted_by_the_parser():

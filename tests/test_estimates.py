@@ -297,14 +297,15 @@ def poly_project(v, simplex, m):
     """L2-orthogonal projection onto P_m (componentwise for vector fields),
     solved exactly from the Gram system."""
     scalars = basis_pk(simplex.dim, m)
-    gram = [[integrate_poly(a, simplex, b) for b in scalars] for a in scalars]
+    inverse = linalg.invert([[integrate_poly(a, simplex, b) for b in scalars]
+                             for a in scalars])
 
     def project(p):
         rhs = [integrate_poly(p, simplex, b) for b in scalars]
-        coeffs = linalg.solve(gram, [[b] for b in rhs])
         w = Polynomial.zero(simplex.dim)
-        for (c,), b in zip(coeffs, scalars):
-            w = w + b * Fraction(c, coeffs.denominator)
+        for row, b in zip(inverse, scalars):
+            c = sum(x * r for x, r in zip(row, rhs))
+            w = w + b * (c / inverse.denominator)
         return w
 
     if isinstance(v, VectorPoly):
@@ -344,6 +345,8 @@ def test_verdict_rules():
     assert ratio_verdict([1.0, 1.1, 0.9, 1.05]) == "bounded"
     assert ratio_verdict([1, 100, 1]) == "inconclusive"
     assert ratio_verdict([0.0, 0.0]) == "bounded"
+    # one ratio measures no spread: it used to read as 'bounded'
+    assert ratio_verdict([5.0]) == "inconclusive"
 
 
 def test_verdict_leading_zero_ratio():

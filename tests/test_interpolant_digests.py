@@ -3,7 +3,12 @@ of both variants at k = 1..3, one degree-4 field per dimension, on the
 reference simplices, T-bar, a rational triangle and tetrahedron and a
 tetrahedron with 15-digit decimal vertices.  The digests were recorded
 when every element still evaluated its DOFs on its own simplex, so they
-pin the reference-frame interpolant to those exact Fractions."""
+pin the reference-frame interpolant to those exact Fractions.
+
+`bdm_original` at k = 4 (r = 26 Q_k moments) is pinned on the two
+non-reference tetrahedra too, for a degree-5 field: a larger correction
+system than k <= 3 gives.  Those digests were recorded while each mapped
+element multiplied Sh^-1 into [Kh | I] (see `bdm._correction`)."""
 
 import hashlib
 from fractions import Fraction as F
@@ -53,6 +58,17 @@ DIGESTS = {
 }
 
 
+K4_FIELD = ("x1**5 - 2/3*x2**2*x3**3 + x3, "
+            "x1*x2**4 - x3**2 + 1/5*x1**2*x2*x3**2, 5/7*x1**3*x2*x3 - x2")
+
+K4_DIGESTS = {
+    "rational-tet":
+        "dcabdd1b9946e02be4c2b21aedac23bc8817347b6b1183b7ed0459f14487ca15",
+    "tet15":
+        "5035f8884881ac4d48424d2013f12066bef83f1ced04eb8698152baa33151a0c",
+}
+
+
 def interpolants_digest(simplex):
     field = parse_field(FIELDS[simplex.dim], simplex.dim)
     lines = [f"{variant} k={k}: {build_element(simplex, k, variant).interpolate(field)}"
@@ -63,3 +79,10 @@ def interpolants_digest(simplex):
 @pytest.mark.parametrize("name", SIMPLICES)
 def test_interpolants_match_pinned_digests(name):
     assert interpolants_digest(SIMPLICES[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", K4_DIGESTS)
+def test_bdm_original_k4_matches_pinned_digest(name):
+    el = build_element(SIMPLICES[name], 4, "bdm_original")
+    line = f"bdm_original k=4: {el.interpolate(parse_field(K4_FIELD, 3))}"
+    assert hashlib.sha256(line.encode()).hexdigest() == K4_DIGESTS[name]
