@@ -43,8 +43,8 @@ MAX_ORDER = 6
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
 MAX_POW = 40
 # Bound on --N: the whole study `stokes --eps 0.1 --N 8 --N 16 ... --N 256`
-# (Shishkin meshes) peaks at 1.68 GiB and takes 27 s, and the fill of the
-# factorization grows about 6x per doubling of N (same machine).
+# (Shishkin meshes) peaks at 1.3 GiB and takes 12 s, and the Cholesky
+# factor grows about 5x per doubling of N (same machine).
 MAX_MESH_N = 256
 # Floor on `--eps` (`mesh`, `stokes`).  The manufactured solution reads
 # eps as the nearest fraction with denominator <= 10^12, which is 0 for
@@ -164,9 +164,17 @@ def _manifest(command, config, **extra):
 
 def cmd_mesh(args):
     if args.kind == "uniform":
+        # the uniform mesh has no layer, so --eps and --log would be echoed
+        # in the manifest without being used
+        for name in ("eps", "log"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name} sets the layer of --kind "
+                                 "shishkin; the uniform mesh has none")
         mesh = build_uniform(args.N)
         tau = Fraction(1, 2)
     else:
+        args.eps = 0.01 if args.eps is None else args.eps
+        args.log = args.log or "natural"
         tau = transition_point(args.eps, args.log)
         mesh = build_shishkin(args.N, tau)
     sigma_formula = aspect_ratio(tau)
@@ -281,7 +289,7 @@ def cmd_stokes(args):
     summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
                                     "rate_u", "rate_p", "div_max", "jump_max",
                                     "residual", "n_unknowns", "nnz",
-                                    "lu_nnz")} for row in rows]
+                                    "factor_nnz")} for row in rows]
     _manifest("stokes", vars(args), rows=summary)
     return 0 if all(holds_contracts(row) for row in rows) else 1
 
@@ -295,9 +303,12 @@ def build_parser():
 
     p = sub.add_parser("mesh", help="generate layer-adapted or uniform meshes")
     p.add_argument("--N", type=mesh_size, required=True)
-    p.add_argument("--eps", type=epsilon, default=0.01)
+    p.add_argument("--eps", type=epsilon, default=None,
+                   help="layer parameter (shishkin only; default 0.01)")
     p.add_argument("--kind", choices=["shishkin", "uniform"], default="shishkin")
-    p.add_argument("--log", choices=["natural", "base10"], default="natural")
+    p.add_argument("--log", choices=["natural", "base10"], default=None,
+                   help="logarithm of the transition point (shishkin only; "
+                        "default natural)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mesh)
 

@@ -17,7 +17,9 @@ form and the continuity rows), and the system is solved in the divergence-
 free subspace: on the simply connected square the divergence-free BDM1
 fields are exactly the curls of continuous P2 stream functions, so the
 velocity comes from one SPD system in the stream function (half the
-unknowns, no pressure, no pivoting), the only factorization of a solve.
+unknowns, no pressure, no pivoting), the only factorization of a solve:
+a multifrontal Cholesky on a nested-dissection order of the stream-
+function DOFs, whose fronts are dense blocks (`_StreamCholesky`).
 The pressure follows from the momentum rows by one sparse triangular
 solve along a spanning tree of the triangle adjacency.  Its only freedom
 is an additive constant, so the zero-mean gauge is a shift after the
@@ -565,6 +567,160 @@ def _pressure_tree(space):
     return order, 2 * f, L
 
 
+# Nodes per leaf of the nested dissection of `_StreamCholesky`: at N = 64
+# the factor took 91-102 ms with leaves of 128, 111-114 ms with 64 (more
+# fronts, more Python overhead) and 100-120 ms with 256 (more fill).
+ND_LEAF = 128
+
+
+class _StreamCholesky:
+    """S = L L^T for the SPD stream-function matrix S (symmetric pattern),
+    by a multifrontal Cholesky on a nested-dissection order of its DOFs,
+    which sit at the points `coords` (n, 2) of a tensor grid.
+
+    The order: a set of more than ND_LEAF DOFs is split across the axis
+    on which it spans more grid lines, at whichever of the three lines
+    nearest its median gives the smallest separator: the DOFs left of the
+    line with an S-neighbour on or right of it, sorted along the line, so
+    that a child's update set falls into a few runs of its parent's front.
+    The two sides are ordered first, then the separator.  Each leaf and each separator is a
+    front: its k pivots, contiguous in the order, and its update set U,
+    the later DOFs that its pivots' columns of S or its children's update
+    sets reach.  A front is three dense blocks, F11 (k x k), F21 (|U| x k)
+    and F22 (|U| x |U|); `dpotrf`, `dtrsm` and `dsyrk` eliminate its
+    pivots in place, and F22, its update block, is added into its
+    parent's blocks by slices, one per pair of runs of U that are
+    contiguous there.  `nnz` counts the entries of L the fronts store,
+    k (k + 1) / 2 + k |U| each; `solve(b)` runs `dtrsv` and matvecs over
+    the fronts."""
+
+    def __init__(self, S, coords):
+        from scipy.linalg.blas import dsyrk, dtrsm
+        from scipy.linalg.lapack import dpotrf
+
+        n = S.shape[0]
+        S = S.tocsc()
+        # per DOF and axis, the index of its grid line, and the largest
+        # one among its S-neighbours
+        lines = np.column_stack([np.unique(coords[:, a], return_inverse=True)[1]
+                                 for a in (0, 1)])
+        reach = np.column_stack([np.maximum.reduceat(lines[S.indices, a],
+                                                     S.indptr[:-1])
+                                 for a in (0, 1)])
+        fronts = []   # (pivots in order, number of child fronts)
+
+        def dissect(nodes):
+            """Append the fronts of `nodes` in postorder."""
+            if len(nodes) <= ND_LEAF:
+                fronts.append((nodes, 0))
+                return
+            g = lines[nodes]
+            low = g.min(axis=0)
+            span = g.max(axis=0) - low
+            axis = int(span[1] > span[0])
+            c = g[:, axis] - low[axis]
+            r = reach[nodes, axis] - low[axis]
+            j = int(np.searchsorted(np.cumsum(np.bincount(c)), len(nodes) / 2))
+            cut = min([min(max(i, 1), span[axis]) for i in (j - 1, j, j + 1)],
+                      key=lambda v: np.count_nonzero((c < v) & (r >= v)))
+            sep = (c < cut) & (r >= cut)
+            dissect(nodes[c >= cut])
+            dissect(nodes[(c < cut) & ~sep])
+            s = nodes[sep]
+            fronts.append((s[np.lexsort((lines[s, axis], lines[s, 1 - axis]))],
+                           2))
+
+        dissect(np.arange(n))
+        self.perm = np.concatenate([nodes for nodes, _ in fronts])
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.perm] = np.arange(n)
+        ends = np.cumsum([len(nodes) for nodes, _ in fronts])
+        starts = ends - [len(nodes) for nodes, _ in fronts]
+
+        # the lower triangle of S in the new order, column by column
+        counts = np.diff(S.indptr)[self.perm]
+        entries = np.arange(S.nnz) + np.repeat(
+            S.indptr[self.perm] - np.cumsum(counts) + counts, counts)
+        r, c = rank[S.indices[entries]], np.repeat(np.arange(n), counts)
+        lower = np.flatnonzero(r >= c)
+        r, c, v = r[lower], c[lower], S.data[entries[lower]]
+        bounds = np.searchsorted(c, np.append(starts, n)).tolist()
+
+        # symbolic pass: each front's update set, children first
+        updates, stack = [], []
+        for (_, n_children), p1, lo, hi in zip(fronts, ends, bounds,
+                                               bounds[1:]):
+            U = np.unique(np.concatenate(
+                [r[lo:hi]] + stack[len(stack) - n_children:]))
+            del stack[len(stack) - n_children:]
+            updates.append(U[U >= p1])
+            stack.append(updates[-1])
+
+        # numeric pass; `where` maps the DOFs of the current front to its
+        # rows: pivots first, then U
+        self.fronts, stack, self.nnz = [], [], 0
+        where = np.empty(n, dtype=np.int64)
+        for (_, n_children), p0, p1, lo, hi, U in zip(
+                fronts, starts.tolist(), ends.tolist(), bounds, bounds[1:],
+                updates):
+            k, u = p1 - p0, len(U)
+            where[p0:p1] = np.arange(k)
+            where[U] = np.arange(k, k + u)
+            F11 = np.zeros((k, k), order="F")
+            F21 = np.zeros((u, k), order="F")
+            F22 = np.zeros((u, u), order="F")
+            rows, cols = where[r[lo:hi]], c[lo:hi] - p0
+            below = rows >= k
+            F11[rows[~below], cols[~below]] = v[lo:hi][~below]
+            F21[rows[below] - k, cols[below]] = v[lo:hi][below]
+            for child_U, block in stack[len(stack) - n_children:]:
+                # the runs of child_U that are contiguous among the pivots
+                # or in U
+                at = where[child_U]
+                first = [0] + (np.flatnonzero((at[1:] - at[:-1] != 1)
+                                              | (at[1:] == k)) + 1).tolist()
+                runs = list(zip(first, at[first].tolist(),
+                                np.diff(first + [len(at)]).tolist()))
+                # the lower block triangle: `block` is valid on and below
+                # its diagonal, and the map keeps the order
+                for i, (ci, pi, li) in enumerate(runs):
+                    for cj, pj, lj in runs[:i + 1]:
+                        add = block[ci:ci + li, cj:cj + lj]
+                        if pj >= k:
+                            F22[pi - k:pi - k + li, pj - k:pj - k + lj] += add
+                        elif pi >= k:
+                            F21[pi - k:pi - k + li, pj:pj + lj] += add
+                        else:
+                            F11[pi:pi + li, pj:pj + lj] += add
+            del stack[len(stack) - n_children:]
+            L11, info = dpotrf(F11, lower=1, overwrite_a=1)
+            if info:
+                raise np.linalg.LinAlgError(
+                    "the stream-function system is not positive definite "
+                    f"(pivot {info} of a front of {k})")
+            L21 = F21
+            if u:
+                L21 = dtrsm(1.0, L11, F21, side=1, lower=1, trans_a=1,
+                            overwrite_b=1)
+                stack.append((U, dsyrk(-1.0, L21, beta=1.0, c=F22, lower=1,
+                                       overwrite_c=1)))
+            self.fronts.append((p0, p1, U, L11, L21))
+            self.nnz += k * (k + 1) // 2 + k * u
+
+    def solve(self, b):
+        from scipy.linalg.blas import dtrsv
+
+        x = b[self.perm]
+        for p0, p1, U, L11, L21 in self.fronts:
+            x[p0:p1] = dtrsv(L11, x[p0:p1], lower=1)
+            x[U] -= L21 @ x[p0:p1]
+        for p0, p1, U, L11, L21 in reversed(self.fronts):
+            x[p0:p1] = dtrsv(L11, x[p0:p1] - L21.T @ x[U], lower=1, trans=1)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
 def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
     """Solve the system of `assemble`'s blocks in the divergence-free
     subspace.
@@ -573,8 +729,9 @@ def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
     on the boundary reproduces the normal moments g of the datum on the
     boundary facets (for every datum, zero included: there is one Dirichlet
     path); the rows of C_f there are zero, so u keeps them.  psi_f solves
-    the SPD system C_f^T A C_f psi_f = C_f^T (rhs - A C_b psi_b), factorized
-    once without pivoting.  The area-scaled pressure p solves B^T p =
+    the SPD system S psi_f = C_f^T (rhs - A C_b psi_b), S = C_f^T A C_f,
+    factorized once by `_StreamCholesky` on the points of its DOFs (the
+    free vertices and facet midpoints).  The area-scaled pressure p solves B^T p =
     rhs - A u on the free rows, a consistent system of which
     `_pressure_tree` picks one row per triangle but the first; since B^T
     annihilates only the constant pressure, the zero-mean gauge is a shift.
@@ -595,15 +752,16 @@ def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
     S.data[np.abs(S.data) <= 1e-12 * d[S.indices]
            * np.repeat(d, np.diff(S.indptr))] = 0.0
     S.eliminate_zeros()
-    lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
+    points = np.concatenate([space.x, 0.5 * (space.x[space.facet_v[:, 0]]
+                                             + space.x[space.facet_v[:, 1]])])
+    factor = _StreamCholesky(S, points[space.stream_free])
     order, tree_dofs, L = _pressure_tree(space)
 
     def correction(r, u0, total):
         """Velocity and area-scaled pressure for the momentum right-hand
         side r (its free rows), with u0 the velocity the boundary stream
         function fixes and `total` the sum of the pressure."""
-        u = u0 + C_f @ lu.solve(C_f.T @ (r - A @ u0))
+        u = u0 + C_f @ factor.solve(C_f.T @ (r - A @ u0))
         p = np.zeros(space.n_tri)
         p[order[1:]] = spla.spsolve_triangular(L, (r - A @ u)[tree_dofs])
         p += areas * ((total - p.sum()) / areas.sum())
@@ -633,7 +791,7 @@ def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
         "residual": residual,
         "n_unknowns": S.shape[0],
         "nnz": int(S.nnz),
-        "lu_nnz": int(lu.nnz),     # nnz(L) + nnz(U), the factor's fill
+        "factor_nnz": factor.nnz,
     }
     return StokesSolution(space, u, coeffs, p / areas, stats)
 
@@ -707,8 +865,9 @@ def study_mesh(kind, N, eps, log_convention="natural"):
 def convergence_study(eps_list, N_list, kind, log_convention="natural"):
     """One row per (epsilon, N): errors, parameters and observed rates,
     the contract values, and the sizes of the factorized stream-function
-    system: its `n_unknowns` and `nnz`, and the factor's fill `lu_nnz` (row
-    keys that `STUDY_COLUMNS` leaves out of the CSV).  A rate is the order
+    system: its `n_unknowns` and `nnz`, and `factor_nnz`, the entries of
+    its Cholesky factor (row keys that `STUDY_COLUMNS` leaves out of the
+    CSV).  A rate is the order
     per doubling of N against the previous row of the same epsilon,
     log(e_prev / e) / log(N / N_prev), whatever the steps of N_list."""
     rows = []
@@ -739,7 +898,7 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
                 "residual": sol.stats["residual"],
                 "n_unknowns": sol.stats["n_unknowns"],
                 "nnz": sol.stats["nnz"],
-                "lu_nnz": sol.stats["lu_nnz"],
+                "factor_nnz": sol.stats["factor_nnz"],
             })
     return rows
 

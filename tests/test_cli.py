@@ -240,6 +240,29 @@ def test_mesh_uniform_rejects_tau(capsys):
     assert "--tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [
+    ["--eps", "0.5"], ["--log", "base10"], ["--eps", "0.5", "--log", "base10"],
+    # the defaults of a layer mesh, given explicitly, are no exception
+    ["--eps", "0.01"], ["--log", "natural"],
+])
+def test_mesh_uniform_rejects_layer_options(options, capsys):
+    # the uniform mesh has no layer: it used to echo --eps and --log in
+    # the manifest's config, and exit 0, without using either
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--kind", "uniform", "--N", "4"] + options)
+    assert exc.value.code == 2
+    assert options[0] in capsys.readouterr().err
+
+
+def test_mesh_layer_options_default_on_shishkin(capsys):
+    code, _, manifest = run(capsys, ["mesh", "--N", "4"])
+    assert code == 0
+    assert (manifest["config"]["eps"], manifest["config"]["log"]) == (
+        0.01, "natural")
+    code, _, manifest = run(capsys, ["mesh", "--kind", "uniform", "--N", "4"])
+    assert code == 0 and manifest["tau"] == 0.5
+
+
 @pytest.mark.parametrize("field", [
     "x1**(10**6), 0",           # exponent far past the degree cap
     "(x1**7)**2, 0",            # degree past the cap through nested powers
@@ -536,12 +559,14 @@ def test_stokes_subcommand(tmp_path, capsys):
     # the sizes of the stream-function matrix and the factor's fill are in
     # the manifest, not in the CSV
     header = out_path.read_text().splitlines()[0]
-    for key in ("n_unknowns", "nnz", "lu_nnz"):
+    for key in ("n_unknowns", "nnz", "factor_nnz"):
         sizes = [row[key] for row in manifest["rows"]]
         assert all(isinstance(n, int) for n in sizes) and 0 < sizes[0] < sizes[1]
         assert key not in header.split(",")
     for row in manifest["rows"]:
-        assert row["n_unknowns"] <= row["nnz"] < row["lu_nnz"]
+        # the Cholesky factor's pattern holds that of tril(S)
+        assert row["n_unknowns"] <= row["nnz"]
+        assert 2 * row["factor_nnz"] >= row["nnz"] + row["n_unknowns"]
 
 
 def test_stokes_csv_deterministic(tmp_path, capsys):

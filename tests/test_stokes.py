@@ -255,21 +255,69 @@ def test_stream_matrix_stores_no_roundoff_entries(case01):
     assert solve(space, case01, 4.0).stats["nnz"] == np.count_nonzero(rel > 1e-12)
 
 
-def test_solve_reports_factor_fill(monkeypatch, case01):
+def recording_factor(monkeypatch):
+    """Replace `stokes._StreamCholesky` by a subclass that keeps each
+    factor it builds, with its arguments; return that list."""
     factors = []
-    splu = spla.splu
 
-    def recording_splu(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
+    class Recording(stokes._StreamCholesky):
+        def __init__(self, S, coords):
+            super().__init__(S, coords)
+            factors.append((self, S, coords))
 
-    monkeypatch.setattr(stokes.spla, "splu", recording_splu)
+    monkeypatch.setattr(stokes, "_StreamCholesky", Recording)
+    return factors
+
+
+def test_solve_reports_factor_fill(monkeypatch, case01):
+    factors = recording_factor(monkeypatch)
     sol = solve(DGSpace(build_uniform(8)), case01, 8.0)
     # the stream-function system is the only factorization: the pressure
     # is a triangular solve along a spanning tree
-    lu, = factors
-    assert lu.shape[0] == sol.stats["n_unknowns"]
-    assert sol.stats["lu_nnz"] == lu.L.nnz + lu.U.nnz > sol.stats["nnz"]
+    (factor, S, _), = factors
+    assert S.shape[0] == sol.stats["n_unknowns"]
+    assert sum(len(L11) for _, _, _, L11, _ in factor.fronts) == S.shape[0]
+    # each front stores the lower triangle of its pivot block and the
+    # rows below it
+    assert sol.stats["factor_nnz"] == sum(
+        len(L11) * (len(L11) + 1) // 2 + L21.size
+        for _, _, _, L11, L21 in factor.fronts)
+    # L's pattern holds that of tril(S)
+    assert 2 * sol.stats["factor_nnz"] >= sol.stats["nnz"] + S.shape[0]
+
+
+def stream_system(monkeypatch, kind, N):
+    """The stream-function matrix of a solve and the points of its DOFs,
+    on the mesh `study_mesh` builds for eps = 1e-3."""
+    factors = recording_factor(monkeypatch)
+    mesh, _ = study_mesh(kind, N, 1e-3)
+    solve(DGSpace(mesh), manufactured_case(1e-3),
+          penalty(mesh_aspect_ratio(mesh)))
+    (_, S, coords), = factors
+    return S, coords
+
+
+# N = 2 and 6 fit in one leaf; 6 and 10 are not powers of two
+@pytest.mark.parametrize("kind", ["uniform", "shishkin"])
+@pytest.mark.parametrize("N", [2, 6, 10, 16])
+def test_stream_factor_solves_the_system(monkeypatch, kind, N):
+    S, coords = stream_system(monkeypatch, kind, N)
+    factor = stokes._StreamCholesky(S, coords)
+    assert (len(factor.fronts) == 1) == (N <= 6)
+    b = S @ np.random.default_rng(N).standard_normal(S.shape[0])
+    x = factor.solve(b)
+    assert np.linalg.norm(S @ x - b) <= 1e-13 * np.linalg.norm(b)
+    # S's condition number reaches 1e9 on the layer mesh at N = 16, and
+    # two backward-stable solves agree to about 1e-16 of it
+    ref = spla.spsolve(S, b)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N", [2, 10])
+def test_stream_factor_refuses_a_matrix_that_is_not_spd(monkeypatch, N):
+    S, coords = stream_system(monkeypatch, "shishkin", N)
+    with pytest.raises(np.linalg.LinAlgError, match="stream-function system"):
+        stokes._StreamCholesky(-S, coords)
 
 
 def test_matrix_symmetry(case01):
@@ -453,27 +501,30 @@ def test_study_rates_are_per_doubling_of_n():
         assert last["rate_p"] == pytest.approx(want[1], rel=1e-12)
 
 
-# (err_grad_u, err_p, sigma, gamma, ndof, lu_nnz) of study rows, recorded
-# while the uniform mesh was exact and the pressure came from the normal
-# equations.  The N that are not powers of two guard the float mesh.
+# (err_grad_u, err_p, sigma, gamma, ndof, factor_nnz) of study rows; the
+# errors were recorded while the uniform mesh was exact and the pressure
+# came from the normal equations, the factor sizes with the nested-
+# dissection Cholesky (one dense leaf holds all 121 unknowns at N = 6).
+# The N that are not powers of two guard the float mesh.
 PINNED_STUDY = {
-    ("shishkin", 0.1, 6): (0.015194929093341686, 0.07912189634720651, 2.4142135623730954, 4, 312, 4274),
-    ("shishkin", 0.1, 8): (0.013318643502519814, 0.06190944986497198, 2.4142135623730954, 4, 544, 10882),
-    ("shishkin", 0.1, 10): (0.011658539027480404, 0.05060547514746988, 2.4142135623730954, 4, 840, 20964),
-    ("shishkin", 0.1, 16): (0.008139824612129384, 0.03244343067314929, 2.4142135623730954, 4, 2112, 83282),
-    ("uniform", 1e-3, 6): (0.009347306040953615, 0.012136181998600053, 2.4142135623730954, 4, 312, 4274),
-    ("uniform", 1e-3, 8): (0.005302205430411261, 0.012723526249301335, 2.4142135623730954, 4, 544, 10882),
-    ("uniform", 1e-3, 10): (0.001089265802401953, 0.015089920244209507, 2.4142135623730954, 4, 840, 20964),
-    ("uniform", 1e-3, 16): (0.00592746190202546, 0.019470429106804545, 2.4142135623730954, 4, 2112, 83282),
+    ("shishkin", 0.1, 6): (0.015194929093341686, 0.07912189634720651, 2.4142135623730954, 4, 312, 7381),
+    ("shishkin", 0.1, 8): (0.013318643502519814, 0.06190944986497198, 2.4142135623730954, 4, 544, 14004),
+    ("shishkin", 0.1, 10): (0.011658539027480404, 0.05060547514746988, 2.4142135623730954, 4, 840, 32248),
+    ("shishkin", 0.1, 16): (0.008139824612129384, 0.03244343067314929, 2.4142135623730954, 4, 2112, 95923),
+    ("uniform", 1e-3, 6): (0.009347306040953615, 0.012136181998600053, 2.4142135623730954, 4, 312, 7381),
+    ("uniform", 1e-3, 8): (0.005302205430411261, 0.012723526249301335, 2.4142135623730954, 4, 544, 14004),
+    ("uniform", 1e-3, 10): (0.001089265802401953, 0.015089920244209507, 2.4142135623730954, 4, 840, 32248),
+    ("uniform", 1e-3, 16): (0.00592746190202546, 0.019470429106804545, 2.4142135623730954, 4, 2112, 95923),
 }
 
 
 @pytest.mark.parametrize("kind, eps", [("shishkin", 0.1), ("uniform", 1e-3)])
 def test_study_matches_pinned_rows(kind, eps):
     for row in convergence_study([eps], [6, 8, 10, 16], kind):
-        err_u, err_p, sigma, gamma, ndof, lu_nnz = PINNED_STUDY[kind, eps, row["N"]]
-        assert (row["sigma"], row["gamma"], row["ndof"], row["lu_nnz"]) == (
-            sigma, gamma, ndof, lu_nnz)
+        err_u, err_p, sigma, gamma, ndof, factor_nnz = PINNED_STUDY[
+            kind, eps, row["N"]]
+        assert (row["sigma"], row["gamma"], row["ndof"], row["factor_nnz"]) == (
+            sigma, gamma, ndof, factor_nnz)
         assert abs(row["err_grad_u"] - err_u) <= 1e-12 * err_u
         assert abs(row["err_p"] - err_p) <= 1e-12 * err_p
 
