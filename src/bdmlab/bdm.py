@@ -15,29 +15,32 @@ normal, or the weighted rows of an interior moment) and cached with the
 other DOFs' rows over one denominator per field degree.  Facet moments are
 taken in a facet chart against the scaled outward normal, which makes them
 equal to the surface moments while keeping every number rational.
-`dof_values` scales a field of any degree once to ints over one
-denominator and applies each DOF as an integer dot product.
+`interpolate` scales a field of any degree once to ints over one
+denominator, and `dof_values` applies each DOF as an integer dot product.
 
-Only the element on `reference_simplex(d)` has DOF rows: it inverts its
-own DOF (Vandermonde) matrix, as int rows over one denominator, and one
-per (d, k, variant) is cached (`_reference_element`).  Every other element
-interpolates in the reference frame through the contravariant Piola map P
-w = J^-1 B (w o F^-1) of its affine map F (`_Piola`): it pulls the field
-back, wh = P^-1 v = J B^-1 (v o F), applies the reference element's DOFs
-and inverse to wh, and pushes the result forward, all in integers over one
-denominator.  It builds no table of its own, so it costs a Piola map per
-element and a composition per field.  The variants differ only in the last
-DOFs:
+Only the `nedelec` element on `reference_simplex(d)` has DOF rows: it
+inverts its own DOF (Vandermonde) matrix, as int rows over one
+denominator, and one per (d, k) is cached (`_reference_element`).  Every
+other element interpolates in the reference frame through the
+contravariant Piola map P w = J^-1 B (w o F^-1) of its affine map F
+(`_Piola`): it pulls the field back, wh = P^-1 v = J B^-1 (v o F),
+applies the reference element's DOFs and inverse to wh, and pushes the
+result forward, all in integers over one denominator.  It builds no table
+of its own, so it costs a Piola map per element and a composition per
+field.  `nedelec` commutes with P, so its interpolant is P Ih P^-1 v.
 
-* ``nedelec`` commutes with P, so the interpolant is P Ih P^-1 v;
-* ``bdm_original`` does not: its r = dim Q_k moments are taken against G
-  zh on the reference simplex, G = B^T B, and each element turns them
-  into reference Q_k values with the inverse of one r x r system Sh and
-  the rows Kh that couple them to the other DOFs (`_correction`).
+`bdm_original` has no DOFs here: the variants share the facet moments,
+and N_{k-1} contains the gradients of P_{k-1}, so Pi_orig v - Pi_ned v
+is the L2(T) projection of v - Pi_ned v onto Q_k(T).  P maps the
+reference Q_k onto Q_k(T), and int_T Pa . Pb = |J|^-1 int_T^ a . G b, G
+= B^T B (Kirby, SMAI J. Comput. Math. 4, 2018, for this view of a
+non-affine-equivalent element): the element is the `nedelec` one plus
+the G-weighted projection of wh - Ih wh onto the reference Q_k
+(`_project`); at k = 1, Q_1 = {0}.
 
 Simplex vertices are Fractions, so every interpolant of a rational field
-is exact: the one the element's own DOF matrix gives, Fraction for
-Fraction.  There is no floating-point path: `interpolate --mode float`
+is exact: the one the DOF matrix of the simplex itself gives, Fraction
+for Fraction.  There is no floating-point path: `interpolate --mode float`
 prints this interpolant with each coefficient rounded by `float()`, which
 rounds correctly, so every printed coefficient is within half an ulp.
 """
@@ -45,13 +48,14 @@ rounds correctly, so every printed coefficient is within half an ulp.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, zip_longest
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .geometry import (Simplex, adjugate, determinant, reference_simplex,
                        t_bar_simplex)
+from .linalg import over_common_denominator
 # integrate_poly, integrate_reference and simplex_rule stay importable by
 # name from this module, though it calls none of them: perfbench/tracing.py
 # rebinds them here, and its self-test requires that they exist.
@@ -59,7 +63,7 @@ from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
                           composed_monomials, integrate_reference,
                           monomial_indices)
 from .quadrature import simplex_rule  # noqa: F401
-from .spaces import (ScaledField, basis_nk, basis_pk, basis_qk,  # noqa: F401
+from .spaces import (ScaledField, basis_nk, basis_qk,  # noqa: F401
                      integrate_poly, moment_table, scaled_field)
 
 VARIANTS = ("nedelec", "bdm_original")
@@ -113,7 +117,6 @@ class InteriorMoment:
     the DOFs."""
 
     weight: VectorPoly
-    label: str
 
     def rows(self, el, degree):
         """(rows, den) as for `FacetMoment.rows`."""
@@ -122,60 +125,46 @@ class InteriorMoment:
     apply = _moment_apply
 
 
-def _dof_functionals(simplex, k, variant):
-    d = simplex.dim
-    dofs = []
-    for facet in range(d + 1):
-        for alpha in monomial_indices(d - 1, k):
-            dofs.append(FacetMoment(facet, alpha))
-    if variant == "nedelec":
-        for z in basis_nk(d, k - 1):
-            dofs.append(InteriorMoment(z, "nk"))
-    else:
-        for z in basis_pk(d, k - 1):
-            grad = VectorPoly([z.diff(i) for i in range(d)])
-            if all(p.is_zero() for p in grad.comps):
-                continue  # the constant's gradient carries no condition
-            dofs.append(InteriorMoment(grad, "grad"))
-        for z in basis_qk(simplex, k):
-            dofs.append(InteriorMoment(z, "qk"))
-    return tuple(dofs)
+def _dof_functionals(dim, k):
+    """The `nedelec` DOFs of order k: the facet moments, then the moments
+    against N_{k-1}."""
+    facets = [FacetMoment(facet, alpha) for facet in range(dim + 1)
+              for alpha in monomial_indices(dim - 1, k)]
+    return tuple(facets + [InteriorMoment(z) for z in basis_nk(dim, k - 1)])
 
 
 class BDMElement:
     """Assembled, invertible DOF system for P_k^d on one simplex."""
 
     def __init__(self, simplex: Simplex, order: int, variant: str = "nedelec"):
-        """An element on `reference_simplex(dim)` inverts its own DOF
-        matrix; any other interpolates through the reference element of its
-        (dim, order, variant) and shares its DOFs and inverse."""
+        """A `nedelec` element on `reference_simplex(dim)` inverts its own
+        DOF matrix; any other element shares that reference element's DOFs
+        and inverse, and a `bdm_original` one of order > 1 inverts the r x
+        r Gram matrix of `_project`."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        d = simplex.dim
         self.simplex = simplex
         self.order = order
         self.variant = variant
-        self._monomials = monomial_indices(simplex.dim, order)
+        self._monomials = monomial_indices(d, order)
         self._reference, self._piola = self, None
-        self._kh, self._tden, self._sh_inverse = [], 1, None
-        if simplex != reference_simplex(simplex.dim):
-            ref = self._reference = _reference_element(simplex.dim, order,
-                                                       variant)
-            self.dofs, self._inverse = ref.dofs, ref._inverse
+        if simplex != reference_simplex(d):
             self._piola = _Piola(simplex, order)
-            if variant == "bdm_original" and order > 1:
-                self._kh, self._tden, self._sh_inverse = _correction(
-                    self._piola, ref)
+        if self._piola or variant != "nedelec":
+            ref = self._reference = _reference_element(d, order, "nedelec")
+            self.dofs, self._inverse = ref.dofs, ref._inverse
         else:
             self.moments = moment_table(simplex)
             self._rows = {}     # degree -> `_dof_rows`
-            self.dofs = _dof_functionals(simplex, order, variant)
+            self.dofs = _dof_functionals(d, order)
             self._positions = {dof: i for i, dof in enumerate(self.dofs)}
             n = len(self._monomials)
-            if len(self.dofs) != simplex.dim * n:
+            if len(self.dofs) != d * n:
                 raise UnisolvenceError(f"{len(self.dofs)} functionals for a "
-                                       f"{simplex.dim * n}-dim space")
+                                       f"{d * n}-dim space")
             # the DOF matrix in the component-major monomial basis is the
             # DOF rows at degree k, inverted to int rows over one denominator
             rows, den = self._dof_rows(order)
@@ -184,8 +173,15 @@ class BDMElement:
                     [linalg.Scaled(row, den) for row in rows])
             except linalg.SingularMatrixError as exc:
                 raise UnisolvenceError("singular DOF system") from exc
-        # the DOFs from `_split` on are the Q_k moments the correction weighs
-        self._split = len(self.dofs) - len(self._kh)
+        self._gram_inverse = None
+        if variant == "bdm_original" and order > 1:
+            # Gram_G = sum_{c, c'} G[c][c'] M_cc'; G = I on the reference one
+            self._metric = (self._piola.gram if self._piola else
+                            [[int(i == j) for j in range(d)] for i in range(d)])
+            terms = list(zip(chain(*self._metric), _qk(d, order).blocks))
+            r = range(len(terms[0][1]))
+            self._gram_inverse = linalg.invert(
+                [[sum(g * M[l][j] for g, M in terms) for j in r] for l in r])
 
     @property
     def ndofs(self):
@@ -204,43 +200,31 @@ class BDMElement:
                 for r, r_den in rows], den
         return self._rows[degree]
 
-    def dof_values(self, v: VectorPoly):
-        """The element's DOF values of v as ints over one denominator, in
-        lowest terms (a `linalg.Scaled`): on a reference element each DOF's
-        `apply` (the `bdm.moment_apply` span of perfbench); on a mapped one
-        the reference `_dof_rows` against w, v pulled back to the reference
-        simplex, and for the Q_k DOFs of a mapped `bdm_original` element
-        against G w (see `_correction`)."""
-        f, piola = scaled_field(v), self._piola
-        if piola is None:
-            values = [dof.apply(self, f) for dof in self.dofs]
+    def dof_values(self, w):
+        """The reference DOF values of w, a ScaledField on the reference
+        simplex, as ints over one denominator in lowest terms (a
+        `linalg.Scaled`): each DOF's `apply` (the `bdm.moment_apply` span of
+        perfbench) on the reference simplex, the reference `_dof_rows`
+        against w on a mapped element."""
+        ref = self._reference
+        if self._piola is None:
+            values = [dof.apply(ref, w) for dof in self.dofs]
             den = lcm(*(den for _, den in values))
             nums = [num * (den // d) for num, d in values]
         else:
-            w = piola.pull(f)
-            rows, den = self._reference._dof_rows(w.degree)
-            den *= w.denominator
-            nums = _dots(rows[:self._split], w)
-            if self._split < len(rows):
-                nums += _dots(rows[self._split:], piola.weigh(w))
+            rows, den = ref._dof_rows(w.degree)
+            nums, den = _dots(rows, w), den * w.denominator
         return linalg.Scaled(*linalg.lowest_terms(nums, den))
 
-    def field_from_dofs(self, values):
+    def field_from_dofs(self, values, w=None):
         """The member of P_k^d with these DOF values, a `linalg.Scaled` as
-        `dof_values` gives them: the `bdm_original` correction, the
-        reference inverse and the Piola push applied right to left in
-        integers."""
-        y, den = values, values.denominator * self._inverse.denominator
-        if self._kh:
-            # the reference Q_k values Sh^-1 (Tden t - Kh u) from the values
-            # u below the split and the G-weighted ones t
-            u, inverse = y[:self._split], self._sh_inverse
-            rhs = [self._tden * t - sum(map(mul, row, u))
-                   for row, t in zip(self._kh, y[self._split:])]
-            y = [inverse.denominator * x for x in u] + [
-                sum(map(mul, row, rhs)) for row in inverse]
-            den *= inverse.denominator
-        coeffs = [sum(map(mul, row, y)) for row in self._inverse]
+        `dof_values` gives them: the reference inverse and the Piola push
+        applied in integers, with `_project` in between for a `bdm_original`
+        element given w, the field the values were taken from."""
+        coeffs = [sum(map(mul, row, values)) for row in self._inverse]
+        den = values.denominator * self._inverse.denominator
+        if w is not None and self._gram_inverse is not None:
+            coeffs, den = self._project(w, coeffs, den)
         # the basis is component-major: one block of monomial coefficients
         # per component
         d, n = self.simplex.dim, len(self._monomials)
@@ -253,9 +237,34 @@ class BDMElement:
             a: Fraction(x, den) for a, x in zip(self._monomials, comp) if x})
             for comp in comps])
 
+    def _project(self, w, coeffs, den):
+        """(coeffs, den) of ph + qh: ph = coeffs / den, the `nedelec`
+        interpolant of w, and qh = sum_l c_l zh_l, the projection of the
+        remainder w - ph onto the reference Q_k weighted by G: Gram_G c =
+        b, b_l = int_T^ (w - ph) . G zh_l."""
+        n, qk = len(self._monomials), _qk(self.simplex.dim, self.order)
+        degree = max(w.degree, self.order)
+        # w - ph over w.denominator * den, graded order up to `degree`
+        rest = [[x * den - y * w.denominator for x, y in zip_longest(
+            comp, coeffs[c * n:(c + 1) * n], fillvalue=0)]
+            for c, comp in enumerate(w.comps)]
+        if not any(map(any, rest)):
+            return coeffs, den
+        rows, rows_den = qk._dof_rows(degree)
+        b = _dots(rows, ScaledField(_mix(self._metric, rest), 1, degree))
+        y = [sum(map(mul, row, b)) for row in self._gram_inverse]
+        # Z_l = s zh_l, so c_l = qk.den s y_l / (rows_den w.denominator den
+        # Gram_G^-1.denominator), and qh is qk.den sum_l y_l Z_l over that
+        scale = rows_den * w.denominator * self._gram_inverse.denominator
+        return [x * scale + qk.den * sum(map(mul, y, column))
+                for x, column in zip(coeffs, qk.columns)], den * scale
+
     def interpolate(self, v: VectorPoly) -> VectorPoly:
         """The interpolant of the polynomial field v in P_k^d, exact."""
-        return self.field_from_dofs(self.dof_values(v))
+        w, piola = scaled_field(v), self._piola
+        if piola is not None:
+            w = piola.pull(w)
+        return self.field_from_dofs(self.dof_values(w), w)
 
 
 def build_element(simplex, k, variant="nedelec") -> BDMElement:
@@ -269,8 +278,8 @@ def build_element(simplex, k, variant="nedelec") -> BDMElement:
 @lru_cache(maxsize=None)
 def _reference_element(dim, order, variant):
     """The element on reference_simplex(dim), built the first time a (dim,
-    order, variant) is asked for: every other element of that kind
-    interpolates through it."""
+    order, variant) is asked for.  Every other element interpolates through
+    the `nedelec` one, the `bdm_original` one included."""
     return BDMElement(reference_simplex(dim), order, variant)
 
 
@@ -312,7 +321,7 @@ class _Piola:
       adj(Bs) x - adj(Bs) bs) / det(Bs) over the common denominator D,
       composing with F^-1 times D^k scales x^a by D^(k-|a|), and mix / den
       is B sign(J) / (J B_den D^k), B held as int rows over B_den.
-    * `gram` is G = B^T B times B_den^2, as ints (`weigh`)."""
+    * `gram` is G = B^T B times B_den^2, as ints."""
 
     def __init__(self, simplex, k):
         d, Ds = simplex.dim, simplex.denominator
@@ -355,63 +364,42 @@ class _Piola:
             table[:len(v.comps[0])], v.comps)),
             v.denominator * Ds ** (degree + d - 1), v.degree)
 
-    def weigh(self, w):
-        """G w, for a pulled-back ScaledField w."""
-        return ScaledField(_mix(self.gram, w.comps), w.denominator, w.degree)
-
     def push(self, comps):
         """sum_c mix[r][c] (comps[c] o F^-1 times D^k) per component r."""
         return _mix(self.mix, _compose(self._backward, comps))
 
 
+class _Qk:
+    """The reference Q_k of (dim, order): its basis zh_l as ScaledFields
+    Z_l = s zh_l over 1 (one int s > 0) and their coefficients by position
+    (`columns`), their integer component Gram blocks (int_T^ Z_l,c Z_l',c'
+    = blocks[c dim + c'][l][l'] / den) and, as a reference element has its
+    DOF rows, the rows of each Z_l moment."""
+
+    def __init__(self, dim, order):
+        self.moments, self._rows = moment_table(reference_simplex(dim)), {}
+        positions = monomial_indices(dim, order)
+        n = len(positions)
+        nums, _ = over_common_denominator(
+            p.terms.get(a, 0) for z in basis_qk(reference_simplex(dim), order)
+            for p in z.comps for a in positions)
+        comps = [nums[i:i + n] for i in range(0, len(nums), n)]
+        self.basis = [ScaledField(comps[l:l + dim], 1, order)
+                      for l in range(0, len(comps), dim)]
+        self.columns = list(zip(*(chain(*z.comps) for z in self.basis)))
+        self.dofs = [InteriorMoment(z) for z in self.basis]
+        rows, self.den = self._dof_rows(order)
+        self.blocks = [[[sum(map(mul, z.comps[c], row[c2 * n:(c2 + 1) * n]))
+                         for row in rows] for z in self.basis]
+                       for c in range(dim) for c2 in range(dim)]
+
+    _dof_rows = BDMElement._dof_rows
+
+
 @lru_cache(maxsize=None)
-def _qk_tables(dim, order):
-    """(U, Tden) for the `bdm_original` reference element of (dim, order):
-    for a symmetric G, row l of the functional wh -> int_T^ wh . (G zh_l)
-    times Vh^-1 is sum_{c <= c'} G[c][c'] U[c, c'][l] / Tden, zh_l the
-    element's Q_k weights.
-
-    With H_l the weighted rows of zh_l and T[c, c'][l][j] = sum_a
-    H_l[c'][a] Vh^-1[c n + a][j], U[c, c] = T[c, c] and U[c, c'] =
-    T[c, c'] + T[c', c]."""
-    ref = _reference_element(dim, order, "bdm_original")
-    n = len(ref._monomials)
-    rows, hden = ref._dof_rows(order)
-    H = [[row[c * n:(c + 1) * n] for c in range(dim)]
-         for row, dof in zip(rows, ref.dofs)
-         if getattr(dof, "label", "") == "qk"]
-    blocks = [ref._inverse[c * n:(c + 1) * n] for c in range(dim)]
-    T = {(c, c2): [[sum(map(mul, h[c2], column))
-                    for column in zip(*blocks[c])] for h in H]
-         for c in range(dim) for c2 in range(dim)}
-    U = {(c, c2): T[c, c2] if c == c2 else
-         [list(map(add, a, b)) for a, b in zip(T[c, c2], T[c2, c])]
-         for c in range(dim) for c2 in range(c, dim)}
-    return U, hden * ref._inverse.denominator
-
-
-def _correction(piola, ref):
-    """(Kh, Tden, Sh^-1): the factors that turn a mapped `bdm_original`
-    element's values into reference DOF values.
-
-    With v = P wh and its interpolant P ph, the facet and gradient moments
-    of P w are sign(J) times those of w against the pulled-back facet
-    polynomials and gradients, which span the same spaces.  P maps Qh_k
-    onto Q_k(T), and the moment of P w against P zh is |J|^-1 int_T^ w .
-    (G zh).  So ph has the reference facet and gradient values u of wh,
-    and G ph the reference Q_k values t of G wh (Kirby, SMAI J. Comput.
-    Math. 4, 2018, for this view of a non-affine-equivalent element).
-    With Yh(w) = int_T^ (G w) . zh_l and Yh Vh^-1 = [Kh | Sh] / Tden (from
-    `_qk_tables`), Sh r x r, the reference Q_k values of ph are Sh^-1 (Tden
-    t - Kh u)."""
-    U, Tden = _qk_tables(ref.simplex.dim, ref.order)
-    terms = [(piola.gram[c][c2], rows) for (c, c2), rows in U.items()]
-    r, N = len(terms[0][1]), len(ref._inverse)
-    m = N - r
-    S = [[sum(g * rows[l][j] for g, rows in terms) for j in range(N)]
-         for l in range(r)]
-    return ([row[:m] for row in S], Tden,
-            linalg.invert([row[m:] for row in S]))
+def _qk(dim, order):
+    """The `_Qk` of (dim, order), built the first time it is asked for."""
+    return _Qk(dim, order)
 
 
 def structural_lemma_check(el: BDMElement, axis: int, f: Polynomial) -> bool:

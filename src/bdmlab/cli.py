@@ -33,11 +33,10 @@ MAX_COEFF_BITS = 1024
 # 3.11).  Interpolating through it on a tetrahedron, build included,
 # takes 0.005 and 0.023 s at k = 4, 6 on a rational one, and 0.008 and
 # 0.04 s on one with 15-digit decimal vertices.  A `bdm_original` element
-# interpolates through its reference element too (3.1-3.6 s once at k =
-# 6): its Q_k moments are weighted by G = B^T B, with an exact correction
-# that inverts one r x r system.  Build and first interpolation take 0.03 s
-# at k = 4 and 2.5 s at k = 6 on the rational tetrahedron, and 0.14 s at
-# k = 4, 2.8-3.1 s at k = 5 and 34-38 s at k = 6 on the 15-digit one.
+# is the `nedelec` one plus a projection onto Q_k (0.55 s once at k = 6)
+# and inverts one r x r Gram matrix.  Build and first interpolation take
+# 0.017 s at k = 4 and 1.5 s at k = 6 on the rational tetrahedron, and
+# 0.12 s at k = 4, 2.3 s at k = 5 and 26.5 s at k = 6 on the 15-digit one.
 MAX_ORDER = 6
 # Bound on the sweep exponents: every preset runs in under 2 s at 40, and
 # `rvp-bounded` overflows a float norm at h3 = 10^46.
@@ -260,6 +259,10 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     preset = SWEEP_PRESETS[args.name]
+    if preset.seeded:
+        args.seed = args.seed or 0      # the default, echoed in the manifest
+    elif args.seed is not None:     # it would be echoed but not used
+        raise UsageError(f"--seed: {args.name} sweeps one fixed field")
     if args.pow_min is None:
         args.pow_min = preset.pow_min
     if args.pow_min > args.pow_max:
@@ -279,11 +282,15 @@ def cmd_stokes(args):
     for option, values in (("--eps", args.eps), ("--N", args.N)):
         if len(set(values)) < len(values):
             raise UsageError(f"{option} repeats a value: {values}")
+    if args.kind == "shishkin":
+        args.log = args.log or "natural"    # the default, echoed
+    elif args.log is not None:      # it would be echoed but not used
+        raise UsageError("--log: the uniform mesh has no transition point")
     # scipy is imported by `stokes` only, so the other commands skip it
     from .stokes import convergence_study, holds_contracts, study_to_csv
 
     rows = convergence_study(args.eps, args.N, args.kind,
-                             log_convention=args.log)
+                             log_convention=args.log or "natural")
     if args.out:
         study_to_csv(rows, args.out)
     summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
@@ -339,7 +346,8 @@ def build_parser():
                    help="first exponent of the grid (default: 0 for "
                         "rvp-bounded, 1 otherwise)")
     p.add_argument("--pow-max", type=bounded_int(0, MAX_POW), default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="rvp-bounded only (default 0)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -350,7 +358,8 @@ def build_parser():
     p.add_argument("--N", type=mesh_size, action="append", required=True)
     p.add_argument("--kind", choices=["shishkin", "uniform"],
                    default="shishkin")
-    p.add_argument("--log", choices=["natural", "base10"], default="natural")
+    p.add_argument("--log", choices=["natural", "base10"], default=None,
+                   help="shishkin only (default natural)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stokes)
     return parser

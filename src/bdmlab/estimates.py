@@ -254,6 +254,7 @@ class SweepPreset:
     pow_min: int            # first exponent of the CLI's default grid
     point: callable         # exponent -> element parameters
     field: callable         # seed -> field
+    seeded: bool = False    # whether `field` reads its seed
 
     def run(self, pows, k=None, seed=0):
         return sweep(self.family, self.field(seed), self.estimate,
@@ -276,7 +277,8 @@ SWEEP_PRESETS = {
     "rvp-bounded": SweepPreset(
         T1_FAMILY, "interpolation_rvp", k=1, m=1, pow_min=0,
         point=lambda j: (1, 1, 10 ** j),
-        field=lambda seed: random_divfree_field(3, random.Random(seed))),
+        field=lambda seed: random_divfree_field(3, random.Random(seed)),
+        seeded=True),
 }
 
 

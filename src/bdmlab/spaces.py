@@ -252,9 +252,9 @@ def basis_pk(dim, k):
 def basis_pk_vector(dim, k):
     """Component-major vector monomial basis of P_k^d."""
     members = tuple(
-        VectorPoly([Polynomial.monomial(dim, a) if c == comp
-                    else Polynomial.zero(dim) for c in range(dim)])
-        for comp in range(dim) for a in monomial_indices(dim, k))
+        VectorPoly([p if c == comp else Polynomial.zero(dim)
+                    for c in range(dim)])
+        for comp in range(dim) for p in basis_pk(dim, k))
     return SpaceBasis("Pk_vec", k, members)
 
 

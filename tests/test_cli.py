@@ -263,6 +263,25 @@ def test_mesh_layer_options_default_on_shishkin(capsys):
     assert code == 0 and manifest["tau"] == 0.5
 
 
+@pytest.mark.parametrize("log", ["natural", "base10"])
+def test_stokes_uniform_rejects_log(log, capsys):
+    # the uniform mesh has no transition point: --log used to be echoed in
+    # the manifest's config and exit 0, base10 giving the rows of natural
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes", "--kind", "uniform", "--eps", "0.5", "--N", "2",
+              "--log", log])
+    assert exc.value.code == 2
+    assert "--log" in capsys.readouterr().err
+
+
+def test_stokes_log_defaults_on_shishkin(capsys):
+    code, _, manifest = run(capsys, ["stokes", "--eps", "0.5", "--N", "2"])
+    assert code == 0 and manifest["config"]["log"] == "natural"
+    code, _, manifest = run(capsys, ["stokes", "--kind", "uniform", "--eps",
+                                     "0.5", "--N", "2"])
+    assert code == 0 and manifest["config"]["log"] is None
+
+
 @pytest.mark.parametrize("field", [
     "x1**(10**6), 0",           # exponent far past the degree cap
     "(x1**7)**2, 0",            # degree past the cap through nested powers
@@ -430,6 +449,28 @@ def test_sweep_csvs_are_pinned(name, tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         SWEEP_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+@pytest.mark.parametrize("name", ["counterexample-2d", "counterexample-3d"])
+def test_sweep_rejects_seed_of_a_fixed_field(name, seed, capsys):
+    # these presets sweep one fixed field: --seed used to be echoed in the
+    # manifest's config and exit 0, seeds 0 and 5 giving the same ratios
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--name", name, "--pow-max", "2", "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_sweep_seed_defaults_on_rvp_bounded(capsys):
+    argv = ["sweep", "--name", "rvp-bounded", "--pow-max", "1"]
+    code, _, manifest = run(capsys, argv)
+    assert code == 0 and manifest["config"]["seed"] == 0
+    code, _, seeded = run(capsys, argv + ["--seed", "5"])
+    assert code == 0 and seeded["ratios"] != manifest["ratios"]
+    code, _, manifest = run(capsys, ["sweep", "--name", "counterexample-2d",
+                                     "--pow-max", "1"])
+    assert code == 0 and manifest["config"]["seed"] is None
 
 
 def test_sweep_counterexamples(capsys, tmp_path):

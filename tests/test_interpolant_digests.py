@@ -6,9 +6,12 @@ when every element still evaluated its DOFs on its own simplex, so they
 pin the reference-frame interpolant to those exact Fractions.
 
 `bdm_original` at k = 4 (r = 26 Q_k moments) is pinned on the two
-non-reference tetrahedra too, for a degree-5 field: a larger correction
-system than k <= 3 gives.  Those digests were recorded while each mapped
-element multiplied Sh^-1 into [Kh | I] (see `bdm._correction`)."""
+non-reference tetrahedra too, for a degree-5 field: a larger projection
+onto Q_k than k <= 3 gives.  Those digests were recorded while each
+mapped element corrected its own Q_k moments through an r x r system and
+the inverse of the original-DOF matrix of the reference simplex, before
+the element became the `nedelec` interpolant plus that projection (see
+`bdm.BDMElement._project`)."""
 
 import hashlib
 from fractions import Fraction as F

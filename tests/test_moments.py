@@ -21,7 +21,8 @@ from bdmlab.geometry import (DegenerateSimplexError, Simplex, adjugate,
                              determinant, reference_simplex, t_bar_simplex)
 from bdmlab.polynomials import (Polynomial, VectorPoly, integrate_reference,
                                 monomial_indices)
-from bdmlab.spaces import MomentTable, integrate_poly, scaled_field
+from bdmlab.spaces import (MomentTable, basis_pk, basis_qk, integrate_poly,
+                           scaled_field)
 
 from test_linalg import fraction_invert
 
@@ -205,7 +206,7 @@ def test_facet_moments_match_oracle(case):
     lambda d: st.tuples(simplices(d), fields(d, 2), fields(d, 3))))
 def test_interior_moments_match_oracle(case):
     simplex, weight, v = case
-    dof = InteriorMoment(weight, "test")
+    dof = InteriorMoment(weight)
     assert dof_value(dof, element_stub(simplex, 1), v) == \
         integrate_oracle(dot(v, weight), simplex)
 
@@ -234,7 +235,7 @@ def test_interior_rows_extend_their_prefix(case):
     # rows read at a lower degree, then at a higher one after the table has
     # grown, equal the rows computed at the higher degree from scratch
     simplex, weight = case
-    dof = InteriorMoment(weight, "test")
+    dof = InteriorMoment(weight)
     el = element_stub(simplex, 1)
     dof.rows(el, 1)
     el.moments.volume(7)
@@ -410,14 +411,34 @@ def assert_inverts_its_dof_matrix(el):
             [row[j] for row in inverse]
 
 
+def original_functionals(simplex, k):
+    """The `bdm_original` DOFs of order k on `simplex` itself, as three
+    tuples: the facet moments, the moments against the gradients of
+    P_{k-1} (constants excluded) and those against basis_qk(simplex)."""
+    d = simplex.dim
+    facets = tuple(FacetMoment(facet, alpha) for facet in range(d + 1)
+                   for alpha in monomial_indices(d - 1, k))
+    grads = []
+    for z in basis_pk(d, k - 1):
+        grad = VectorPoly([z.diff(i) for i in range(d)])
+        if not all(p.is_zero() for p in grad.comps):
+            grads.append(InteriorMoment(grad))
+    return facets, tuple(grads), tuple(
+        InteriorMoment(z) for z in basis_qk(simplex, k))
+
+
 def physical_element(simplex, k, variant):
-    """(stub, dofs, inverse): the DOFs of order k on `simplex` itself, with
-    Q_k moments against basis_qk(simplex) (`bdm._dof_functionals`), the
+    """(stub, dofs, inverse): the DOFs of order k on `simplex` itself (for
+    `bdm_original`, with Q_k moments against basis_qk(simplex)), the
     simplex's own moment tables, and the inverse of their DOF matrix in
-    Fractions.  The physical-DOF path that a mapped element, which
-    interpolates in the reference frame, must reproduce."""
+    Fractions.  The physical-DOF path that an element, which interpolates
+    in the reference frame and builds `bdm_original` from `nedelec`, must
+    reproduce."""
     stub = element_stub(simplex, k)
-    dofs = bdm._dof_functionals(simplex, k, variant)
+    if variant == "nedelec":
+        dofs = bdm._dof_functionals(simplex.dim, k)
+    else:
+        dofs = sum(original_functionals(simplex, k), ())
     return stub, dofs, fraction_invert(dof_matrix(stub, dofs))
 
 
@@ -441,13 +462,13 @@ def oracle_interpolant(physical, v):
 
 def assert_matches_direct_build(simplex, k, variant="nedelec"):
     """The element of `simplex` is its interpolation operator on
-    P_{k+1}^d: a reference element inverts its own DOF matrix, and any
-    other element leaves, for each monomial field e of degree k + 1, an
-    error e - I e on which every physical DOF vanishes (the physical DOF
-    matrix is invertible, so I e is the oracle's interpolant; on P_k^d
+    P_{k+1}^d: the `nedelec` reference element inverts its own DOF matrix,
+    and any other element leaves, for each monomial field e of degree k +
+    1, an error e - I e on which every physical DOF vanishes (the physical
+    DOF matrix is invertible, so I e is the oracle's interpolant; on P_k^d
     both are the identity, see the projection tests)."""
     el = build_element(simplex, k, variant)
-    if el is bdm._reference_element(simplex.dim, k, variant):
+    if el is bdm._reference_element(simplex.dim, k, "nedelec"):
         assert_inverts_its_dof_matrix(el)
         return
     physical = physical_element(simplex, k, variant)
@@ -500,6 +521,35 @@ def test_reference_frame_interpolant_matches_physical_oracle(dim, k, variant):
     check()
 
 
+@pytest.mark.parametrize("dim,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_original_is_nedelec_plus_the_projection_onto_qk(dim, k):
+    # Pi_orig v - Pi_ned v lies in Q_k(T): it has no divergence and no
+    # normal trace on any facet.  And v - Pi_orig v is L2(T)-orthogonal to
+    # basis_qk(T).  Checked with Fraction derivatives, and with the fields
+    # substituted into the facet charts and into the chart of T, which the
+    # elements never do
+    @settings(max_examples={(3, 3): 3, (3, 2): 5}.get((dim, k), 8),
+              deadline=None)
+    @given(simplices(dim), fields(dim, k + 1))
+    def check(simplex, v):
+        original = build_element(simplex, k, "bdm_original").interpolate(v)
+        diff = original - build_element(simplex, k).interpolate(v)
+        assert divergence(diff).is_zero()
+        for facet in range(dim + 1):
+            matrix, origin = simplex.facet_chart(facet)
+            trace = VectorPoly([substitute(p, matrix, origin)
+                                for p in diff.comps])
+            assert dot(trace, simplex.scaled_facet_normal(facet)).is_zero()
+        # int_T f . z == |det| int_ref (f o chart) . (z o chart)
+        A, b = simplex.chart()
+        err = VectorPoly([substitute(p, A, b) for p in (v - original).comps])
+        for z in basis_qk(simplex, k):
+            assert integrate_reference(dot(err, VectorPoly(
+                [substitute(p, A, b) for p in z.comps]))) == 0
+
+    check()
+
+
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                    (3, 3)])
 def test_mapped_bdm_original_matches_canonical_convention(dim, k):
@@ -525,10 +575,12 @@ def test_reference_elements_match_direct_build(simplex, k):
 
 @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_inverted_elements_match_oracle(dim, k):
-    # the elements that invert their own DOF matrix are the reference
-    # elements of both variants; every other element is mapped from one
-    for variant in bdm.VARIANTS:
-        assert_inverts_its_dof_matrix(bdm._reference_element(dim, k, variant))
+    # the one element that inverts its own DOF matrix is the `nedelec`
+    # reference element; every other element is mapped from it, and the
+    # `bdm_original` reference element is checked against the oracle's DOF
+    # matrix of the original DOFs
+    assert_inverts_its_dof_matrix(bdm._reference_element(dim, k, "nedelec"))
+    assert_matches_direct_build(reference_simplex(dim), k, "bdm_original")
 
     @settings(max_examples=4 if dim == 2 else 2, deadline=None)
     @given(simplices(dim))
@@ -562,11 +614,11 @@ def test_bdm_original_build_inverts_without_fractions(monkeypatch):
     tet = Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
                    (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
                    (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5))))
-    # `invert` calls `solve`: this watches the reference element's inverse,
-    # built on first use, and the inverse of the mapped element's r x r
-    # system
+    # `invert` calls `solve`: this watches the `nedelec` reference
+    # element's inverse, built on first use, and the inverse of the mapped
+    # element's r x r Gram matrix of Q_2
     bdm._reference_element.cache_clear()
-    bdm._qk_tables.cache_clear()
+    bdm._qk.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(linalg, "solve", watched_solve)
     bdm.BDMElement(tet, 2, "bdm_original")
@@ -583,7 +635,7 @@ def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
             return _fn(matrix)
         monkeypatch.setattr(linalg, name, counting)
     bdm._reference_element.cache_clear()
-    bdm._qk_tables.cache_clear()
+    bdm._qk.cache_clear()
     tets = [Simplex(((0, 0, 0), (Fraction(3, 2), Fraction(1, 7), 0),
                      (Fraction(1, 5), Fraction(5, 3), Fraction(1, 9)),
                      (Fraction(1, 4), Fraction(-1, 3), Fraction(7, 5)))),
@@ -595,14 +647,33 @@ def test_mapped_builds_invert_only_the_reference_element(monkeypatch):
     for tet in tets[1:]:
         build_element(tet, 2)
     assert sizes == {"invert": [30], "solve": [30]}
-    # bdm_original: its reference element, then per mapped element only
-    # the inverse of the r x r system Sh of the correction, r = dim Q_2 = 3
+    # bdm_original: the same reference element, then per mapped element
+    # only the inverse of its r x r Gram matrix of Q_2, r = 3
     for name in sizes:
         sizes[name].clear()
     for tet in tets:
         build_element(tet, 2, "bdm_original")
-    assert sizes == {"invert": [30] + [3] * len(tets),
-                     "solve": [30] + [3] * len(tets)}
+    assert sizes == {"invert": [3] * len(tets), "solve": [3] * len(tets)}
+
+
+def test_bdm_original_reference_element_inverts_only_its_gram_matrix(
+        monkeypatch):
+    # the `bdm_original` reference element has no DOF matrix of its own:
+    # past the `nedelec` reference element it inverts the r x r Gram
+    # matrix of Q_2, r = 3, and nothing larger
+    sizes = []
+    invert = linalg.invert
+
+    def counting_invert(matrix):
+        sizes.append(len(matrix))
+        return invert(matrix)
+
+    bdm._reference_element.cache_clear()
+    bdm._qk.cache_clear()
+    monkeypatch.setattr(linalg, "invert", counting_invert)
+    ref = bdm._reference_element(3, 2, "bdm_original")
+    assert sizes == [30, 3]
+    assert ref._inverse is bdm._reference_element(3, 2, "nedelec")._inverse
 
 
 @pytest.mark.parametrize("variant", bdm.VARIANTS)
@@ -642,21 +713,24 @@ def test_repeated_reference_builds_invert_nothing(monkeypatch):
 
 @pytest.mark.parametrize("variant", bdm.VARIANTS)
 def test_reference_row_cache_holds_only_its_own_rows(variant):
-    # mapped elements interpolate through the reference element's DOF rows
-    # and hold no rows or tables of their own: the reference's row cache
-    # grows with the field degree, and not per mapped element, or it would
+    # mapped elements interpolate through the `nedelec` reference element's
+    # DOF rows (and `bdm_original` through the rows of the reference Q_k)
+    # and hold no rows or tables of their own: the reference's row caches
+    # grow with the field degree, and not per mapped element, or they would
     # keep rows alive per mapped element
-    ref = bdm._reference_element(2, 3, variant)
     v = VectorPoly([Polynomial.variable(2, 1) ** 5, Polynomial.constant(2, 1)])
-    ref.interpolate(v)
-    before = dict(ref._rows)
+    bdm._reference_element(2, 3, variant).interpolate(v)
+    ref = bdm._reference_element(2, 3, "nedelec")
+    caches = [ref._rows] + [bdm._qk(2, 3)._rows] * (variant == "bdm_original")
+    before = [dict(rows) for rows in caches]
     for i in range(3):
         el = build_element(Simplex(((0, 0), (i + 1, 1), (Fraction(1, 3), 2))),
                            3, variant)
         el.interpolate(v)
         assert not hasattr(el, "_rows") and not hasattr(el, "moments")
-    assert ref._rows == before
-    assert 5 in before and set(ref._positions) == set(ref.dofs)
+    assert caches == before
+    assert all(5 in rows for rows in before)
+    assert set(ref._positions) == set(ref.dofs)
 
 
 def test_mapped_elements_read_no_moment_table(monkeypatch):
