@@ -73,13 +73,12 @@ class UnisolvenceError(RuntimeError):
     """The assembled DOF system is singular (bug trap for valid simplices)."""
 
 
-def _moment_apply(dof, el, v):
-    """(num, den): the DOF's value on v is num / den, both ints: its row
-    of the element's `_dof_rows` against v's coefficients."""
-    f = scaled_field(v)
-    rows, den = el._dof_rows(f.degree)
-    return (sum(map(mul, rows[el._positions[dof]], chain(*f.comps))),
-            den * f.denominator)
+def _moment_apply(dof, el, w):
+    """(num, den): the DOF's value on the ScaledField w is num / den, both
+    ints: its row of the element's `_dof_rows` against w's coefficients."""
+    rows, den = el._dof_rows(w.degree)
+    return (sum(map(mul, rows[el._positions[dof]], chain(*w.comps))),
+            den * w.denominator)
 
 
 def _dots(rows, w):
@@ -175,7 +174,7 @@ class BDMElement:
                 raise UnisolvenceError("singular DOF system") from exc
         self._gram_inverse = None
         if variant == "bdm_original" and order > 1:
-            # Gram_G = sum_{c, c'} G[c][c'] M_cc'; G = I on the reference one
+            # Gram_G = sum G[c][c'] M_cc' (G = I on the reference simplex)
             self._metric = (self._piola.gram if self._piola else
                             [[int(i == j) for j in range(d)] for i in range(d)])
             terms = list(zip(chain(*self._metric), _qk(d, order).blocks))
@@ -203,18 +202,16 @@ class BDMElement:
     def dof_values(self, w):
         """The reference DOF values of w, a ScaledField on the reference
         simplex, as ints over one denominator in lowest terms (a
-        `linalg.Scaled`): each DOF's `apply` (the `bdm.moment_apply` span of
-        perfbench) on the reference simplex, the reference `_dof_rows`
-        against w on a mapped element."""
+        `linalg.Scaled`): the reference `_dof_rows` against w, on the
+        reference simplex through each DOF's `apply` (the `bdm.moment_apply`
+        span of perfbench), whose denominators all equal den times w's."""
         ref = self._reference
+        rows, den = ref._dof_rows(w.degree)
         if self._piola is None:
-            values = [dof.apply(ref, w) for dof in self.dofs]
-            den = lcm(*(den for _, den in values))
-            nums = [num * (den // d) for num, d in values]
+            nums = [dof.apply(ref, w)[0] for dof in self.dofs]
         else:
-            rows, den = ref._dof_rows(w.degree)
-            nums, den = _dots(rows, w), den * w.denominator
-        return linalg.Scaled(*linalg.lowest_terms(nums, den))
+            nums = _dots(rows, w)
+        return linalg.Scaled(*linalg.lowest_terms(nums, den * w.denominator))
 
     def field_from_dofs(self, values, w=None):
         """The member of P_k^d with these DOF values, a `linalg.Scaled` as

@@ -38,7 +38,7 @@ def test_dof_counts_tet_k2_nedelec():
 
 
 def test_dof_counts_triangle_k2_original():
-    # the element builds no functionals of its own: the oracle's
+    # the element has no DOF functionals of its own; the oracle has them
     facets, grads, qk = original_functionals(reference_simplex(2), 2)
     assert (len(facets), len(grads), len(qk)) == (9, 2, 1)
     assert build_element(reference_simplex(2), 2, "bdm_original").ndofs == 12
