@@ -21,7 +21,6 @@ class CheckResult:
     name: str
     passed: bool
     lines: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
 
     def record(self, ok, text):
         self.passed = self.passed and bool(ok)
@@ -61,8 +60,6 @@ def check_dof_variants() -> CheckResult:
     same = (build_element(tri, 1, "nedelec").interpolate(v1)
             == build_element(tri, 1, "bdm_original").interpolate(v1))
     res.record(same, "variants coincide at order 1")
-    res.data["nedelec"] = repr(nedelec)
-    res.data["original"] = repr(original)
     return res
 
 
@@ -87,8 +84,6 @@ def check_counterexample_2d() -> CheckResult:
     result = preset.run(range(1, 11))
     res.record(result.verdict == "diverging",
                f"stability ratio sweep over h = 2^-1..2^-10: {result.verdict}")
-    res.data["verdict"] = result.verdict
-    res.data["ratios"] = [r.ratio for r in result.reports]
     return res
 
 
@@ -130,7 +125,6 @@ def check_counterexample_3d() -> CheckResult:
     result = preset.run(range(0, 11))
     res.record(result.verdict == "diverging",
                f"directional-form ratio sweep h3/h1 = 2^0..2^10: {result.verdict}")
-    res.data["verdict"] = result.verdict
     return res
 
 

@@ -84,7 +84,9 @@ def parse_polynomial(expr, dim):
     """Safe arithmetic-only expression parser: variables x1..x3, integer
     literals, + - * / ** and parentheses, evaluated over exact rationals.
     Degree and coefficient size are capped (MAX_FIELD_DEGREE,
-    MAX_COEFF_BITS) before each product or power is formed."""
+    MAX_COEFF_BITS) on each literal, before each product or power is
+    formed, and on each sum or difference once formed: its numerator and
+    denominator have at most one bit more than the operands' together."""
     names = {f"x{i + 1}": Polynomial.variable(dim, i) for i in range(dim)}
 
     def ev(node):
@@ -92,10 +94,11 @@ def parse_polynomial(expr, dim):
             return ev(node.body)
         if isinstance(node, ast.BinOp):
             left, right = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
+            if isinstance(node.op, (ast.Add, ast.Sub)):
+                value = (left + right if isinstance(node.op, ast.Add)
+                         else left - right)
+                _check_size(*_size(value))
+                return value
             (dl, bl), (dr, br) = _size(left), _size(right)
             if isinstance(node.op, ast.Mult):
                 _check_size(dl + dr, bl + br)
@@ -126,6 +129,7 @@ def parse_polynomial(expr, dim):
             raise FieldSyntaxError("unsupported unary operator")
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
+                _check_size(0, node.value.bit_length())
                 return Fraction(node.value)
             raise FieldSyntaxError("only integer literals (use fractions like 1/3)")
         if isinstance(node, ast.Name):

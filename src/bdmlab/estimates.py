@@ -308,10 +308,6 @@ class SweepResult:
     reports: list
     verdict: str
 
-    @property
-    def ratios(self):
-        return [r.ratio for r in self.reports]
-
 
 def evaluate_estimate(estimate_id, simplex, v, k, m=None, frame=None):
     """One (element, field) evaluation of a named estimate; returns

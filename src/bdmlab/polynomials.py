@@ -9,7 +9,7 @@ tuple to its coefficient; zero coefficients are never stored.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import comb, factorial
 
 from .linalg import over_common_denominator, quotient
@@ -19,21 +19,11 @@ def grlex_key(alpha):
     return (sum(alpha), alpha)
 
 
+@lru_cache(maxsize=None)
 def monomial_indices(dim, degree):
     """All multi-indices |alpha| <= degree in graded lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining_slots, budget):
-        if remaining_slots == 1:
-            for a in range(budget + 1):
-                out.append(prefix + (a,))
-            return
-        for a in range(budget + 1):
-            rec(prefix + (a,), remaining_slots - 1, budget - a)
-
-    rec((), dim, degree)
-    out.sort(key=grlex_key)
-    return out
+    return tuple(sorted((a for a in product(range(degree + 1), repeat=dim)
+                         if sum(a) <= degree), key=grlex_key))
 
 
 @lru_cache(maxsize=None)

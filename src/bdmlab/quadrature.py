@@ -23,36 +23,28 @@ def gauss_01(n):
 def simplex_rule(dim, degree):
     """Points (m, dim) and weights (m,) on the unit reference simplex.
 
-    The Duffy collapse raises the per-direction polynomial degree by up to
-    dim - 1 (Jacobian factors), hence the padded point count.
+    A tensor Gauss rule on the unit cube, collapsed onto the simplex by
+    x_i = u_i prod_{j<i} (1 - u_j) with Jacobian prod_i (1 - u_i)^(dim-1-i).
+    The Jacobian raises the per-direction polynomial degree by up to
+    dim - 1, hence the padded point count.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n = (degree + dim) // 2 + 1
-    if dim == 1:
-        x, w = gauss_01(n)
-        return x.reshape(-1, 1), w.copy()
-    if dim == 2:
-        u, wu = gauss_01(n)
-        v, wv = gauss_01(n)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        WU, WV = np.meshgrid(wu, wv, indexing="ij")
-        x = U
-        y = V * (1.0 - U)
-        w = WU * WV * (1.0 - U)
-        return np.column_stack([x.ravel(), y.ravel()]), w.ravel()
-    if dim == 3:
-        u, wu = gauss_01(n)
-        v, wv = gauss_01(n)
-        t, wt = gauss_01(n)
-        U, V, T = np.meshgrid(u, v, t, indexing="ij")
-        WU, WV, WT = np.meshgrid(wu, wv, wt, indexing="ij")
-        x = U
-        y = V * (1.0 - U)
-        z = T * (1.0 - U) * (1.0 - V)
-        w = WU * WV * WT * (1.0 - U) ** 2 * (1.0 - V)
-        return np.column_stack([x.ravel(), y.ravel(), z.ravel()]), w.ravel()
-    raise ValueError("unsupported dimension")
+    u, wu = gauss_01((degree + dim) // 2 + 1)
+    U = np.meshgrid(*[u] * dim, indexing="ij")
+    W = np.meshgrid(*[wu] * dim, indexing="ij")
+    points = []
+    for i in range(dim):
+        x = U[i]
+        for Uj in U[:i]:
+            x = x * (1.0 - Uj)
+        points.append(x.ravel())
+    weights = W[0]
+    for Wi in W[1:]:
+        weights = weights * Wi
+    for i in range(dim - 1):
+        weights = weights * (1.0 - U[i]) ** (dim - 1 - i)
+    return np.column_stack(points), weights.ravel()
 
 
 def map_rule(simplex, degree):

@@ -17,7 +17,6 @@ coefficients: the product is never formed.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -29,20 +28,6 @@ from .linalg import over_common_denominator, quotient
 from .polynomials import (Polynomial, VectorPoly, composed_monomials,
                           integrate_reference, monomial_indices,
                           monomial_positions, raised_positions)
-
-
-@dataclass(frozen=True)
-class SpaceBasis:
-    kind: str
-    order: int
-    members: tuple
-
-    @property
-    def dim(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +115,19 @@ class MomentTable:
     (`composed_monomials`) and dots the result with a cached table of int
     reference moments g! F / (|g| + d)!.
 
-    A miss grows the volume table: it keeps the partial products, so only
-    the entries of the new degrees are computed.  Facet moments serve the
-    DOF rows of the two reference simplices only, which their elements
-    cache per degree: each (i, n, m) is computed from scratch and kept.
-    |det| is computed once.
+    A miss rebuilds the volume table from scratch up to the new degree and
+    replaces the old one.  Facet moments serve the DOF rows of the two
+    reference simplices only, which their elements cache per degree: each
+    (i, n, m) is computed from scratch and kept.  |det| is computed once.
     """
 
-    __slots__ = ("dim", "_simplex", "_det", "_volume", "_partial_products",
-                 "_facet")
+    __slots__ = ("dim", "_simplex", "_det", "_volume", "_facet")
 
     def __init__(self, simplex):
         self.dim = simplex.dim
         self._simplex = simplex
         self._det = abs(simplex.edge_det()).as_integer_ratio()
         self._volume = (-1, [], 1)
-        # coefficients of prod_{i' <= i} 1 / (1 - <xi, D v_i'>), per i
-        self._partial_products = [[] for _ in range(self.dim + 1)]
         self._facet = {}
 
     def volume(self, degree):
@@ -154,26 +135,22 @@ class MomentTable:
         graded order; V covers at least |a| <= degree."""
         n, V, den = self._volume
         if degree > n:
-            # the vertices times their common denominator D, as ints
-            vertices = self._simplex.scaled_vertices
             D = self._simplex.denominator
             raised = raised_positions(self.dim, degree)
-            # h_a gains w_k h_(a - e_k) for each k: only a monomial of the
-            # old top degree or above reaches a new one
-            top = comb(n - 1 + self.dim, self.dim) if n > 0 else 0
-            previous = [1] + [0] * (comb(degree + self.dim, self.dim) - 1)
-            for w, h in zip(vertices, self._partial_products):
-                h += previous[len(h):]
-                for j in range(top, len(raised[0])):
+            # multiplying h by 1 / (1 - <xi, w>) in place, in graded order:
+            # h_a gains w_k h_(a - e_k) for each k, and h_(a - e_k) is final
+            # by the time a is reached
+            h = [1] + [0] * (comb(degree + self.dim, self.dim) - 1)
+            for w in self._simplex.scaled_vertices:
+                for j in range(len(raised[0])):
                     x = h[j]
                     if x:
                         for k, wk in enumerate(w):
                             h[raised[k][j]] += wk * x
-                previous = h
             R, F = _reference_moments(self.dim, degree)
             det, det_den = self._det
             V = [det * r * x * D ** (degree - sum(a)) for a, r, x in
-                 zip(monomial_positions(self.dim, degree), R, previous)]
+                 zip(monomial_positions(self.dim, degree), R, h)]
             den = det_den * F * D ** degree
             self._volume = degree, V, den
         return V, den
@@ -245,17 +222,14 @@ def integrate_poly(f, simplex, g=None):
 
 def basis_pk(dim, k):
     """Monomial basis of scalar P_k in graded lexicographic order."""
-    members = tuple(Polynomial.monomial(dim, a) for a in monomial_indices(dim, k))
-    return SpaceBasis("Pk", k, members)
+    return tuple(Polynomial.monomial(dim, a) for a in monomial_indices(dim, k))
 
 
 def basis_pk_vector(dim, k):
     """Component-major vector monomial basis of P_k^d."""
-    members = tuple(
-        VectorPoly([p if c == comp else Polynomial.zero(dim)
-                    for c in range(dim)])
-        for comp in range(dim) for p in basis_pk(dim, k))
-    return SpaceBasis("Pk_vec", k, members)
+    return tuple(VectorPoly([p if c == comp else Polynomial.zero(dim)
+                             for c in range(dim)])
+                 for comp in range(dim) for p in basis_pk(dim, k))
 
 
 def _vector_unknowns(dim, k):
@@ -270,13 +244,13 @@ def _vectors_to_fields(vectors, unknowns, dim):
             if x != 0:
                 terms[comp][a] = x
         fields.append(VectorPoly([Polynomial(dim, t) for t in terms]))
-    return fields
+    return tuple(fields)
 
 
 def basis_sk(dim, k):
     """Basis of {p in P_k^d : p . x == 0}, via an exact nullspace."""
     if k < 0:
-        return SpaceBasis("Sk", k, ())
+        return ()
     unknowns = _vector_unknowns(dim, k)
     rows_index = monomial_positions(dim, k + 1)
     matrix = [[0] * len(unknowns) for _ in rows_index]
@@ -284,24 +258,24 @@ def basis_sk(dim, k):
         target = a[:comp] + (a[comp] + 1,) + a[comp + 1:]
         matrix[rows_index[target]][col] = 1
     null = linalg.nullspace(matrix)
-    return SpaceBasis("Sk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
+    return _vectors_to_fields(null, unknowns, dim)
 
 
 def basis_nk(dim, k):
     """Basis of N_k = P_{k-1}^d + S_k: the monomial basis of P_{k-1}^d,
     then the members of S_k of degree k."""
     if k <= 0:
-        return SpaceBasis("Nk", k, ())
+        return ()
     top = tuple(z for z in basis_sk(dim, k)
                 if max(p.degree for p in z.comps) == k)
-    return SpaceBasis("Nk", k, basis_pk_vector(dim, k - 1).members + top)
+    return basis_pk_vector(dim, k - 1) + top
 
 
 def basis_qk(simplex, k):
     """Basis of {z in P_k^d : div z = 0, z . n = 0 on every facet}, via an
     exact nullspace."""
     if k < 1:
-        return SpaceBasis("Qk", k, ())
+        return ()
     dim = simplex.dim
     unknowns = _vector_unknowns(dim, k)
     # divergence coefficients vanish
@@ -328,5 +302,5 @@ def basis_qk(simplex, k):
                 facet_rows[facet_index[ta]][col] += tc * m[comp]
         rows.extend(facet_rows)
     null = linalg.nullspace(rows)
-    return SpaceBasis("Qk", k, tuple(_vectors_to_fields(null, unknowns, dim)))
+    return _vectors_to_fields(null, unknowns, dim)
 

@@ -109,9 +109,6 @@ class ExpPoly:
     def __mul__(self, scalar):
         return ExpPoly(self.pexp * scalar, self.pplain * scalar, self.eps)
 
-    def is_zero(self):
-        return self.pexp.is_zero() and self.pplain.is_zero()
-
 
 def _dense_coefficients(poly):
     if not poly.terms:
@@ -364,10 +361,8 @@ class DGSpace:
         gn = np.einsum("fmc,fc->fm", gv, self.facet_m[facet_ids])
         return np.column_stack([gn @ ws, gn @ (ws * ts)]).ravel()
 
-    def triangle_quad(self, degree, tri_ids=None):
+    def triangle_quad(self, degree, tri_ids):
         """Physical quadrature points/weights per triangle: (T, m, 2), (T, m)."""
-        if tri_ids is None:
-            tri_ids = np.arange(self.n_tri)
         ref_pts, ref_wts = simplex_rule(2, degree)
         origin = self.tri_pts[tri_ids, 0]
         E = self.tri_pts[tri_ids][:, 1:] - origin[:, None, :]   # (T, 2, 2)

@@ -17,6 +17,7 @@ from bdmlab.checks import check_counterexample_2d
 from bdmlab.cli import (MAX_FIELD_DEGREE, MAX_MESH_N, MAX_ORDER, MAX_POW,
                         MIN_EPS_TAU, FieldSyntaxError, build_parser, main,
                         parse_field, parse_polynomial)
+from bdmlab.estimates import SWEEP_PRESETS
 from bdmlab.geometry import Simplex, coord_to_token
 from bdmlab.polynomials import Polynomial
 from fractions import Fraction
@@ -287,10 +288,16 @@ def test_stokes_log_defaults_on_shishkin(capsys):
     "(x1**7)**2, 0",            # degree past the cap through nested powers
     "x1**7 * x2**7, 0",         # degree past the cap through a product
     "((10**12)**12)**12, 0",    # coefficient size past the cap
+    pytest.param(f"{2 ** 1024}, 0", id="literal-past-the-cap"),
     "x1**-1, 0",
     "1/0, x1",
     # nesting deeper than the parser's or the evaluator's stack
     pytest.param("+".join(["x1"] * 2000) + ", 0", id="long-sum"),
+    # coefficient size past the cap through a sum: the reciprocals of the
+    # first 200 primes add up to a 1704-bit denominator
+    pytest.param("+".join(f"1/{p}" for p in range(2, 1224)
+                          if all(p % q for q in range(2, int(p ** 0.5) + 1)))
+                 + ", 0", id="sum-of-prime-reciprocals"),
     pytest.param("-" * 3000 + "x1, 0", id="3000-signs"),
     pytest.param("-" * 100000 + "x1, 0", id="100000-signs"),
 ])
@@ -485,7 +492,10 @@ def test_sweep_counterexamples(capsys, tmp_path):
 def test_verify_and_sweep_report_the_same_counterexample_2d_ratios(capsys):
     code, _, manifest = run(capsys, ["sweep", "--name", "counterexample-2d"])
     assert code == 0
-    assert manifest["ratios"] == check_counterexample_2d().data["ratios"]
+    # the sweep `verify counterexample-2d` runs: h = 2^-1..2^-10
+    result = SWEEP_PRESETS["counterexample-2d"].run(range(1, 11))
+    assert manifest["ratios"] == [r.ratio for r in result.reports]
+    assert check_counterexample_2d().lines[-1].endswith(f": {result.verdict}")
 
 
 def test_stokes_accepts_the_smallest_eps(capsys):

@@ -361,7 +361,7 @@ def test_sweep_counterexample_2d_diverges():
     grid = [(F(1, 2 ** j),) for j in range(1, 11)]
     result = sweep(TSTAR_FAMILY, v, "stability_mac", grid, k=1)
     assert result.verdict == "diverging"
-    ratios = result.ratios
+    ratios = [r.ratio for r in result.reports]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 

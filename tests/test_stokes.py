@@ -70,7 +70,7 @@ def test_penalty_values():
 
 def test_exact_velocity_divergence_free(case01):
     div = case01.grad_u[0][0] + case01.grad_u[1][1]
-    assert div.is_zero()
+    assert not div.pexp.terms and not div.pplain.terms
 
 
 def test_boundary_trace_vanishes(case01):
@@ -179,7 +179,7 @@ def test_eval_fields_matches_exact_evaluation(case):
                     + _magnitude(f.pplain, x, y))
             slack = F(sys.float_info.min) * _magnitude(f.pexp, x, y)
             assert abs(F(value) - want) <= F(1, 10 ** 13) * size + slack
-            if f.is_zero():
+            if not f.pexp.terms and not f.pplain.terms:
                 assert value == 0.0
 
 
@@ -445,7 +445,7 @@ def interpolate_exact_solution(space, case):
     vel = space.edge_moments(case.boundary_g, np.arange(space.n_facets), 6)
     coeffs = np.einsum("tbj,tj->tb", space.coeff_from_dofs,
                        vel[space.tri_dof_ids])
-    phys, wts = space.triangle_quad(8)
+    phys, wts = space.triangle_quad(8, np.arange(space.n_tri))
     pvals = eval_field(case.p, phys.reshape(-1, 2)).reshape(space.n_tri, -1)
     pressure = (np.sum(wts * (pvals - case.pressure_mean), axis=1)
                 / np.sum(wts, axis=1))
@@ -457,7 +457,7 @@ def test_interpolant_baseline_matches_direct_computation(case01):
     base = interpolate_exact_solution(space, case01)
     eu, ep = errors(base, case01)
     # independent recomputation of the broken H1 distance for the same fields
-    phys, wts = space.triangle_quad(8)
+    phys, wts = space.triangle_quad(8, np.arange(space.n_tri))
     flat = phys.reshape(-1, 2)
     total = 0.0
     gh = np.stack([base.coeffs[:, 1], base.coeffs[:, 2],
