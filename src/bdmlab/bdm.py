@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -60,8 +60,8 @@ from .linalg import over_common_denominator
 # name from this module, though it calls none of them: perfbench/tracing.py
 # rebinds them here, and its self-test requires that they exist.
 from .polynomials import (Polynomial, VectorPoly,  # noqa: F401
-                          composed_monomials, integrate_reference,
-                          monomial_indices)
+                          compose, composed_monomials, composition_table,
+                          integrate_reference, monomial_indices)
 from .quadrature import simplex_rule  # noqa: F401
 from .spaces import (ScaledField, basis_nk, basis_qk,  # noqa: F401
                      integrate_poly, moment_table, scaled_field)
@@ -286,24 +286,6 @@ def _mix(mix, comps):
             for mix_row in mix]
 
 
-def _table(composed, D, degree):
-    """The map on coefficients that composes a field of degree <= `degree`
-    with an affine chart, times D^degree: the P_a of `composed_monomials`
-    as columns, scaled by D^(degree - |a|), and row g the coefficient of
-    t^g.  P_a has degree |a|, so a row is (start, entries) from the first
-    column of degree |g|, in graded order."""
-    columns = [(P, D ** (degree - sum(a))) for a, P in composed.items()]
-    dim = len(next(iter(composed)))
-    return [(start, [P[g] * s for P, s in columns[start:]]) for g, start in
-            enumerate(comb(sum(a) - 1 + dim, dim) for a in composed)]
-
-
-def _compose(table, comps):
-    """Each component's coefficients mapped by the `_table`."""
-    return [[sum(map(mul, row, comp[start:])) for start, row in table]
-            for comp in comps]
-
-
 class _Piola:
     """The affine map F(xh) = B xh + b taking reference vertex i to vertex
     i of `simplex`, with J = det B, and the contravariant Piola map P w =
@@ -312,7 +294,8 @@ class _Piola:
     * `pull` gives sign(J) P^-1 v = |J| B^-1 (v o F).  x^a o F is P_a(xh)
       / Ds^|a|, P_a the int coefficients of (Bs xh + bs)^a (the vertices as
       ints over Ds, `composed_monomials`), so a component of degree q
-      composes to sum_a v_a Ds^(q-|a|) P_a over Ds^q.
+      composes to sum_a v_a Ds^(q-|a|) P_a over Ds^q, the
+      `composition_table` of degree q.
     * `push(w)` / den is sign(J) P w for the int coefficients w of a field
       of degree <= k, so it undoes the sign of `pull`.  With F^-1 = (Ds
       adj(Bs) x - adj(Bs) bs) / det(Bs) over the common denominator D,
@@ -333,7 +316,7 @@ class _Piola:
         backward, _ = composed_monomials(
             ([[x * Ds // common for x in row] for row in adj],
              [x // common for x in offset]), k)
-        self._backward = _table(backward, D, k)
+        self._backward = composition_table(backward, D, k, d)
         common = gcd(Ds, *(x for row in Bs for x in row))
         B_den = Ds // common
         B = [[x // common for x in row] for row in Bs]
@@ -355,15 +338,16 @@ class _Piola:
         composed, degree, table = self._forward
         if v.degree > degree:
             composed, _ = composed_monomials(self._chart, v.degree, composed)
-            degree, table = v.degree, _table(composed, Ds, v.degree)
+            degree, table = v.degree, composition_table(composed, Ds,
+                                                         v.degree, d)
             self._forward = composed, degree, table
-        return ScaledField(_mix(self._unmix, _compose(
+        return ScaledField(_mix(self._unmix, compose(
             table[:len(v.comps[0])], v.comps)),
             v.denominator * Ds ** (degree + d - 1), v.degree)
 
     def push(self, comps):
         """sum_c mix[r][c] (comps[c] o F^-1 times D^k) per component r."""
-        return _mix(self.mix, _compose(self._backward, comps))
+        return _mix(self.mix, compose(self._backward, comps))
 
 
 class _Qk:

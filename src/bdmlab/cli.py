@@ -221,6 +221,16 @@ def epsilon(text):
     return value
 
 
+def writable(path):
+    """--out: a file that can be written, opened for appending (which keeps
+    what it holds) while the command line is read, before any work."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return path
+
+
 def cmd_interpolate(args):
     if args.simplex is not None:
         try:
@@ -320,7 +330,7 @@ def build_parser():
     p.add_argument("--log", choices=["natural", "base10"], default=None,
                    help="logarithm of the transition point (shishkin only; "
                         "default natural)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=writable)
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("interpolate", help="interpolate a polynomial field "
@@ -352,7 +362,7 @@ def build_parser():
     p.add_argument("--pow-max", type=bounded_int(0, MAX_POW), default=10)
     p.add_argument("--seed", type=int, default=None,
                    help="rvp-bounded only (default 0)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=writable)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stokes", help="convergence study of the Stokes "
@@ -364,7 +374,7 @@ def build_parser():
                    default="shishkin")
     p.add_argument("--log", choices=["natural", "base10"], default=None,
                    help="shishkin only (default natural)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=writable)
     p.set_defaults(func=cmd_stokes)
     return parser
 

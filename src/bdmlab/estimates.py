@@ -26,6 +26,9 @@ from .quadrature import map_rule
 from .spaces import ScaledField, integrate_poly, moment_table, scaled_field
 
 RATIO_SPREAD_CAP = 10.0  # bounded/diverging decision threshold
+# a bounded series has stopped growing: the last step of the paper's
+# diverging families is 1.6 or more, that of the bounded ones about 1
+RATIO_STEP_CAP = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +104,13 @@ def abs_derivative_sum_norm(f, simplex, m):
     gives the coefficients of every order-m derivative, each rounded once
     to a float, and all of them are evaluated at the rule's points in one
     product with the rule's monomial table."""
-    fs = scaled_field(f if isinstance(f, VectorPoly) else VectorPoly([f]))
+    fs = scaled_field(f)
     if m > fs.degree:
         return 0.0
     den = fs.denominator
     derivatives = [[comp[j] * x / den for j, x in zip(sources, factors)]
-                   for comp in fs.comps
-                   for sources, factors in _derivative_map(f.dim, fs.degree, m)]
+                   for comp in fs.comps for sources, factors in
+                   _derivative_map(simplex.dim, fs.degree, m)]
     rule = _norm_rule(simplex)
     values = rule.monomials(fs.degree - m) @ np.array(derivatives).T
     total = np.abs(values, out=values).sum(axis=1)
@@ -145,13 +148,13 @@ def _frame_derivative_norms(fs, simplex, directions, order):
 
 
 def _divergence(fs, dim):
-    """div v from v as the ScaledField fs, in ints (d/dx_d comes first)."""
+    """div v from v as the ScaledField fs, in ints (d/dx_d comes first),
+    as a one-component ScaledField."""
     total = [0] * comb(fs.degree - 1 + dim, dim)
     for comp, (sources, factors) in zip(reversed(fs.comps),
                                         _derivative_map(dim, fs.degree, 1)):
         total = [x + f * comp[s] for x, s, f in zip(total, sources, factors)]
-    return Polynomial(dim, {g: Fraction(x, fs.denominator) for g, x in zip(
-        monomial_indices(dim, fs.degree - 1), total) if x})
+    return ScaledField([total], fs.denominator, fs.degree - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def rvp_terms(v, simplex, directions, sizes, m):
                        start=1.0)
         terms.append(("h^" + "".join(map(str, alpha)), h_alpha * norm))
     div = _divergence(fs, simplex.dim)
-    terms.append((f"hT^{m + 1}*div", 0.0 if div.is_zero() else
+    terms.append((f"hT^{m + 1}*div", 0.0 if not any(div.comps[0]) else
                   simplex.diameter() ** (m + 1)
                   * abs_derivative_sum_norm(div, simplex, m)))
     return terms
@@ -193,7 +196,7 @@ def stability_rhs_rvp(v, simplex, directions, sizes):
         e_j = tuple(int(i == j) for i in range(simplex.dim))
         terms.append((f"h{j + 1}*dl{j + 1}", float(hj) * norms[e_j]))
     div = _divergence(fs, simplex.dim)
-    terms.append(("hT*div", 0.0 if div.is_zero()
+    terms.append(("hT*div", 0.0 if not any(div.comps[0])
                   else simplex.diameter() * l2_norm(div, simplex)))
     return terms
 
@@ -334,8 +337,9 @@ def evaluate_estimate(estimate_id, simplex, v, k, m=None, frame=None):
 
 def ratio_verdict(ratios):
     """'diverging' for monotone growth past 10x, 'bounded' for spread
-    under 10x, otherwise 'inconclusive'.  A single ratio has no spread or
-    growth to measure: fewer than two are 'inconclusive'."""
+    under 10x once the growth has stopped (the last step under
+    RATIO_STEP_CAP), otherwise 'inconclusive'.  A single ratio has no
+    spread or growth to measure: fewer than two are 'inconclusive'."""
     if len(ratios) < 2:
         return "inconclusive"
     finite = [r for r in ratios if r > 0]
@@ -346,7 +350,8 @@ def ratio_verdict(ratios):
     # field gives a leading 0
     if increasing and ratios[-1] / finite[0] > RATIO_SPREAD_CAP:
         return "diverging"
-    if max(finite) / min(finite) < RATIO_SPREAD_CAP and len(finite) == len(ratios):
+    if (max(finite) / min(finite) < RATIO_SPREAD_CAP and len(finite) == len(ratios)
+            and ratios[-1] < RATIO_STEP_CAP * ratios[-2]):
         return "bounded"
     return "inconclusive"
 

@@ -41,23 +41,12 @@ class Scaled(list):
 
 
 def over_common_denominator(values):
-    """(numerators, denominator) with value == numerator / denominator.
-
-    Rationals give ints over the lcm of their denominators.  Anything else
-    (float coefficients, such as those of an irrational edge direction) is
-    returned as is, over 1."""
+    """(numerators, denominator): the rationals `values` as ints over the
+    lcm of their denominators."""
     values = list(values)
-    try:
-        dens = [x.denominator for x in values]
-    except AttributeError:
-        return values, 1
+    dens = [x.denominator for x in values]
     den = lcm(*dens)
     return [x.numerator * (den // d) for x, d in zip(values, dens)], den
-
-
-def quotient(num, den):
-    """num / den: a Fraction for an int numerator, else num's own type."""
-    return Fraction(num, den) if isinstance(num, int) else num / den
 
 
 def _integer_rows(matrix):

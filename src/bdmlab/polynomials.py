@@ -3,16 +3,18 @@
 Coefficients are whatever number type is supplied (Fraction on every exact
 path, float in the rounded interpolant `interpolate --mode float` prints);
 arithmetic never converts, so a computation started in rationals stays
-exact.  Terms map a multi-index
-tuple to its coefficient; zero coefficients are never stored.
+exact.  Composition with an affine chart takes rationals only: it runs in
+ints over one denominator.  Terms map a multi-index tuple to its
+coefficient; zero coefficients are never stored.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import comb, factorial
+from operator import mul
 
-from .linalg import over_common_denominator, quotient
+from .linalg import over_common_denominator
 
 
 def grlex_key(alpha):
@@ -74,6 +76,26 @@ def composed_monomials(chart, degree, composed=None):
                     P[raised[k][pos]] += c * A[k]
         composed[a] = P
     return composed, D
+
+
+def composition_table(composed, D, degree, nvars):
+    """The map on coefficients that composes a polynomial of degree <=
+    `degree` with an affine chart of `nvars` parameters, times D^degree:
+    the P_a of `composed_monomials` as columns, scaled by D^(degree - |a|),
+    and row g the coefficient of t^g.  P_a has degree |a|, so a row is
+    (start, entries) from the first column of degree |g|, in graded
+    order."""
+    columns = [(P, D ** (degree - sum(a))) for a, P in composed.items()]
+    dim = len(next(iter(composed)))
+    return [(start, [P[g] * s for P, s in columns[start:]]) for g, start in
+            enumerate(comb(sum(t) - 1 + dim, dim)
+                      for t in monomial_indices(nvars, degree))]
+
+
+def compose(table, comps):
+    """Each component's coefficients mapped by a `composition_table`."""
+    return [[sum(map(mul, row, comp[start:])) for start, row in table]
+            for comp in comps]
 
 
 class Polynomial:
@@ -193,22 +215,18 @@ class Polynomial:
         `matrix` has self.dim rows; the number of columns sets the dimension
         of the result, so a 3-variable polynomial restricted to a 2-parameter
         facet chart comes out as a 2-variable polynomial.  With p's
-        coefficients as ints c_a over den and x^a o chart == P_a / D^|a|
-        (`composed_monomials`), p o chart is sum_a c_a D^(n-|a|) P_a over
-        den D^n, n the degree of p.
+        coefficients as ints over den, p o chart is their image under the
+        `composition_table` of degree n, the degree of p, over den D^n.
         """
         n, nvars = self.degree, len(matrix[0])
         composed, D = composed_monomials((matrix, offset), n)
-        nums, den = over_common_denominator(self.terms.values())
-        positions = monomial_positions(nvars, n)
-        total = [0] * len(positions)
-        for a, c in zip(self.terms, nums):
-            c *= D ** (n - sum(a))
-            for pos, x in enumerate(composed[a]):
-                total[pos] += c * x
+        # `composed` holds the monomials up to n in graded order
+        nums, den = over_common_denominator(self.terms.get(a, 0)
+                                            for a in composed)
+        (total,) = compose(composition_table(composed, D, n, nvars), [nums])
         den *= D ** n
-        return Polynomial(nvars, {t: quotient(x, den)
-                                  for t, x in zip(positions, total) if x})
+        return Polynomial(nvars, {t: Fraction(x, den) for t, x in zip(
+            monomial_indices(nvars, n), total) if x})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))

@@ -89,10 +89,12 @@ class Mesh2D:
         expression: rational vertices as Python ints over one common
         denominator (object arrays, exact at any size), float ones as
         floats."""
-        nums, _ = over_common_denominator(c for v in self.vertices for c in v)
-        exact = all(isinstance(c, int) for c in nums)
+        coords = [c for v in self.vertices for c in v]
+        exact = all(isinstance(c, (Fraction, int)) for c in coords)
+        if exact:
+            coords, _ = over_common_denominator(coords)
         tails = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        pts = np.array(nums, dtype=object if exact else float).reshape(-1, 2)
+        pts = np.array(coords, dtype=object if exact else float).reshape(-1, 2)
         (xa, ya), (xb, yb), (xc, yc) = pts[tails].transpose(1, 2, 0)
         ccw = ((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) > 0).astype(bool)
         heads = np.roll(tails, -1, axis=1)
@@ -116,14 +118,11 @@ class Mesh2D:
 
 def _x_coordinates(N, tau):
     """Piecewise-uniform abscissae: N/2+1 points in [0, tau], N/2+1 in
-    [tau, 1] sharing the transition point."""
+    [tau, 1] sharing the transition point, of the type of tau."""
     half = N // 2
-    exact = isinstance(tau, (Fraction, int))
-    tau = Fraction(tau) if exact else float(tau)
-    one = Fraction(1) if exact else 1.0
-    xs = [tau * 2 * i / N if exact else tau * 2.0 * i / N for i in range(half + 1)]
+    xs = [tau * 2 * i / N for i in range(half + 1)]
     for i in range(half + 1, N + 1):
-        step = (one - tau) * 2 * (i - half) / N
+        step = (1 - tau) * 2 * (i - half) / N
         xs.append(tau + step)
     return xs
 

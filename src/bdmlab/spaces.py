@@ -24,7 +24,7 @@ from math import comb, factorial
 from operator import add, mul
 
 from . import linalg
-from .linalg import over_common_denominator, quotient
+from .linalg import over_common_denominator
 from .polynomials import (Polynomial, VectorPoly, composed_monomials,
                           integrate_reference, monomial_indices,
                           monomial_positions, raised_positions)
@@ -40,11 +40,12 @@ ScaledField = namedtuple("ScaledField", "comps denominator degree")
 
 
 def scaled_field(v):
-    """A VectorPoly as a ScaledField over the lcm of its coefficients'
-    denominators (returned unchanged if it already is one)."""
+    """A VectorPoly, or a Polynomial as a one-component field, as a
+    ScaledField over the lcm of its coefficients' denominators (returned
+    unchanged if it already is one)."""
     if isinstance(v, ScaledField):
         return v
-    terms = [p.terms for p in v.comps]
+    terms = [p.terms for p in getattr(v, "comps", (v,))]
     degree = max(map(sum, chain.from_iterable(terms)), default=0)
     positions = monomial_positions(v.dim, degree)
     nums, den = over_common_denominator(
@@ -81,16 +82,6 @@ def _shift_positions(nvars, degree, shift_degree):
     gammas = monomial_indices(nvars, degree)
     return [[positions[tuple(map(add, g, b))] for g in gammas]
             for b in monomial_indices(nvars, shift_degree)]
-
-
-@lru_cache(maxsize=None)
-def _shifted_reference_moments(nvars, degree, shift_degree):
-    """(rows, F): rows[b][j] / F == int_ref t^(g_j + b) dt for |g_j| <=
-    degree and every |b| <= shift_degree."""
-    R, F = _reference_moments(nvars, degree + shift_degree)
-    return {b: [R[p] for p in col] for b, col in zip(
-        monomial_indices(nvars, shift_degree),
-        _shift_positions(nvars, degree, shift_degree))}, F
 
 
 class MomentTable:
@@ -164,11 +155,12 @@ class MomentTable:
         if key not in self._facet:
             composed, D = composed_monomials(self._simplex.facet_chart(i),
                                              degree)
-            shifted, F = _shifted_reference_moments(self.dim - 1, degree,
-                                                    alpha_degree)
+            R, F = _reference_moments(self.dim - 1, degree + alpha_degree)
             scaled = [(P, D ** (degree - sum(a))) for a, P in composed.items()]
-            rows = {alpha: [sum(map(mul, P, moments)) * s for P, s in scaled]
-                    for alpha, moments in shifted.items()}
+            rows = {alpha: [sum(map(mul, P, map(R.__getitem__, col))) * s
+                            for P, s in scaled] for alpha, col in zip(
+                monomial_indices(self.dim - 1, alpha_degree),
+                _shift_positions(self.dim - 1, degree, alpha_degree))}
             self._facet[key] = rows, over_common_denominator(
                 self._simplex.scaled_facet_normal(i)), F * D ** degree
         return self._facet[key]
@@ -177,7 +169,7 @@ class MomentTable:
         """(rows, den) with int_T v . weight dx == sum_c dot(rows[c], v_c)
         / den for every field v of degree <= `degree`, v_c the coefficients
         of component c in graded order: rows[c][a] = sum_b w_c,b V[a + b].
-        `weight` is a VectorPoly or a ScaledField."""
+        `weight` is anything `scaled_field` takes."""
         w = scaled_field(weight)
         V, den = self.volume(degree + w.degree)
         cols = _shift_positions(self.dim, degree, w.degree)
@@ -198,8 +190,9 @@ class MomentTable:
         once to ints (and g is not scaled again when it is f)."""
         fs = scaled_field(f)
         rows, den = self.weighted_rows(fs if g is f else g, fs.degree)
-        total = sum(sum(map(mul, comp, row)) for comp, row in zip(fs.comps, rows))
-        return quotient(total, den * fs.denominator)
+        total = sum(sum(map(mul, comp, row))
+                    for comp, row in zip(fs.comps, rows, strict=True))
+        return Fraction(total, den * fs.denominator)
 
 
 @lru_cache(maxsize=8)
@@ -214,9 +207,8 @@ def moment_table(simplex):
 def integrate_poly(f, simplex, g=None):
     """Exact int_T f g dx over a simplex (f . g for fields); g defaults to
     1.  The product is never formed (`MomentTable.integrate`)."""
-    if not isinstance(f, VectorPoly):
-        f = VectorPoly([f])
-        g = VectorPoly([Polynomial.constant(f.dim, 1) if g is None else g])
+    if g is None:
+        g = Polynomial.constant(f.dim, 1)
     return moment_table(simplex).integrate(f, g)
 
 

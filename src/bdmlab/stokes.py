@@ -187,7 +187,7 @@ def manufactured_case(eps) -> StokesCase:
     u2 = xi.diff(0) * (-1)
     p = ExpPoly(pexp=Polynomial.constant(2, Fraction(1)), eps=eps_fr)
     f = tuple(
-        (ui.diff(0).diff(0) + ui.diff(1).diff(1)) * -1.0 + p.diff(i)
+        (ui.diff(0).diff(0) + ui.diff(1).diff(1)) * -1 + p.diff(i)
         for i, ui in enumerate((u1, u2))
     )
     grad = ((u1.diff(0), u1.diff(1)), (u2.diff(0), u2.diff(1)))

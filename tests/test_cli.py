@@ -231,6 +231,29 @@ def test_mesh_and_stokes_bad_input_exit_2(argv, option, capsys):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--N", "4"],
+    ["sweep", "--name", "counterexample-2d", "--pow-max", "2"],
+    ["stokes", "--eps", "0.1", "--N", "4"],
+])
+def test_unwritable_out_exit_2_before_any_work(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # an --out in a missing directory used to end the run, after the work,
+    # on a FileNotFoundError (exit 1 with a traceback)
+    import bdmlab.stokes
+
+    def study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(bdmlab.stokes, "convergence_study", study)
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+
+
 def test_mesh_uniform_rejects_tau(capsys):
     # `mesh` takes no --tau for either kind; on the uniform mesh, whose
     # transition is at 1/2, it used to be echoed in the manifest but not

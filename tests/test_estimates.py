@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from bdmlab import linalg
 from bdmlab.bdm import build_element
-from bdmlab.estimates import (T1_FAMILY, TSTAR_FAMILY, WEAKER_FAMILY,
-                              abs_derivative_sum_norm, evaluate_estimate,
+from bdmlab.estimates import (SWEEP_PRESETS, T1_FAMILY, TSTAR_FAMILY,
+                              WEAKER_FAMILY, abs_derivative_sum_norm,
+                              evaluate_estimate,
                               l2_norm, l2_norm_sq, multi_indices_of_order,
                               random_divfree_field,
                               random_polynomial, ratio_verdict, rhs_mac,
@@ -347,6 +348,21 @@ def test_verdict_rules():
     assert ratio_verdict([0.0, 0.0]) == "bounded"
     # one ratio measures no spread: it used to read as 'bounded'
     assert ratio_verdict([5.0]) == "inconclusive"
+
+
+def test_verdict_needs_the_growth_to_stop():
+    # the paper's diverging families read 'bounded' on a short grid, whose
+    # spread was under 10x though every step grew: no window of them may
+    # read 'bounded', while the bounded family's default grid still does
+    for name in ("counterexample-2d", "counterexample-3d"):
+        ratios = [r.ratio for r in SWEEP_PRESETS[name].run(range(1, 41)).reports]
+        for i in range(len(ratios) - 1):
+            for j in range(i + 2, len(ratios) + 1):
+                assert ratio_verdict(ratios[i:j]) != "bounded", (name, i, j)
+    preset = SWEEP_PRESETS["rvp-bounded"]
+    for seed in range(10):
+        pows = range(preset.pow_min, 11)
+        assert preset.run(pows, seed=seed).verdict == "bounded", seed
 
 
 def test_verdict_leading_zero_ratio():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -243,6 +244,26 @@ def test_mesh_text_roundtrip_float():
     text = mesh_to_text(mesh)
     back = mesh_from_text(text)
     assert mesh_to_text(back) == text
+
+
+# sha256 of `mesh_to_text`, recorded while the exact and the float
+# abscissae were computed by two branches of `_x_coordinates`
+MESH_TEXT_SHA256 = [
+    (lambda: build_shishkin(8, F(3, 50)),
+     "02564f673f2bd51313ceccbdabe65a3fe8a4b2af2590654a56f707dbe756df83"),
+    (lambda: build_shishkin(16, transition_point(0.1)),
+     "2b6cdec613409957a76afbae23f7604f64e0f6c2060953ee265ff7cb320a067d"),
+    (lambda: build_uniform(8),
+     "91a5c5bb8930107a894b9df2955a787e6252058ca44d5b354d842752836bb41e"),
+    (lambda: build_uniform(8, exact=False),
+     "d1078904be0bb79b5fb6fb2ee021abc06b22e5dbfc92d80a3f3578cad18ef6a4"),
+]
+
+
+@pytest.mark.parametrize("build, sha256", MESH_TEXT_SHA256)
+def test_mesh_text_is_pinned(build, sha256):
+    text = mesh_to_text(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def _same_vertices(a, b):
