@@ -307,7 +307,8 @@ def cmd_stokes(args):
                              log_convention=args.log or "natural")
     if args.out:
         study_to_csv(rows, args.out)
-    summary = [{k: row[k] for k in ("epsilon", "N", "err_grad_u", "err_p",
+    summary = [{k: row[k] for k in ("epsilon", "N", "ndof", "tau", "sigma",
+                                    "gamma", "err_grad_u", "err_p",
                                     "rate_u", "rate_p", "div_max", "jump_max",
                                     "residual", "n_unknowns", "nnz",
                                     "factor_nnz")} for row in rows]

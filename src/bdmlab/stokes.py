@@ -19,7 +19,11 @@ fields are exactly the curls of continuous P2 stream functions, so the
 velocity comes from one SPD system in the stream function (half the
 unknowns, no pressure, no pivoting), the only factorization of a solve:
 a multifrontal Cholesky on a nested-dissection order of the stream-
-function DOFs, whose fronts are dense blocks (`_StreamCholesky`).
+function DOFs, whose fronts are dense blocks (`_StreamCholesky`).  Its
+order, fronts and scatter maps depend only on the pattern of the matrix
+and the grid lines of its DOFs, so they are analysed once per pattern
+(`_SymbolicPlan`) and the last PLAN_CACHE patterns are kept: a study over
+several eps at one N on the uniform mesh factors one pattern again.
 The pressure follows from the momentum rows by one sparse triangular
 solve along a spanning tree of the triangle adjacency.  Its only freedom
 is an additive constant, so the zero-mean gauge is a shift after the
@@ -39,6 +43,7 @@ small whatever the mesh.
 import csv
 import importlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
@@ -566,6 +571,165 @@ def _pressure_tree(space):
 # the factor took 91-102 ms with leaves of 128, 111-114 ms with 64 (more
 # fronts, more Python overhead) and 100-120 ms with 256 (more fill).
 ND_LEAF = 128
+# Symbolic plans kept, one per pattern: the benchmark's study factors the
+# patterns of N = 8, 16, 32 and 64 in turn, and a study over several eps
+# at one N the same pattern again.
+PLAN_CACHE = 4
+_plans = OrderedDict()     # digest of the pattern -> _SymbolicPlan, newest last
+# Entries per slab of the factor: the first block columns of consecutive
+# fronts share one array of at most this size (4 MiB), unless a front is
+# larger.  With one array per front, repeated N = 8..64 studies left the
+# heap fragmented and their peak RSS crept up by 10-15 MiB; one array per
+# factor is a fresh mapping for every factor, whose page faults cost
+# about a tenth of an N = 128 factorization.
+FRONT_SLAB = 2 ** 19
+
+
+class _SymbolicPlan:
+    """What `_StreamCholesky` does that depends only on the pattern of S
+    and the grid lines `lines` (2, n) of its DOFs: the order, the fronts
+    and the maps that scatter S and the update blocks into them.
+
+    `perm` is the nested-dissection order and `nnz` the number of entries
+    of L the fronts store.  `fronts` holds, per front in postorder, (p0,
+    p1, U, src, dst, runs, slab): its pivots p0..p1-1 in the order; its
+    update set U; the positions `src` in S.data of the lower triangle of
+    S in its columns and their positions `dst` in its first block column,
+    F11 (k x k) over F21 (|U| x k), both stored column by column; per
+    child, in the order of the children, the runs of the child's update
+    set that are contiguous among the pivots or in U, as (m, first, at,
+    size): the first m runs fall among the pivots, run i takes `size[i]`
+    rows and columns of the child's update block from `first[i]` on, and
+    `at[i]` is its first row in F11, or in F21 and F22 for i >= m; and,
+    if the front opens a slab (FRONT_SLAB), the slab's size, else 0.
+    Arrays are int32 and the runs int lists."""
+
+    def __init__(self, S, lines):
+        n = S.shape[0]
+        # per axis and DOF, the largest grid line among its S-neighbours
+        reach = np.stack([np.maximum.reduceat(lines[a][S.indices],
+                                              S.indptr[:-1])
+                          for a in (0, 1)])
+        fronts = []   # (pivots in order, number of child fronts)
+
+        def dissect(nodes):
+            """Append the fronts of `nodes` in postorder."""
+            if len(nodes) <= ND_LEAF:
+                fronts.append((nodes, 0))
+                return
+            g = [lines[0][nodes], lines[1][nodes]]
+            low = [int(x.min()) for x in g]
+            span = [int(x.max()) - x0 for x, x0 in zip(g, low)]
+            axis = int(span[1] > span[0])
+            c = g[axis] - low[axis]
+            r = reach[axis][nodes] - low[axis]
+            upto = np.cumsum(np.bincount(c))     # DOFs on or left of a line
+            j = int(np.searchsorted(upto, len(nodes) / 2))
+            # a cut at line v separates the DOFs with c < v <= r (r >= c,
+            # since S holds its diagonal)
+            size = upto - np.cumsum(np.bincount(r))[:len(upto)]
+            cut = min([min(max(i, 1), span[axis]) for i in (j - 1, j, j + 1)],
+                      key=lambda v: size[v - 1])
+            left = c < cut
+            sep = left & (r >= cut)
+            dissect(nodes[~left])
+            dissect(nodes[left ^ sep])
+            fronts.append((nodes[sep][np.lexsort((g[axis][sep],
+                                                  g[1 - axis][sep]))], 2))
+
+        dissect(np.arange(n, dtype=np.int32))
+        self.perm = np.concatenate([nodes for nodes, _ in fronts])
+        rank = np.empty(n, dtype=np.int32)
+        rank[self.perm] = np.arange(n, dtype=np.int32)
+        ends = np.cumsum([len(nodes) for nodes, _ in fronts])
+        starts = ends - [len(nodes) for nodes, _ in fronts]
+
+        # the lower triangle of S in the new order, column by column: its
+        # entries are picked in S's order, then their columns permuted
+        kept = np.flatnonzero(rank[S.indices]
+                              >= np.repeat(rank, np.diff(S.indptr)))
+        ptr = np.searchsorted(kept, S.indptr)
+        counts = np.diff(ptr)[self.perm]
+        entries = kept[np.arange(len(kept)) + np.repeat(
+            ptr[self.perm] - np.cumsum(counts) + counts, counts)]
+        r, c = rank[S.indices[entries]], np.repeat(np.arange(n), counts)
+        entries = entries.astype(np.int32)
+        bounds = np.searchsorted(c, np.append(starts, n)).tolist()
+
+        # children first: each front's update set, and `where`, the map of
+        # its DOFs to its rows (pivots first, then U)
+        built, stack, self.nnz = [], [], 0
+        where = np.empty(n, dtype=np.int64)
+        for (_, n_children), p0, p1, lo, hi in zip(
+                fronts, starts.tolist(), ends.tolist(), bounds, bounds[1:]):
+            children = stack[len(stack) - n_children:]
+            del stack[len(stack) - n_children:]
+            # sorted and deduplicated by hand: np.unique hashes, which
+            # took several times as long at these sizes
+            U = np.concatenate([r[lo:hi]] + children)
+            U = np.sort(U[U >= p1])
+            distinct = np.ones(len(U), dtype=bool)
+            np.not_equal(U[1:], U[:-1], out=distinct[1:])
+            U = U[distinct]
+            k, u = p1 - p0, len(U)
+            where[p0:p1] = np.arange(k)
+            where[U] = np.arange(k, k + u)
+            rows, cols = where[r[lo:hi]], c[lo:hi] - p0
+            below = rows >= k
+            dst = rows + cols * np.where(below, u, k) + below * (k * k - k)
+            runs = []
+            for child_U in children:
+                at = where[child_U]
+                # a run starts at the child's first DOF, after a gap and at
+                # U's first row
+                new = np.empty(len(at), dtype=bool)
+                new[:1] = True
+                np.not_equal(at[1:], at[:-1] + 1, out=new[1:])
+                new |= at == k
+                first = np.flatnonzero(new)
+                start = at[first]
+                m = int(np.count_nonzero(start < k))
+                start[m:] -= k
+                first = first.tolist()
+                runs.append((m, first, start.tolist(), [
+                    b - a for a, b in zip(first, first[1:] + [len(at)])]))
+            built.append((p0, p1, U, entries[lo:hi], dst.astype(np.int32),
+                          runs))
+            stack.append(U)
+            self.nnz += k * (k + 1) // 2 + k * u
+
+        # the slabs: runs of consecutive fronts of at most FRONT_SLAB
+        # entries in all, or one front; the first front of each carries its
+        # size, the others 0
+        slab, opener, fill = [0] * len(built), 0, FRONT_SLAB
+        for i, (p0, p1, U, *_) in enumerate(built):
+            size = (p1 - p0) * (p1 - p0 + len(U))
+            if fill + size > FRONT_SLAB:
+                opener, fill = i, 0
+            fill += size
+            slab[opener] = fill
+        self.fronts = [front + (size,) for front, size in zip(built, slab)]
+
+
+def _symbolic_plan(S, coords):
+    """The plan of S's pattern on the grid of `coords`, kept in `_plans`:
+    a pattern and grid seen among the last PLAN_CACHE are analysed once."""
+    import hashlib      # here, not with the module: only a solve needs it
+
+    lines = np.stack([np.unique(coords[:, a], return_inverse=True)[1]
+                      for a in (0, 1)])
+    digest = hashlib.sha256(
+        f"{S.shape[0]} {S.indptr.dtype} {S.indices.dtype}".encode())
+    for a in (S.indptr, S.indices, lines):
+        digest.update(a)
+    key = digest.digest()
+    if key in _plans:
+        _plans.move_to_end(key)
+    else:
+        _plans[key] = _SymbolicPlan(S, lines)
+        while len(_plans) > PLAN_CACHE:
+            _plans.popitem(last=False)
+    return _plans[key]
 
 
 class _StreamCholesky:
@@ -578,116 +742,61 @@ class _StreamCholesky:
     nearest its median gives the smallest separator: the DOFs left of the
     line with an S-neighbour on or right of it, sorted along the line, so
     that a child's update set falls into a few runs of its parent's front.
-    The two sides are ordered first, then the separator.  Each leaf and each separator is a
-    front: its k pivots, contiguous in the order, and its update set U,
-    the later DOFs that its pivots' columns of S or its children's update
-    sets reach.  A front is three dense blocks, F11 (k x k), F21 (|U| x k)
-    and F22 (|U| x |U|); `dpotrf`, `dtrsm` and `dsyrk` eliminate its
-    pivots in place, and F22, its update block, is added into its
-    parent's blocks by slices, one per pair of runs of U that are
-    contiguous there.  `nnz` counts the entries of L the fronts store,
-    k (k + 1) / 2 + k |U| each; `solve(b)` runs `dtrsv` and matvecs over
-    the fronts."""
+    The two sides are ordered first, then the separator.  Each leaf and
+    each separator is a front: its k pivots, contiguous in the order, and
+    its update set U, the later DOFs that its pivots' columns of S or its
+    children's update sets reach.  A front is three dense blocks, F11
+    (k x k), F21 (|U| x k) and F22 (|U| x |U|); `dpotrf`, `dtrsm` and
+    `dsyrk` eliminate its pivots in place, and F22, its update block, is
+    added into its parent's blocks by slices, one per pair of runs of U
+    that are contiguous there.  F11 and F21 of consecutive fronts, which
+    become L's blocks, share one array up to FRONT_SLAB entries.  `nnz`
+    counts the entries of L the fronts store, k (k + 1) / 2 + k |U| each;
+    `solve(b)` runs `dtrsv` and matvecs over the fronts.
+
+    The order, the update sets and the maps into the fronts depend only
+    on S's pattern and the grid lines of its DOFs, and are computed once
+    per pattern (`_SymbolicPlan`, kept by `_symbolic_plan`); a factor
+    scatters S.data by them and runs the BLAS.  Every uniform-geometry
+    mesh of one N (`--kind uniform` at any eps, Shishkin with tau = 1/2)
+    gives one pattern, 340,073 entries at N = 64; on layer meshes the
+    entries `solve` drops from S as roundoff differ with eps, and so does
+    the pattern (393,641, 358,483 and 356,483 entries at eps = 1e-3, 1e-6
+    and 1e-10, N = 64)."""
 
     def __init__(self, S, coords):
         from scipy.linalg.blas import dsyrk, dtrsm
         from scipy.linalg.lapack import dpotrf
 
-        n = S.shape[0]
         S = S.tocsc()
-        # per DOF and axis, the index of its grid line, and the largest
-        # one among its S-neighbours
-        lines = np.column_stack([np.unique(coords[:, a], return_inverse=True)[1]
-                                 for a in (0, 1)])
-        reach = np.column_stack([np.maximum.reduceat(lines[S.indices, a],
-                                                     S.indptr[:-1])
-                                 for a in (0, 1)])
-        fronts = []   # (pivots in order, number of child fronts)
-
-        def dissect(nodes):
-            """Append the fronts of `nodes` in postorder."""
-            if len(nodes) <= ND_LEAF:
-                fronts.append((nodes, 0))
-                return
-            g = lines[nodes]
-            low = g.min(axis=0)
-            span = g.max(axis=0) - low
-            axis = int(span[1] > span[0])
-            c = g[:, axis] - low[axis]
-            r = reach[nodes, axis] - low[axis]
-            j = int(np.searchsorted(np.cumsum(np.bincount(c)), len(nodes) / 2))
-            cut = min([min(max(i, 1), span[axis]) for i in (j - 1, j, j + 1)],
-                      key=lambda v: np.count_nonzero((c < v) & (r >= v)))
-            sep = (c < cut) & (r >= cut)
-            dissect(nodes[c >= cut])
-            dissect(nodes[(c < cut) & ~sep])
-            s = nodes[sep]
-            fronts.append((s[np.lexsort((lines[s, axis], lines[s, 1 - axis]))],
-                           2))
-
-        dissect(np.arange(n))
-        self.perm = np.concatenate([nodes for nodes, _ in fronts])
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.perm] = np.arange(n)
-        ends = np.cumsum([len(nodes) for nodes, _ in fronts])
-        starts = ends - [len(nodes) for nodes, _ in fronts]
-
-        # the lower triangle of S in the new order, column by column
-        counts = np.diff(S.indptr)[self.perm]
-        entries = np.arange(S.nnz) + np.repeat(
-            S.indptr[self.perm] - np.cumsum(counts) + counts, counts)
-        r, c = rank[S.indices[entries]], np.repeat(np.arange(n), counts)
-        lower = np.flatnonzero(r >= c)
-        r, c, v = r[lower], c[lower], S.data[entries[lower]]
-        bounds = np.searchsorted(c, np.append(starts, n)).tolist()
-
-        # symbolic pass: each front's update set, children first
-        updates, stack = [], []
-        for (_, n_children), p1, lo, hi in zip(fronts, ends, bounds,
-                                               bounds[1:]):
-            U = np.unique(np.concatenate(
-                [r[lo:hi]] + stack[len(stack) - n_children:]))
-            del stack[len(stack) - n_children:]
-            updates.append(U[U >= p1])
-            stack.append(updates[-1])
-
-        # numeric pass; `where` maps the DOFs of the current front to its
-        # rows: pivots first, then U
-        self.fronts, stack, self.nnz = [], [], 0
-        where = np.empty(n, dtype=np.int64)
-        for (_, n_children), p0, p1, lo, hi, U in zip(
-                fronts, starts.tolist(), ends.tolist(), bounds, bounds[1:],
-                updates):
+        plan = _symbolic_plan(S, coords)
+        self.perm, self.nnz = plan.perm, plan.nnz
+        self.fronts, stack = [], []
+        for p0, p1, U, src, dst, runs, slab in plan.fronts:
             k, u = p1 - p0, len(U)
-            where[p0:p1] = np.arange(k)
-            where[U] = np.arange(k, k + u)
-            F11 = np.zeros((k, k), order="F")
-            F21 = np.zeros((u, k), order="F")
+            if slab:
+                columns, end = np.zeros(slab), 0
+            F1 = columns[end:end + k * (k + u)]
+            end += k * (k + u)
+            F1[dst] = S.data[src]
+            F11 = F1[:k * k].reshape((k, k), order="F")
+            F21 = F1[k * k:].reshape((u, k), order="F")
             F22 = np.zeros((u, u), order="F")
-            rows, cols = where[r[lo:hi]], c[lo:hi] - p0
-            below = rows >= k
-            F11[rows[~below], cols[~below]] = v[lo:hi][~below]
-            F21[rows[below] - k, cols[below]] = v[lo:hi][below]
-            for child_U, block in stack[len(stack) - n_children:]:
-                # the runs of child_U that are contiguous among the pivots
-                # or in U
-                at = where[child_U]
-                first = [0] + (np.flatnonzero((at[1:] - at[:-1] != 1)
-                                              | (at[1:] == k)) + 1).tolist()
-                runs = list(zip(first, at[first].tolist(),
-                                np.diff(first + [len(at)]).tolist()))
+            for block, (m, first, at, size) in zip(stack[len(stack) - len(runs):],
+                                                   runs):
                 # the lower block triangle: `block` is valid on and below
                 # its diagonal, and the map keeps the order
-                for i, (ci, pi, li) in enumerate(runs):
-                    for cj, pj, lj in runs[:i + 1]:
-                        add = block[ci:ci + li, cj:cj + lj]
-                        if pj >= k:
-                            F22[pi - k:pi - k + li, pj - k:pj - k + lj] += add
-                        elif pi >= k:
-                            F21[pi - k:pi - k + li, pj:pj + lj] += add
-                        else:
-                            F11[pi:pi + li, pj:pj + lj] += add
-            del stack[len(stack) - n_children:]
+                take = [slice(i, i + s) for i, s in zip(first, size)]
+                put = [slice(i, i + s) for i, s in zip(at, size)]
+                for i in range(m):
+                    for j in range(i + 1):
+                        F11[put[i], put[j]] += block[take[i], take[j]]
+                for i in range(m, len(take)):
+                    for j in range(m):
+                        F21[put[i], put[j]] += block[take[i], take[j]]
+                    for j in range(m, i + 1):
+                        F22[put[i], put[j]] += block[take[i], take[j]]
+            del stack[len(stack) - len(runs):]
             L11, info = dpotrf(F11, lower=1, overwrite_a=1)
             if info:
                 raise np.linalg.LinAlgError(
@@ -697,10 +806,10 @@ class _StreamCholesky:
             if u:
                 L21 = dtrsm(1.0, L11, F21, side=1, lower=1, trans_a=1,
                             overwrite_b=1)
-                stack.append((U, dsyrk(-1.0, L21, beta=1.0, c=F22, lower=1,
-                                       overwrite_c=1)))
+                F22 = dsyrk(-1.0, L21, beta=1.0, c=F22, lower=1,
+                            overwrite_c=1)
+            stack.append(F22)
             self.fronts.append((p0, p1, U, L11, L21))
-            self.nnz += k * (k + 1) // 2 + k * u
 
     def solve(self, b):
         from scipy.linalg.blas import dtrsv
@@ -739,10 +848,14 @@ def solve(space: DGSpace, case: StokesCase, gamma) -> StokesSolution:
     g = space.edge_moments(case.boundary_g, space.boundary, 4)
     C_f = space.curl[:, space.stream_free]
     S = (C_f.T @ A @ C_f).tocsc()
-    # entries that vanish in exact arithmetic come out as roundoff, about
-    # 1e-18 of the diagonal scale (the others are above 1e-10 of it); which
-    # of them are stored depends on the summation order, and with them the
-    # ordering and the fill of the factor, so they are dropped
+    # entries that vanish in exact arithmetic come out as roundoff, up to
+    # 2.1e-16 of the diagonal scale sqrt(s_ii s_jj) on the uniform mesh at
+    # N = 64, where the others are above 1e-2 of it; which of them are
+    # stored depends on the summation order, and with them the ordering and
+    # the fill of the factor, so the entries at or below 1e-12 of it are
+    # dropped.  On layer meshes that cut is not in a gap: at eps = 1e-10,
+    # N = 64, 2,000 entries lie between 1e-16 and 1e-12 of it (up to
+    # 5.2e-13), and they are dropped whether they are roundoff or not
     d = np.sqrt(S.diagonal())
     S.data[np.abs(S.data) <= 1e-12 * d[S.indices]
            * np.repeat(d, np.diff(S.indptr))] = 0.0
@@ -864,7 +977,8 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
     its Cholesky factor (row keys that `STUDY_COLUMNS` leaves out of the
     CSV).  A rate is the order
     per doubling of N against the previous row of the same epsilon,
-    log(e_prev / e) / log(N / N_prev), whatever the steps of N_list."""
+    log(e_prev / e) / log(N / N_prev), whatever the steps of N_list; it
+    is None, as in a first row, when either error is 0."""
     rows = []
     for eps in eps_list:
         case = manufactured_case(eps)
@@ -876,12 +990,13 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
             space = DGSpace(mesh)
             sol = solve(space, case, gamma)
             err_u, err_p = errors(sol, case)
+            rate_u = rate_p = None
             if prev:
                 steps = math.log2(N / prev[0])   # exactly 1.0 when N doubles
-                rate_u = math.log2(prev[1] / err_u) / steps
-                rate_p = math.log2(prev[2] / err_p) / steps
-            else:
-                rate_u = rate_p = None
+                if prev[1] and err_u:
+                    rate_u = math.log2(prev[1] / err_u) / steps
+                if prev[2] and err_p:
+                    rate_p = math.log2(prev[2] / err_p) / steps
             prev = (N, err_u, err_p)
             rows.append({
                 "epsilon": float(eps), "mesh_kind": kind, "N": N,

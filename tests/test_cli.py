@@ -630,6 +630,15 @@ def test_stokes_subcommand(tmp_path, capsys):
     assert code == 0
     assert len(manifest["rows"]) == 2
     assert out_path.exists()
+    # each row has the CSV's parameter columns too
+    assert all(set(row) == {
+        "epsilon", "N", "ndof", "tau", "sigma", "gamma", "err_grad_u",
+        "err_p", "rate_u", "rate_p", "div_max", "jump_max", "residual",
+        "n_unknowns", "nnz", "factor_nnz"} for row in manifest["rows"])
+    with open(out_path, newline="") as fh:
+        for row, line in zip(manifest["rows"], csv.DictReader(fh)):
+            assert [row[k] for k in ("ndof", "tau", "sigma", "gamma")] == [
+                float(line[k]) for k in ("ndof", "tau", "sigma", "gamma")]
     # the sizes of the stream-function matrix and the factor's fill are in
     # the manifest, not in the CSV
     header = out_path.read_text().splitlines()[0]
@@ -641,6 +650,21 @@ def test_stokes_subcommand(tmp_path, capsys):
         # the Cholesky factor's pattern holds that of tril(S)
         assert row["n_unknowns"] <= row["nnz"]
         assert 2 * row["factor_nnz"] >= row["nnz"] + row["n_unknowns"]
+
+
+def test_stokes_zero_error_has_no_rate(tmp_path, capsys):
+    # on the uniform mesh at eps = 1e-6 no quadrature point sees the layer,
+    # so the velocity errors read 0.0; a rate against a zero error is
+    # undefined, and computing it exited 1 with a ZeroDivisionError
+    out_path = tmp_path / "study.csv"
+    code, _, manifest = run(capsys, [
+        "stokes", "--kind", "uniform", "--eps", "1e-6", "--N", "8", "--N", "16",
+        "--out", str(out_path)])
+    assert code == 0
+    assert [row["err_grad_u"] for row in manifest["rows"]] == [0.0, 0.0]
+    assert [row["rate_u"] for row in manifest["rows"]] == [None, None]
+    with open(out_path, newline="") as fh:
+        assert [line["rate_u"] for line in csv.DictReader(fh)] == ["", ""]
 
 
 def test_stokes_csv_deterministic(tmp_path, capsys):

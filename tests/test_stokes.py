@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -241,8 +242,8 @@ def test_facet_batches_do_not_change_the_blocks(monkeypatch, case01):
 
 def test_stream_matrix_stores_no_roundoff_entries(case01):
     # with gamma = 4 (the penalty of these meshes) entries of C_f^T A C_f
-    # vanish in exact arithmetic but come out as roundoff, 1e-18 of the
-    # diagonal scale where the others are above 1e-2; which of them are
+    # vanish in exact arithmetic but come out as roundoff, below 1e-14 of
+    # the diagonal scale where the others are above 1e-2; which of them are
     # stored depends on the summation order (and the factor's fill on
     # them), so the solve must factorize without them
     space = DGSpace(study_mesh("uniform", 8, 0.1)[0])
@@ -316,8 +317,69 @@ def test_stream_factor_solves_the_system(monkeypatch, kind, N):
 @pytest.mark.parametrize("N", [2, 10])
 def test_stream_factor_refuses_a_matrix_that_is_not_spd(monkeypatch, N):
     S, coords = stream_system(monkeypatch, "shishkin", N)
+    analysed = counting_plans(monkeypatch)
+    stokes._StreamCholesky(S, coords)
+    # -S has the pattern of S: the check holds on the reused plan
     with pytest.raises(np.linalg.LinAlgError, match="stream-function system"):
         stokes._StreamCholesky(-S, coords)
+    assert analysed == [S.nnz]
+
+
+def counting_plans(monkeypatch):
+    """Empty the plan cache of `_StreamCholesky` for this test and count
+    its analyses: return the list of the nnz of each pattern analysed."""
+    analysed = []
+
+    class Counting(stokes._SymbolicPlan):
+        def __init__(self, S, lines):
+            super().__init__(S, lines)
+            analysed.append(S.nnz)
+
+    monkeypatch.setattr(stokes, "_SymbolicPlan", Counting)
+    monkeypatch.setattr(stokes, "_plans", OrderedDict())
+    return analysed
+
+
+def test_uniform_geometry_meshes_share_one_plan(monkeypatch):
+    # the Shishkin mesh of eps = 0.1 has tau = 1/2: its grid lines and the
+    # pattern of S are those of the uniform mesh, at every eps
+    analysed = counting_plans(monkeypatch)
+    rows = (convergence_study([0.1], [16], "shishkin")
+            + convergence_study([1e-3, 1e-6], [16], "uniform"))
+    assert analysed == [19049]
+    assert [row["nnz"] for row in rows] == [19049] * 3
+
+
+def test_layer_meshes_analyse_each_pattern(monkeypatch):
+    # on layer meshes the roundoff entries dropped from S depend on eps, so
+    # the patterns differ although the grids match
+    analysed = counting_plans(monkeypatch)
+    convergence_study([1e-3, 1e-6, 1e-3], [16], "shishkin")
+    assert analysed == [21737, 19843]
+
+
+def test_reused_plan_gives_the_fresh_factor(monkeypatch):
+    S, coords = stream_system(monkeypatch, "shishkin", 16)
+    analysed = counting_plans(monkeypatch)
+    fresh = stokes._StreamCholesky(S, coords)
+    reused = stokes._StreamCholesky(S, coords)
+    assert analysed == [S.nnz]
+    assert np.array_equal(reused.perm, fresh.perm) and reused.nnz == fresh.nnz
+    for a, b in zip(reused.fronts, fresh.fronts, strict=True):
+        assert a[:2] == b[:2] and all(np.array_equal(x, y)
+                                      for x, y in zip(a[2:], b[2:]))
+
+
+def test_plan_cache_is_bounded(monkeypatch):
+    systems = [stream_system(monkeypatch, "uniform", N)
+               for N in range(2, 2 * stokes.PLAN_CACHE + 4, 2)]
+    analysed = counting_plans(monkeypatch)
+    for S, coords in systems + systems[-1:] + systems[:1]:
+        stokes._StreamCholesky(S, coords)
+        assert len(stokes._plans) <= stokes.PLAN_CACHE
+    # the newest pattern is reused, the oldest was dropped and is analysed
+    # again
+    assert analysed == [S.nnz for S, _ in systems + systems[:1]]
 
 
 def test_matrix_symmetry(case01):
