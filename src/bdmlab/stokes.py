@@ -571,17 +571,21 @@ def _pressure_tree(space):
 # the factor took 91-102 ms with leaves of 128, 111-114 ms with 64 (more
 # fronts, more Python overhead) and 100-120 ms with 256 (more fill).
 ND_LEAF = 128
-# Symbolic plans kept, one per pattern: the benchmark's study factors the
-# patterns of N = 8, 16, 32 and 64 in turn, and a study over several eps
-# at one N the same pattern again.
+# Symbolic plans kept, one per pattern, newest last.  The solves of one N
+# in a study run together, so one kept plan serves every eps of a
+# uniform-geometry study; four let a process that repeats studies of up
+# to four sizes analyse each size once (the `stokes_study` benchmark
+# repeats N = 8, 16, 32 and 64; the four plans hold 2.5 MB).
 PLAN_CACHE = 4
-_plans = OrderedDict()     # digest of the pattern -> _SymbolicPlan, newest last
+_plans = OrderedDict()     # digest of the pattern and grid -> _SymbolicPlan
 # Entries per slab of the factor: the first block columns of consecutive
 # fronts share one array of at most this size (4 MiB), unless a front is
-# larger.  With one array per front, repeated N = 8..64 studies left the
-# heap fragmented and their peak RSS crept up by 10-15 MiB; one array per
-# factor is a fresh mapping for every factor, whose page faults cost
-# about a tenth of an N = 128 factorization.
+# larger.  Repeated N = 8..64 studies peaked at 130-132 MiB with the slabs
+# and 141-143 MiB with one array per front; one array per factor is a
+# fresh mapping for every factor, whose page faults cost about a tenth of
+# an N = 128 factorization.  The slabs fault too: a factorization on a
+# kept plan in a three-eps study at N = 64 and 128 takes 2.5k-22k minor
+# faults, against 0-216 with one array per front.
 FRONT_SLAB = 2 ** 19
 
 
@@ -978,12 +982,16 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
     CSV).  A rate is the order
     per doubling of N against the previous row of the same epsilon,
     log(e_prev / e) / log(N / N_prev), whatever the steps of N_list; it
-    is None, as in a first row, when either error is 0."""
-    rows = []
-    for eps in eps_list:
-        case = manufactured_case(eps)
-        prev = None
-        for N in N_list:
+    is None, as in a first row, when either error is 0.
+
+    The rows come epsilon by epsilon, but the solves run N by N: the
+    solves of one N follow each other, so those that share a pattern
+    (`--kind uniform` at every epsilon) find its plan among the last
+    PLAN_CACHE kept, however many N the study has."""
+    cases = [manufactured_case(eps) for eps in eps_list]
+    series = [[] for _ in eps_list]
+    for N in N_list:
+        for eps, case, done in zip(eps_list, cases, series):
             mesh, tau = study_mesh(kind, N, eps, log_convention)
             sigma = mesh_aspect_ratio(mesh)
             gamma = penalty(sigma, log_convention)
@@ -991,14 +999,14 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
             sol = solve(space, case, gamma)
             err_u, err_p = errors(sol, case)
             rate_u = rate_p = None
-            if prev:
-                steps = math.log2(N / prev[0])   # exactly 1.0 when N doubles
-                if prev[1] and err_u:
-                    rate_u = math.log2(prev[1] / err_u) / steps
-                if prev[2] and err_p:
-                    rate_p = math.log2(prev[2] / err_p) / steps
-            prev = (N, err_u, err_p)
-            rows.append({
+            if done:
+                prev = done[-1]
+                steps = math.log2(N / prev["N"])   # exactly 1.0 when N doubles
+                if prev["err_grad_u"] and err_u:
+                    rate_u = math.log2(prev["err_grad_u"] / err_u) / steps
+                if prev["err_p"] and err_p:
+                    rate_p = math.log2(prev["err_p"] / err_p) / steps
+            done.append({
                 "epsilon": float(eps), "mesh_kind": kind, "N": N,
                 "ndof": space.ndof, "tau": tau, "sigma": sigma,
                 "gamma": gamma, "err_grad_u": err_u, "err_p": err_p,
@@ -1010,7 +1018,7 @@ def convergence_study(eps_list, N_list, kind, log_convention="natural"):
                 "nnz": sol.stats["nnz"],
                 "factor_nnz": sol.stats["factor_nnz"],
             })
-    return rows
+    return [row for done in series for row in done]
 
 
 def study_to_csv(rows, path):

@@ -358,6 +358,19 @@ def test_layer_meshes_analyse_each_pattern(monkeypatch):
     assert analysed == [21737, 19843]
 
 
+def test_study_analyses_each_pattern_once(monkeypatch):
+    # the solves of one N run together, so a uniform study reuses each N's
+    # plan at every eps, whatever the number of N against PLAN_CACHE
+    analysed = counting_plans(monkeypatch)
+    Ns = list(range(2, 2 * stokes.PLAN_CACHE + 4, 2))
+    rows = convergence_study([0.1, 1e-2], Ns, "uniform")
+    assert analysed == [row["nnz"] for row in rows[:len(Ns)]]
+    assert [row["nnz"] for row in rows[len(Ns):]] == analysed
+    # the rows and their rates are those of one study per eps
+    assert rows == (convergence_study([0.1], Ns, "uniform")
+                    + convergence_study([1e-2], Ns, "uniform"))
+
+
 def test_reused_plan_gives_the_fresh_factor(monkeypatch):
     S, coords = stream_system(monkeypatch, "shishkin", 16)
     analysed = counting_plans(monkeypatch)
